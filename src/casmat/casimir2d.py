@@ -14,9 +14,10 @@ pulled together).  Natural units, hbar = c = k_B = 1.
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .quadrature import QuadratureSpec, integrate_semi_infinite, _sum_series
+from .quadrature import (QuadratureSpec, IntegrationResult,
+                         integrate_semi_infinite, _sum_series)
 from .special_functions import polylog, bernoulli, erlang_weight, hypoexp_weight
 from .spectral import thermal_kernel_time, free_energy_kernel_time
 from .scattering import CavityConfig, ModelCapabilityError
@@ -93,14 +94,30 @@ def _delay_profile(cfg):
             lambda l: l / a + l / b)
 
 
-def _inner_spec(spec):
-    # per-term integrals run slightly tighter than the series budget so the
-    # accumulated term errors stay inside the caller's tolerance
-    return QuadratureSpec(rel_tol=0.5 * spec.rel_tol,
-                          abs_tol=0.5 * spec.abs_tol,
-                          max_subdivisions=spec.max_subdivisions,
-                          series_tail_tol=spec.series_tail_tol,
-                          max_roundtrips=spec.max_roundtrips)
+def _sum_integral_terms(integrand_for, scale_for, spec):
+    """Sum a roundtrip series whose l-th term is an integral over (0, inf).
+
+    ``integrand_for(l)`` returns the vectorized l-th integrand and
+    ``scale_for(l)`` its decay scale.  Each term is integrated slightly
+    tighter than the series budget so the accumulated term errors stay
+    inside the caller's tolerance; the result adds those quadrature errors
+    to the series error and is converged only if every term integral is.
+    """
+    inner = replace(spec, rel_tol=0.5 * spec.rel_tol,
+                    abs_tol=0.5 * spec.abs_tol)
+    quad_err = 0.0
+    quad_ok = True
+
+    def term(l):
+        nonlocal quad_err, quad_ok
+        res = integrate_semi_infinite(integrand_for(l), scale_for(l), inner)
+        quad_err += abs(res.error_estimate)
+        quad_ok = quad_ok and res.converged
+        return res.value
+
+    series = _sum_series(term, spec)
+    return IntegrationResult(series.value, series.error_estimate + quad_err,
+                             series.evaluations, series.converged and quad_ok)
 
 
 def force_imag_axis(cfg, spec=None):
@@ -164,31 +181,21 @@ def force_roundtrip_time(cfg, spec=None):
     q = cfg.q
     T = cfg.temperature
     weight_for, mean_for = _delay_profile(cfg)
-    r0 = cfg.loop_r0()
-    quad_err = [0.0]
-    quad_ok = [True]
 
     if weight_for is None:
-        def term(l):
-            return -(r0 ** l) * thermal_kernel_time(2.0 * l * q, T)
+        r0 = cfg.loop_r0()
+        series = _sum_series(
+            lambda l: -(r0 ** l) * thermal_kernel_time(2.0 * l * q, T), spec)
     else:
-        inner = _inner_spec(spec)
-
-        def term(l):
+        def integrand_for(l):
             w = weight_for(l)
-            res = integrate_semi_infinite(
-                lambda s: -w(s) * thermal_kernel_time(2.0 * l * q + s, T),
-                mean_for(l), inner)
-            quad_err[0] += abs(res.error_estimate)
-            quad_ok[0] = quad_ok[0] and res.converged
-            return res.value
+            return lambda s: -w(s) * thermal_kernel_time(2.0 * l * q + s, T)
 
-    series = _sum_series(term, spec, algebraic_tail=True)
-    value = series.value
-    err = series.error_estimate + quad_err[0]
-    ok = (series.converged and quad_ok[0]
-          and err <= max(spec.abs_tol, spec.rel_tol * abs(value)))
-    return ForceResult(value, err, "roundtrip-time", series.evaluations, ok)
+        series = _sum_integral_terms(integrand_for, mean_for, spec)
+    ok = bool(series.converged and series.error_estimate
+              <= max(spec.abs_tol, spec.rel_tol * abs(series.value)))
+    return ForceResult(series.value, series.error_estimate, "roundtrip-time",
+                       series.evaluations, ok)
 
 
 def force_large_distance(r0, q, temperature=0.0, spec=None):
@@ -221,10 +228,9 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
     def term(l):
         return -(r0 ** l) * thermal_kernel_time(2.0 * l * q, temperature)
 
-    series = _sum_series(term, spec, ratio_bound=rb, algebraic_tail=True)
-    ok = (series.converged
-          and series.error_estimate <= max(spec.abs_tol,
-                                           spec.rel_tol * abs(series.value)))
+    series = _sum_series(term, spec, ratio_bound=rb)
+    ok = bool(series.converged and series.error_estimate
+              <= max(spec.abs_tol, spec.rel_tol * abs(series.value)))
     return ForceResult(series.value, series.error_estimate, "large-distance",
                        series.evaluations, ok)
 
@@ -304,32 +310,24 @@ def free_energy(cfg, spec=None):
     q = cfg.q
     alpha = np.pi * T
     weight_for, mean_for = _delay_profile(cfg)
-    r0 = cfg.loop_r0()
-    quad_err = [0.0]
-    quad_ok = [True]
 
     if weight_for is None:
-        def term(l):
-            return (r0 ** l / l) * free_energy_kernel_time(2.0 * l * q, T)
+        r0 = cfg.loop_r0()
+        series = _sum_series(
+            lambda l: (r0 ** l / l) * free_energy_kernel_time(2.0 * l * q, T),
+            spec)
     else:
-        inner = _inner_spec(spec)
-
-        def term(l):
+        def integrand_for(l):
             w = weight_for(l)
-            res = integrate_semi_infinite(
-                lambda s: w(s) * free_energy_kernel_time(2.0 * l * q + s, T) / l,
-                mean_for(l), inner)
-            quad_err[0] += abs(res.error_estimate)
-            quad_ok[0] = quad_ok[0] and res.converged
-            return res.value
+            return lambda s: w(s) * free_energy_kernel_time(2.0 * l * q + s, T) / l
 
-    series = _sum_series(term, spec, algebraic_tail=True)
-    err = series.error_estimate + quad_err[0]
+        series = _sum_integral_terms(integrand_for, mean_for, spec)
+    err = series.error_estimate
     lstar = 1.0 / (4.0 * alpha * q)
     if lstar > series.evaluations:
         err += (alpha / (2.0 * np.pi)) * np.log(lstar / series.evaluations)
     return EnergyResult(series.value, err, "roundtrip-time", "free-energy",
-                        series.converged and quad_ok[0])
+                        series.converged)
 
 
 def internal_energy_thermal(cfg, spec=None):

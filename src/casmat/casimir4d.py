@@ -20,7 +20,7 @@ import numpy as np
 from .quadrature import QuadratureSpec, integrate_semi_infinite, _sum_series
 from .special_functions import polylog, bernoulli
 from .spectral import kernel_4d_thermal
-from .casimir2d import ForceResult, EnergyResult
+from .casimir2d import ForceResult, EnergyResult, _sum_integral_terms
 
 
 class PlanarMirrorModel:
@@ -99,29 +99,18 @@ def pressure_roundtrip(cfg, spec=None):
     if spec is None:
         spec = QuadratureSpec()
     q = cfg.q
-    quad_err = [0.0]
-    quad_ok = [True]
-    inner = QuadratureSpec(rel_tol=0.5 * spec.rel_tol,
-                           abs_tol=0.5 * spec.abs_tol,
-                           max_subdivisions=spec.max_subdivisions,
-                           series_tail_tol=spec.series_tail_tol,
-                           max_roundtrips=spec.max_roundtrips)
 
-    def term(l):
+    def integrand_for(l):
         def f(kappa):
             return (kappa**3 * cfg.loop_r_imag(kappa)**l
                     * np.exp(-2.0 * l * kappa * q) / np.pi**2)
-        res = integrate_semi_infinite(f, 0.5 / (l * q), inner)
-        quad_err[0] += abs(res.error_estimate)
-        quad_ok[0] = quad_ok[0] and res.converged
-        return res.value
+        return f
 
-    series = _sum_series(term, spec, algebraic_tail=True)
-    value = series.value
-    err = series.error_estimate + quad_err[0]
-    ok = (series.converged and quad_ok[0]
-          and err <= max(spec.abs_tol, spec.rel_tol * abs(value)))
-    return ForceResult(value, err, "roundtrip-time", series.evaluations, ok)
+    series = _sum_integral_terms(integrand_for, lambda l: 0.5 / (l * q), spec)
+    ok = bool(series.converged and series.error_estimate
+              <= max(spec.abs_tol, spec.rel_tol * abs(series.value)))
+    return ForceResult(series.value, series.error_estimate, "roundtrip-time",
+                       series.evaluations, ok)
 
 
 def pressure_large_distance(r0, q, spec=None):
@@ -173,11 +162,11 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
         return (r0 ** l) * rem
 
     rb = abs(r0) * np.exp(-4.0 * alpha * q)
-    series = _sum_series(term, spec, ratio_bound=rb, algebraic_tail=True)
+    series = _sum_series(term, spec, ratio_bound=rb)
     value = classical + series.value
     err = series.error_estimate + 1e-12 * abs(classical)
-    ok = series.converged and err <= max(spec.abs_tol,
-                                         spec.rel_tol * abs(value))
+    ok = bool(series.converged and err <= max(spec.abs_tol,
+                                              spec.rel_tol * abs(value)))
     return ForceResult(value, err, "large-distance",
                        series.evaluations, ok)
 

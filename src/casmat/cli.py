@@ -24,7 +24,6 @@ import copy
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -75,8 +74,6 @@ def _build_parser():
     common.add_argument("--config", default=None,
                         help="key=value file supplying defaults for any flag; "
                              "command-line flags win")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="concurrent sweep evaluations (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="casmat",
@@ -279,9 +276,6 @@ def _cmd_sweep(args):
         rec["param"] = "%s=%r" % (args.param, float(v))
         return rec
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(one, values))
     return [one(v) for v in values]
 
 

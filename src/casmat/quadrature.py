@@ -4,9 +4,9 @@ All physical integrals in this package are either rotated to the imaginary
 frequency axis or expressed as time-domain roundtrip sums, so every integrand
 reaching this module is smooth (at worst endpoint-log-singular) and decays
 exponentially.  The engine is an embedded Gauss pair (7/15 point) on panels,
-globally refined worst-panel-first, plus a series summator with a geometric
-tail bound and two escape hatches for slowly decaying term sequences: exact
-polylogarithm detection and an algebraic 1/l^k tail fit.
+globally refined worst-panel-first, plus one series summator, `_sum_series`,
+with a geometric tail bound and two escape hatches for slowly decaying term
+sequences: exact polylogarithm detection and an algebraic 1/l^k tail fit.
 
 Integrand callables must accept numpy arrays of abscissae.
 """
@@ -194,12 +194,6 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
     return result
 
 
-def _integrate_interval(f, a, b, spec):
-    """Adaptive integral of f over the finite interval [a, b]."""
-    val, err = _panel(f, a, b)
-    return _refine(f, [[err, a, b, val, 0]], 22, spec)
-
-
 def _detect_polylog(terms, first_ell):
     """Check whether terms follow c x^l / l^p exactly; return (c, x, p) or None.
 
@@ -216,9 +210,6 @@ def _detect_polylog(terms, first_ell):
         u = t * ells**p
         ratios = u[1:] / u[:-1]
         x = float(np.median(ratios))
-        if np.isfinite(x) and 1.0 - 1e-9 < abs(x) <= 1.0 + 1e-9:
-            # exactly-critical sequences land here up to roundoff
-            x = 1.0 if x > 0 else -1.0
         if not np.isfinite(x) or abs(x) > 1.0 or x == 0.0:
             continue
         if abs(x) > 1.0 - 1e-6:
@@ -260,15 +251,16 @@ def _fit_algebraic_tail(term_list, L):
     return tail, abs(tail - tail2)
 
 
-def _sum_series(term, spec, ratio_bound=None, algebraic_tail=False):
-    """Shared series engine behind sum_roundtrip_series and the force sums.
+def _sum_series(term, spec, ratio_bound=None):
+    """The series engine behind sum_roundtrip_series and the engines' sums.
 
     term(l) is evaluated for l = 1, 2, ... and accumulated.  Exit routes, in
     order of preference at each checkpoint: a priori geometric bound (when
     ratio_bound < 1 is supplied), observed-ratio geometric bound, exact
-    polylogarithm detection, and (for the internal engines) an algebraic
-    tail fit.  Returns an IntegrationResult whose evaluations field counts
-    term() calls.
+    polylogarithm detection of a ratio |x| <= 1 - 1e-6, and an algebraic
+    1/l^k tail fit (from 64 terms on).  Critical sequences such as 1/l^2
+    therefore close through the tail fit.  Returns an IntegrationResult
+    whose evaluations field counts term() calls.
     """
     cap = spec.max_roundtrips
     terms = []
@@ -317,7 +309,7 @@ def _sum_series(term, spec, ratio_bound=None, algebraic_tail=False):
             return IntegrationResult(value, spec.series_tail_tol * abs(value),
                                      ell, True)
 
-        if algebraic_tail and ell >= 64:
+        if ell >= 64:
             fit = _fit_algebraic_tail(terms, ell)
             if fit is not None:
                 tail, proxy = fit
@@ -344,11 +336,12 @@ def sum_roundtrip_series(term, ratio_bound, spec=None):
         term(l) returns the l-roundtrip contribution (a float).
     ratio_bound : float
         A priori bound on |term(l+1)/term(l)|.  For ratio_bound < 1 the
-        truncation uses the geometric tail bound
-        |term(L)| ratio_bound / (1 - ratio_bound).  At or above 1 - 1e-6
-        (perfectly reflecting pairs) the sum is attempted only through exact
-        polylogarithm detection of the term sequence; anything else is
-        reported as non-converged rather than truncated blindly.
+        truncation can use the geometric tail bound
+        |term(L)| ratio_bound / (1 - ratio_bound).  At or above 1
+        (perfectly reflecting pairs) the bound says nothing and the sum
+        closes only through the observed-ratio, polylogarithm or algebraic
+        tail exits of `_sum_series`; otherwise it is reported as
+        non-converged rather than truncated blindly.
     spec : QuadratureSpec, optional
 
     Returns
@@ -360,20 +353,4 @@ def sum_roundtrip_series(term, ratio_bound, spec=None):
         spec = QuadratureSpec()
     if ratio_bound <= 0:
         raise ValueError("ratio_bound must be positive")
-
-    if ratio_bound < 1.0 - 1e-6:
-        return _sum_series(term, spec, ratio_bound=ratio_bound)
-
-    # degenerate tail bound: polylog detection or bust
-    probe = min(48, spec.max_roundtrips)
-    terms = [float(term(l)) for l in range(1, probe + 1)]
-    partial = float(np.sum(terms))
-    if np.max(np.abs(terms)) == 0.0:
-        return IntegrationResult(0.0, 0.0, probe, True)
-    hit = _detect_polylog(terms, 1)
-    if hit is not None:
-        c, x, p = hit
-        value = c * polylog(x, p, tol=spec.series_tail_tol)
-        return IntegrationResult(value, spec.series_tail_tol * abs(value),
-                                 probe, True)
-    return IntegrationResult(partial, abs(terms[-1]), probe, False)
+    return _sum_series(term, spec, ratio_bound=ratio_bound)

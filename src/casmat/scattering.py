@@ -306,34 +306,19 @@ def airy_factor(cfg, omega):
     return (1.0 - abs(r) ** 2) / den
 
 
-def _phase_shift_series(z, tol=1e-15):
-    """Continuous-branch phase from the roundtrip series sum 2 Im[z^l]/l."""
-    total = 0.0
-    zl = 1.0 + 0.0j
-    for ell in range(1, 100000):
-        zl *= z
-        total += 2.0 * zl.imag / ell
-        if abs(zl) / max(ell, 1) <= tol * (1.0 - abs(z)):
-            break
-    return total
-
-
 def phase_shift(cfg, omega):
     """Total scattering phase shift Delta[w] of the mirror pair.
 
     Delta = -2 arg(1 - r e^{2iwq}) on the branch continuously connected to
-    Delta[0] = 0.  For |r e^{2iwq}| < 1 the principal branch already is that
-    branch (the argument stays in the right half-plane), and for loop
-    amplitudes below 0.999 the roundtrip series sum_l (2/l) Im[(r e^{2iwq})^l]
-    is used, which is branch-free by construction.
+    Delta[0] = 0.  For |r e^{2iwq}| < 1, Re(1 - r e^{2iwq}) > 0, so the
+    principal branch already is that branch; it equals the roundtrip series
+    sum_l (2/l) Im[(r e^{2iwq})^l] without summing it.
     """
     r = complex(cfg.loop_r_real(omega))
     z = r * np.exp(2j * omega * cfg.q)
     if abs(z) >= 1.0:
         raise ValueError("phase shift undefined at |r e^{2iwq}| >= 1")
-    if abs(z) < 0.999:
-        return _phase_shift_series(z)
-    return -2.0 * np.angle(1.0 - z)
+    return float(-2.0 * np.angle(1.0 - z))
 
 
 def phase_shift_derivative_decomposition(cfg, omega):

@@ -87,10 +87,20 @@ def free_energy_kernel_time(tau, T):
     alpha = np.pi * T
     x = alpha * tau
     out = np.empty_like(x)
-    # 1 - coth = -2/(e^{2x} - 1); expm1 keeps small x exact
     small = x <= 300.0
+    if x.min(initial=np.inf) <= 1e-8:
+        # down where alpha*tau underflows, alpha/pi loses its digits and x
+        # can reach 0: write the kernel as the vacuum one times 2x/expm1(2x)
+        tiny = x <= 1e-8
+        xt = x[tiny]
+        safe = np.where(xt == 0.0, 1.0, xt)
+        ratio = np.where(xt == 0.0, 1.0, 2.0 * safe / np.expm1(2.0 * safe))
+        out[tiny] = -ratio / (2.0 * np.pi * tau[tiny])
+        small = small & ~tiny
+    # 1 - coth = -2/(e^{2x} - 1); expm1 keeps small x exact
     out[small] = -(alpha / np.pi) / np.expm1(2.0 * x[small])
-    out[~small] = -(alpha / np.pi) * np.exp(-2.0 * x[~small])
+    large = x > 300.0
+    out[large] = -(alpha / np.pi) * np.exp(-2.0 * x[large])
     return float(out) if out.ndim == 0 else out
 
 

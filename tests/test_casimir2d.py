@@ -1,5 +1,7 @@
 """Forces, energies and free energies for the two-mirror line cavity."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -198,3 +200,24 @@ def test_sign_law(r0):
         assert val < 0.0
     else:
         assert val == 0.0
+
+
+@pytest.mark.parametrize("route", [
+    lambda: force_imag_axis(_pair(perfect_mirror, 1.0)),
+    lambda: force_roundtrip_time(_pair(perfect_mirror, 1.0)),
+    lambda: force_roundtrip_time(_pair(perfect_mirror, 1.0, T=0.2)),
+    lambda: force_roundtrip_time(_pair(lambda: lorentzian_mirror(1.0), 1.0)),
+    lambda: force_large_distance(0.5, 1.0),
+    lambda: force_large_distance(0.5, 1.0, temperature=0.2),
+    lambda: mode_sum_oracle_2d(1.0),
+    lambda: casimir_energy(_pair(perfect_mirror, 1.0)),
+    lambda: free_energy(_pair(perfect_mirror, 1.0, T=0.2)),
+    lambda: internal_energy_thermal(_pair(perfect_mirror, 1.0, T=0.2)),
+], ids=["imag-axis", "roundtrip", "roundtrip-T", "roundtrip-lorentzian",
+        "large-distance", "large-distance-T", "oracle", "energy",
+        "free-energy", "internal-energy"])
+def test_result_round_trips_through_json(route):
+    res = route()
+    assert type(res.converged) is bool
+    record = dataclasses.asdict(res)
+    assert json.loads(json.dumps(record)) == record

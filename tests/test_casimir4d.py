@@ -1,5 +1,7 @@
 """Pressures and energies for parallel plates in three space dimensions."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -154,3 +156,20 @@ def test_sign_law(r0):
         assert val < 0.0
     else:
         assert val == 0.0
+
+
+@pytest.mark.parametrize("route", [
+    lambda: pressure_imag_axis(_plates(perfect_mirror, 1.0)),
+    lambda: pressure_roundtrip(_plates(lambda: lorentzian_mirror(1.0), 1.0)),
+    lambda: pressure_large_distance(0.5, 1.0),
+    lambda: pressure_thermal_large_distance(0.5, 1.0, 0.3),
+    lambda: pressure_high_temperature(0.5, 1.0, 1.0),
+    lambda: mode_sum_oracle_4d(1.0),
+    lambda: energy_4d(_plates(perfect_mirror, 1.0)),
+], ids=["imag-axis", "roundtrip", "large-distance", "thermal-large-distance",
+        "high-T", "oracle", "energy"])
+def test_result_round_trips_through_json(route):
+    res = route()
+    assert type(res.converged) is bool
+    record = dataclasses.asdict(res)
+    assert json.loads(json.dumps(record)) == record

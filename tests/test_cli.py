@@ -159,15 +159,6 @@ def test_sweep_param_column_and_values(capsys):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_sweep_is_stable_under_parallelism(capsys):
-    base = ["sweep", "--command", "energy4d", "--param", "q", "--from", "0.7",
-            "--to", "1.4", "--points", "5", "--output", "csv"]
-    _, serial, _ = run_cli(base + ["--jobs", "1"], capsys)
-    code, threaded, _ = run_cli(base + ["--jobs", "3"], capsys)
-    assert code == 0
-    assert threaded == serial
-
-
 def test_sweep_validates_range(capsys):
     code, _, err = run_cli(["sweep", "--command", "force2d", "--param", "q",
                             "--from", "2", "--to", "1"], capsys)

@@ -86,3 +86,14 @@ def test_result_fields():
     assert res.evaluations > 0
     assert isinstance(res.converged, bool)
     assert res.error_estimate >= 0.0
+
+
+def test_critical_series_closes_through_algebraic_tail():
+    # ratio bound 1 gives no geometric bound and no polylog closes a ratio
+    # of exactly 1: the sum must come from the 1/l^k tail fit
+    res = sum_roundtrip_series(lambda ell: 1.0 / ell ** 2, 1.0)
+    assert res.converged
+    # the bar covers the truncated tail; adding up n terms in double
+    # precision costs up to n more ulps of roundoff on top
+    roundoff = res.evaluations * math.ulp(ZETA2)
+    assert abs(res.value - ZETA2) <= res.error_estimate + roundoff

@@ -1,6 +1,7 @@
 """Time-domain radiation-pressure kernels and thermal weights."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,3 +133,20 @@ def test_kernel_signs_and_thermal_suppression(tau, T):
     assert free_energy_kernel_time(tau, T) <= 0.0
     if math.pi * T * tau < 170.0:
         assert free_energy_kernel_time(tau, T) < 0.0
+
+
+def test_free_energy_kernel_at_underflowing_alpha_tau():
+    # at T = 5e-324 alpha*tau underflows; the kernel must still reduce to
+    # its vacuum limit -1/(2 pi tau), finite and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (1e-2, 1.0):
+            k = free_energy_kernel_time(tau, 5e-324)
+            assert math.isfinite(k)
+            assert k == pytest.approx(-1.0 / (2.0 * math.pi * tau), rel=1e-12)
+        # an array mixing underflowing and ordinary alpha*tau
+        mixed = free_energy_kernel_time(np.array([1e-2, 1e3]), 1e-9)
+        assert mixed[0] == pytest.approx(-1.0 / (2.0 * math.pi * 1e-2),
+                                         rel=1e-9)
+        assert mixed[1] == free_energy_kernel_time(1e3, 1e-9)
+        assert free_energy_kernel_time(np.array([]), 1.0).size == 0
