@@ -17,10 +17,10 @@ import numpy as np
 from dataclasses import dataclass, replace
 
 from .quadrature import (QuadratureSpec, IntegrationResult,
-                         integrate_semi_infinite, _sum_series)
+                         integrate_semi_infinite, _sum_series, _tol_met)
 from .special_functions import polylog, bernoulli, erlang_weight, hypoexp_weight
 from .spectral import thermal_kernel_time, free_energy_kernel_time
-from .scattering import CavityConfig, ModelCapabilityError
+from .scattering import ModelCapabilityError
 
 
 @dataclass
@@ -120,6 +120,29 @@ def _sum_integral_terms(integrand_for, scale_for, spec):
                              series.evaluations, series.converged and quad_ok)
 
 
+def _roundtrip_sum(cfg, kernel, spec):
+    """Sum the roundtrip series whose l-th term averages kernel(l, tau).
+
+    The average is over the l-roundtrip delay density w_l of
+    `_delay_profile`, at tau = 2 l q + s:
+
+        sum_l  int_0^inf ds  w_l(s) kernel(l, 2 l q + s).
+
+    For a perfect pair the density is a delta at s = 0 and the loop
+    reflection is (-1)(-1) = 1, so the l-th term is kernel(l, 2 l q).
+    """
+    q = cfg.q
+    weight_for, mean_for = _delay_profile(cfg)
+    if weight_for is None:
+        return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec)
+
+    def integrand_for(l):
+        w = weight_for(l)
+        return lambda s: w(s) * kernel(l, 2.0 * l * q + s)
+
+    return _sum_integral_terms(integrand_for, mean_for, spec)
+
+
 def force_imag_axis(cfg, spec=None):
     """Casimir force from the imaginary-frequency integral (T = 0).
 
@@ -170,30 +193,19 @@ def force_roundtrip_time(cfg, spec=None):
         F  =  sum_l  -int_0^inf ds  w_l(s) c_T(2 l q + s),
 
     where w_l is the delay density from `_delay_profile` and c_T the
-    (thermal) two-point kernel.  For instantaneous mirrors the delay
-    integral collapses and F = -sum_l r0^l c_T(2 l q) exactly.
+    (thermal) two-point kernel.  For a perfect pair the delay integral
+    collapses and F = -sum_l c_T(2 l q) exactly.
 
     Entirely independent of the imaginary-axis route: real time-domain
     kernels, no contour rotation.  Works at any temperature >= 0.
     """
     if spec is None:
         spec = QuadratureSpec()
-    q = cfg.q
     T = cfg.temperature
-    weight_for, mean_for = _delay_profile(cfg)
-
-    if weight_for is None:
-        r0 = cfg.loop_r0()
-        series = _sum_series(
-            lambda l: -(r0 ** l) * thermal_kernel_time(2.0 * l * q, T), spec)
-    else:
-        def integrand_for(l):
-            w = weight_for(l)
-            return lambda s: -w(s) * thermal_kernel_time(2.0 * l * q + s, T)
-
-        series = _sum_integral_terms(integrand_for, mean_for, spec)
-    ok = bool(series.converged and series.error_estimate
-              <= max(spec.abs_tol, spec.rel_tol * abs(series.value)))
+    series = _roundtrip_sum(
+        cfg, lambda l, tau: -thermal_kernel_time(tau, T), spec)
+    ok = series.converged and _tol_met(series.error_estimate, series.value,
+                                       spec)
     return ForceResult(series.value, series.error_estimate, "roundtrip-time",
                        series.evaluations, ok)
 
@@ -229,8 +241,8 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
         return -(r0 ** l) * thermal_kernel_time(2.0 * l * q, temperature)
 
     series = _sum_series(term, spec, ratio_bound=rb)
-    ok = bool(series.converged and series.error_estimate
-              <= max(spec.abs_tol, spec.rel_tol * abs(series.value)))
+    ok = series.converged and _tol_met(series.error_estimate, series.value,
+                                       spec)
     return ForceResult(series.value, series.error_estimate, "large-distance",
                        series.evaluations, ok)
 
@@ -291,8 +303,8 @@ def free_energy(cfg, spec=None):
 
         Fcal = sum_l (1/l) * int_0^inf ds w_l(s) k(2 l q + s),
 
-    with the same delay densities as `force_roundtrip_time` (for
-    instantaneous mirrors the integral collapses to r0^l k(2 l q)/l).
+    with the same delay densities as `force_roundtrip_time` (for a
+    perfect pair the integral collapses to k(2 l q)/l).
     The additive constant is fixed by Fcal -> 0 as q -> inf, i.e. the
     mirrors decouple.  d(Fcal)/dq reproduces the roundtrip force.
 
@@ -307,56 +319,42 @@ def free_energy(cfg, spec=None):
     if T <= 0.0:
         raise ValueError("free energy requires T > 0; at T = 0 the free "
                          "energy is the Casimir energy")
-    q = cfg.q
     alpha = np.pi * T
-    weight_for, mean_for = _delay_profile(cfg)
-
-    if weight_for is None:
-        r0 = cfg.loop_r0()
-        series = _sum_series(
-            lambda l: (r0 ** l / l) * free_energy_kernel_time(2.0 * l * q, T),
-            spec)
-    else:
-        def integrand_for(l):
-            w = weight_for(l)
-            return lambda s: w(s) * free_energy_kernel_time(2.0 * l * q + s, T) / l
-
-        series = _sum_integral_terms(integrand_for, mean_for, spec)
+    series = _roundtrip_sum(
+        cfg, lambda l, tau: free_energy_kernel_time(tau, T) / l, spec)
     err = series.error_estimate
-    lstar = 1.0 / (4.0 * alpha * q)
+    lstar = 1.0 / (4.0 * alpha * cfg.q)
     if lstar > series.evaluations:
         err += (alpha / (2.0 * np.pi)) * np.log(lstar / series.evaluations)
     return EnergyResult(series.value, err, "roundtrip-time", "free-energy",
-                        series.converged)
+                        series.converged and _tol_met(err, series.value, spec))
 
 
 def internal_energy_thermal(cfg, spec=None):
     """Internal energy U = Fcal - T dFcal/dT at temperature T > 0.
 
-    The temperature derivative is taken by a centered finite difference
-    with relative step 1e-4 (the double-precision sweet spot for the
-    values and tolerances involved); the difference amplifies the free
-    energies' error estimates by T/(2h) and that amplification is
-    reported, conservatively, in ``error_estimate``.
+    Only the free-energy kernel k_T of `free_energy` depends on T, and
+
+        k_T - T dk_T/dT = tau c_T(tau) / 2
+
+    exactly, with c_T the thermal kernel of `force_roundtrip_time`.  So U
+    is one roundtrip series with the same delay densities,
+
+        U = sum_l (1/l) * int_0^inf ds w_l(s) tau c_T(tau) / 2,
+        tau = 2 l q + s,
+
+    and its error bar is the series' own.  The terms fall off like 1/l^2
+    with no low-temperature plateau.
     """
+    if spec is None:
+        spec = QuadratureSpec()
     T = cfg.temperature
     if T <= 0.0:
         raise ValueError("internal_energy_thermal requires T > 0; "
                          "at T = 0 use casimir_energy")
-    h = 1e-4 * T
-    f0 = free_energy(cfg, spec)
-    fp = free_energy(CavityConfig(cfg.mirror1, cfg.mirror2, cfg.q,
-                                  temperature=T + h), spec)
-    fm = free_energy(CavityConfig(cfg.mirror1, cfg.mirror2, cfg.q,
-                                  temperature=T - h), spec)
-    dt = (fp.value - fm.value) / (2.0 * h)
-    value = f0.value - T * dt
-    # the second difference estimates the curvature; with the thermal
-    # scale T as the only scale, h^2 Fcal'' bounds the FD truncation
-    # (the /6 of the exact formula is dropped as a safety margin)
-    trunc = abs(fp.value - 2.0 * f0.value + fm.value)
-    err = (f0.error_estimate
-           + T * (fp.error_estimate + fm.error_estimate) / (2.0 * h)
-           + trunc)
-    ok = f0.converged and fp.converged and fm.converged
-    return EnergyResult(value, err, "roundtrip-time", "casimir-energy", ok)
+    series = _roundtrip_sum(
+        cfg, lambda l, tau: 0.5 * tau * thermal_kernel_time(tau, T) / l, spec)
+    ok = series.converged and _tol_met(series.error_estimate, series.value,
+                                       spec)
+    return EnergyResult(series.value, series.error_estimate, "roundtrip-time",
+                        "casimir-energy", ok)

@@ -17,7 +17,8 @@ energy.  Positive pressure means attraction; natural units throughout.
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_semi_infinite, _sum_series
+from .quadrature import (QuadratureSpec, integrate_semi_infinite, _sum_series,
+                         _tol_met)
 from .special_functions import polylog, bernoulli
 from .spectral import kernel_4d_thermal
 from .casimir2d import ForceResult, EnergyResult, _sum_integral_terms
@@ -107,8 +108,8 @@ def pressure_roundtrip(cfg, spec=None):
         return f
 
     series = _sum_integral_terms(integrand_for, lambda l: 0.5 / (l * q), spec)
-    ok = bool(series.converged and series.error_estimate
-              <= max(spec.abs_tol, spec.rel_tol * abs(series.value)))
+    ok = series.converged and _tol_met(series.error_estimate, series.value,
+                                       spec)
     return ForceResult(series.value, series.error_estimate, "roundtrip-time",
                        series.evaluations, ok)
 
@@ -165,8 +166,7 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     series = _sum_series(term, spec, ratio_bound=rb)
     value = classical + series.value
     err = series.error_estimate + 1e-12 * abs(classical)
-    ok = bool(series.converged and err <= max(spec.abs_tol,
-                                              spec.rel_tol * abs(value)))
+    ok = series.converged and _tol_met(err, value, spec)
     return ForceResult(value, err, "large-distance",
                        series.evaluations, ok)
 

@@ -7,12 +7,18 @@ exponentially.  The engine is an embedded Gauss pair (7/15 point) on panels,
 globally refined worst-panel-first, plus one series summator, `_sum_series`,
 with a geometric tail bound and two escape hatches for slowly decaying term
 sequences: exact polylogarithm detection and an algebraic 1/l^k tail fit.
+A series value is the exactly rounded sum (`math.fsum`) of its computed
+terms plus the tail, and its error bar adds a rounding allowance of
+2 eps sum_l |t_l| to the truncation bound, so the bar stays honest when
+the truncation error is far below the terms' own rounding.  One rule,
+`_tol_met`, decides whether an error meets a spec's tolerances.
 
 Integrand callables must accept numpy arrays of abscissae.
 """
 
 import heapq
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,6 +41,9 @@ _GROWTH = 1.4
 _MIN_EXTENT_SCALES = 6.0
 _MAX_MARCH_PANELS = 400
 _MAX_TOTAL_PANELS = 20000
+# rounding allowance per unit of sum_l |t_l| in a series error bar: the
+# terms carry their own evaluation rounding, the exact sum adds none
+_SUM_ROUNDING = 2.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -68,6 +77,11 @@ class IntegrationResult:
     converged: bool
 
 
+def _tol_met(error, value, spec):
+    """True when error <= max(spec.abs_tol, spec.rel_tol * |value|)."""
+    return bool(error <= max(spec.abs_tol, spec.rel_tol * abs(value)))
+
+
 def _panel(f, a, b):
     """Embedded 7/15-point Gauss estimate of the integral of f on [a, b]."""
     mid = 0.5 * (a + b)
@@ -88,9 +102,6 @@ def _refine(f, panels, evaluations, spec, extra_error=0.0):
     depth cap or the panel budget runs out.
     """
 
-    def fails(value, error):
-        return error > max(spec.abs_tol, spec.rel_tol * abs(value))
-
     heap = []
     total_value = 0.0
     total_error = extra_error
@@ -103,7 +114,7 @@ def _refine(f, panels, evaluations, spec, extra_error=0.0):
 
     pops = 0
     converged = True
-    while fails(total_value, total_error):
+    while not _tol_met(total_error, total_value, spec):
         neg_err, _, a, b, val, err, depth = heapq.heappop(heap)
         if depth >= spec.max_subdivisions or len(heap) + 2 > _MAX_TOTAL_PANELS:
             heapq.heappush(heap, (neg_err, counter, a, b, val, err, depth))
@@ -128,7 +139,7 @@ def _refine(f, panels, evaluations, spec, extra_error=0.0):
 
     total_value = sum(item[4] for item in heap)
     total_error = extra_error + sum(item[5] for item in heap)
-    converged = converged and not fails(total_value, total_error)
+    converged = converged and _tol_met(total_error, total_value, spec)
     return IntegrationResult(total_value, total_error, evaluations, converged)
 
 
@@ -157,6 +168,7 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
     if spec is None:
         spec = QuadratureSpec()
 
+    tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
     panels = []
     evaluations = 0
     a = 0.0
@@ -172,8 +184,8 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
         panels.append([err, a, b, val, 0])
         running += val
         contributions.append(abs(val))
-        cutoff = max(spec.series_tail_tol * abs(running), spec.abs_tol)
-        if b >= _MIN_EXTENT_SCALES * decay_scale and abs(val) <= cutoff:
+        if (b >= _MIN_EXTENT_SCALES * decay_scale
+                and _tol_met(abs(val), running, tail_spec)):
             small_streak += 1
             if small_streak >= 2:
                 marched_out = True
@@ -259,16 +271,22 @@ def _sum_series(term, spec, ratio_bound=None):
     ratio_bound < 1 is supplied), observed-ratio geometric bound, exact
     polylogarithm detection of a ratio |x| <= 1 - 1e-6, and an algebraic
     1/l^k tail fit (from 64 terms on).  Critical sequences such as 1/l^2
-    therefore close through the tail fit.  Returns an IntegrationResult
-    whose evaluations field counts term() calls.
+    therefore close through the tail fit.  Exit decisions use the running
+    partial sum; the returned value is the exact `math.fsum` of the
+    computed terms plus any fitted tail, and the error bar adds the
+    rounding allowance 2 eps sum_l |t_l| to the truncation bound.  Returns
+    an IntegrationResult whose evaluations field counts term() calls.
     """
     cap = spec.max_roundtrips
+    tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
     terms = []
     partial = 0.0
-    best = None  # (value, error) from tail fits that missed tolerance
+    best = None  # (proxy, result) of the tail fit closest to tolerance
 
-    def tol_met(err, value):
-        return err <= max(spec.series_tail_tol * abs(value), spec.abs_tol)
+    def result(tail, error, converged):
+        rounding = _SUM_ROUNDING * sum(map(abs, terms))
+        return IntegrationResult(math.fsum(terms) + tail, error + rounding,
+                                 ell, converged)
 
     checkpoints = sorted({min(c, cap) for c in (64, 128, 256, 512, 1024, cap)})
     ell = 0
@@ -280,20 +298,20 @@ def _sum_series(term, spec, ratio_bound=None):
             partial += t
             if ratio_bound is not None and ratio_bound < 1.0:
                 tail = abs(t) * ratio_bound / (1.0 - ratio_bound)
-                if tol_met(tail, partial):
-                    return IntegrationResult(partial, tail, ell, True)
+                if _tol_met(tail, partial, tail_spec):
+                    return result(0.0, tail, True)
 
         window = np.abs(terms[-9:])
         if len(terms) >= 9 and np.max(window) == 0.0:
             # terms have underflowed to exact zero: the series is finished
-            return IntegrationResult(partial, 0.0, ell, True)
+            return result(0.0, 0.0, True)
         if len(terms) >= 9 and np.all(window[:-1] > 0.0):
             ratios = window[1:] / window[:-1]
             if np.all(ratios < 0.98):
                 r = float(np.max(ratios))
                 tail = window[-1] * r / (1.0 - r)
-                if tol_met(tail, partial):
-                    return IntegrationResult(partial, tail, ell, True)
+                if _tol_met(tail, partial, tail_spec):
+                    return result(0.0, tail, True)
 
         if np.max(np.abs(terms)) == 0.0:
             return IntegrationResult(0.0, 0.0, ell, True)
@@ -305,26 +323,24 @@ def _sum_series(term, spec, ratio_bound=None):
             ells = np.arange(1, ell + 1, dtype=float)
             covered = float(np.sum(c * x**ells / ells**p))
             tail = c * polylog(x, p, tol=spec.series_tail_tol) - covered
-            value = partial + tail
-            return IntegrationResult(value, spec.series_tail_tol * abs(value),
-                                     ell, True)
+            return result(tail, spec.series_tail_tol * abs(partial + tail),
+                          True)
 
         if ell >= 64:
             fit = _fit_algebraic_tail(terms, ell)
             if fit is not None:
                 tail, proxy = fit
-                value = partial + tail
-                if tol_met(proxy, value):
-                    return IntegrationResult(value, proxy, ell, True)
-                if best is None or proxy < best[1]:
-                    best = (value, proxy)
+                if _tol_met(proxy, partial + tail, tail_spec):
+                    return result(tail, proxy, True)
+                if best is None or proxy < best[0]:
+                    best = (proxy, result(tail, proxy, False))
 
     if best is not None:
-        return IntegrationResult(best[0], best[1], ell, False)
+        return replace(best[1], evaluations=ell)
     tail = abs(terms[-1]) if terms else 0.0
     if ratio_bound is not None and ratio_bound < 1.0 and terms:
         tail = abs(terms[-1]) * ratio_bound / (1.0 - ratio_bound)
-    return IntegrationResult(partial, tail, ell, False)
+    return result(0.0, tail, False)
 
 
 def sum_roundtrip_series(term, ratio_bound, spec=None):

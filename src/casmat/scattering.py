@@ -90,14 +90,9 @@ class MirrorModel:
     def dlog_r_real(self, omega):
         """Logarithmic derivative d/domega log r[omega].
 
-        Analytic for the lorentzian; centered finite difference (relative
-        step 1e-5) for other real-axis models.
+        Analytic: every model with real-axis amplitudes supplies it.
         """
-        if self._dlog_r is not None:
-            return self._dlog_r(omega)
-        r = self._require(self._r_real, "real-axis amplitudes")
-        h = 1e-5 * max(abs(omega), 1.0)
-        return (r(omega + h) - r(omega - h)) / (2.0 * h * r(omega))
+        return self._require(self._dlog_r, "real-axis amplitudes")(omega)
 
     @property
     def has_real_axis(self):

@@ -20,7 +20,6 @@ __all__ = [
     "vacuum_kernel_time",
     "thermal_kernel_time",
     "free_energy_kernel_time",
-    "photon_number",
     "kernel_4d_vacuum",
     "kernel_4d_thermal",
 ]
@@ -101,25 +100,6 @@ def free_energy_kernel_time(tau, T):
     out[small] = -(alpha / np.pi) / np.expm1(2.0 * x[small])
     large = x > 300.0
     out[large] = -(alpha / np.pi) * np.exp(-2.0 * x[large])
-    return float(out) if out.ndim == 0 else out
-
-
-def photon_number(omega, T):
-    """Mean thermal weight per mode, n_T[w] = coth(|w|/2T); 1 at T = 0.
-
-    Diverges as 2T/|w| at low frequency, so integrands must carry the
-    product |w| n_T (exposed by the engines as the combined kernel) rather
-    than evaluate this factor at w = 0.
-    """
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
-    if T == 0:
-        return 1.0
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega == 0.0):
-        raise ValueError("photon number diverges at omega = 0 for T > 0")
-    x = np.abs(omega) / (2.0 * T)
-    out = np.where(x > _ASYMPTOTIC_X, 1.0, 1.0 / np.tanh(np.minimum(x, _ASYMPTOTIC_X)))
     return float(out) if out.ndim == 0 else out
 
 

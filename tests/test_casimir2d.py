@@ -181,6 +181,45 @@ def test_internal_energy_equals_minus_q_force():
     assert u.value == pytest.approx(-q * f.value, rel=1e-7)
 
 
+def test_thermal_series_bars_cover_rounding():
+    # the truncation bound alone is below 1e-70 here, far under the
+    # terms' own rounding
+    cfg = _pair(perfect_mirror, 1.0, T=0.2)
+    force = force_roundtrip_time(cfg)
+    assert abs(force.value - THERMAL_FORCE) <= force.error_estimate
+    fe = free_energy(cfg)
+    assert abs(fe.value - THERMAL_FREE_ENERGY) <= fe.error_estimate
+
+
+def _matsubara_internal_energy(q, T, cutoff=None):
+    """U = T sum_{n>=1} xi_n x'_n / (1 - x_n), xi_n = 2 pi n T.
+
+    x = rbar(xi) e^{-2 q xi} and x' = x (d ln rbar/dxi - 2 q), for a
+    perfect pair (rbar = 1) or two lorentzian mirrors of one cutoff
+    (rbar = (cutoff/(cutoff + xi))^2).  The n = 0 term is excluded, as in
+    the roundtrip series.
+    """
+    xi = 2.0 * math.pi * T * np.arange(1, 2000)
+    if cutoff is None:
+        rbar, dlog = 1.0, 0.0
+    else:
+        rbar, dlog = (cutoff / (cutoff + xi)) ** 2, -2.0 / (cutoff + xi)
+    x = rbar * np.exp(-2.0 * q * xi)
+    return T * math.fsum(xi * x * (dlog - 2.0 * q) / (1.0 - x))
+
+
+@pytest.mark.parametrize("cutoff, tq", [(None, 1.0), (None, 5.0),
+                                        (1.0, 0.2), (1.0, 1.0)])
+def test_internal_energy_matches_matsubara_sum(cutoff, tq):
+    q = 1.0
+    maker = perfect_mirror if cutoff is None else (
+        lambda: lorentzian_mirror(cutoff))
+    res = internal_energy_thermal(_pair(maker, q, T=tq / q))
+    ref = _matsubara_internal_energy(q, tq / q, cutoff)
+    assert res.converged
+    assert abs(res.value - ref) <= res.error_estimate + 4 * np.spacing(abs(ref))
+
+
 @given(st.floats(0.1, 10.0))
 @settings(max_examples=25, deadline=None)
 def test_perfect_force_scaling_is_exact(q):

@@ -1,4 +1,4 @@
-"""Time-domain radiation-pressure kernels and thermal weights."""
+"""Time-domain radiation-pressure and free-energy kernels."""
 
 import math
 import warnings
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casmat.spectral import (free_energy_kernel_time, kernel_4d_thermal,
-                             kernel_4d_vacuum, photon_number,
-                             thermal_kernel_time, vacuum_kernel_time)
+                             kernel_4d_vacuum, thermal_kernel_time,
+                             vacuum_kernel_time)
 
 
 def test_vacuum_kernel_value():
@@ -110,14 +110,6 @@ def test_free_energy_kernel_links_to_force_kernel():
     fd = (free_energy_kernel_time(tau + h, T)
           - free_energy_kernel_time(tau - h, T)) / (2.0 * h)
     assert 2.0 * fd == pytest.approx(-thermal_kernel_time(tau, T), rel=1e-8)
-
-
-def test_photon_weight_values():
-    assert photon_number(1.0, 1.0) == pytest.approx(1.0 / math.tanh(0.5),
-                                                    rel=1e-14)
-    assert photon_number(1.0, 0.01) == pytest.approx(1.0, abs=1e-15)
-    # classical divergence at low frequency
-    assert photon_number(1e-4, 1.0) == pytest.approx(2.0e4, rel=1e-8)
 
 
 @given(st.floats(1e-2, 50.0), st.floats(0.0, 5.0))
