@@ -75,10 +75,6 @@ def _delay_profile(cfg):
                 "kernel in time; %r models do not provide one" % m.kind)
         if m.kind == "lorentzian":
             rates.append(float(m.cutoff))
-        elif m.kind != "perfect":
-            raise ModelCapabilityError(
-                "time-domain route supports instantaneous and "
-                "single-resonance responses only, not %r" % m.kind)
     if not rates:
         return None, None
     if len(rates) == 1:

@@ -155,7 +155,7 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     if spec is None:
         spec = QuadratureSpec()
     alpha = np.pi * temperature
-    classical = temperature * polylog(r0, 3, tol=1e-12) / (4.0 * np.pi * q**3)
+    classical = pressure_high_temperature(r0, q, temperature).value
 
     def term(l):
         tau = 2.0 * l * q

@@ -56,13 +56,12 @@ class MirrorModel:
     """
 
     def __init__(self, kind, r_real_fn=None, s_real_fn=None, r_imag_fn=None,
-                 r_time_fn=None, dlog_r_fn=None, cutoff=None):
+                 dlog_r_fn=None, cutoff=None):
         self.kind = kind
         self.cutoff = cutoff
         self._r_real = r_real_fn
         self._s_real = s_real_fn
         self._r_imag = r_imag_fn
-        self._r_time = r_time_fn
         self._dlog_r = dlog_r_fn
 
     def _require(self, fn, axis):
@@ -83,10 +82,6 @@ class MirrorModel:
         """Reflection amplitude r[i xi] on the imaginary axis (real-valued)."""
         return self._require(self._r_imag, "imaginary-axis amplitudes")(xi)
 
-    def r_time(self, t):
-        """Causal time-domain reflection kernel r(t), t >= 0."""
-        return self._require(self._r_time, "a time-domain kernel")(t)
-
     def dlog_r_real(self, omega):
         """Logarithmic derivative d/domega log r[omega].
 
@@ -100,14 +95,14 @@ class MirrorModel:
 
     @property
     def has_time_kernel(self):
-        return self._r_time is not None or self.kind == "perfect"
+        return self.kind in ("perfect", "lorentzian")
 
 
 def perfect_mirror():
     """Perfectly reflecting mirror: r = -1, s = 0 at every frequency.
 
     The time kernel is the distributional limit -delta(t); engines treat it
-    specially (delays vanish), so no r_time callable is attached.
+    specially (delays vanish).
     """
     return MirrorModel(
         "perfect",
@@ -135,7 +130,6 @@ def lorentzian_mirror(cutoff):
         r_real_fn=lambda w: -W / (W - 1j * np.asarray(w)),
         s_real_fn=lambda w: -1j * np.asarray(w) / (W - 1j * np.asarray(w)),
         r_imag_fn=lambda xi: -W / (W + np.asarray(xi, dtype=float)),
-        r_time_fn=lambda t: -W * np.exp(-W * np.asarray(t, dtype=float)),
         dlog_r_fn=lambda w: 1j / (W - 1j * np.asarray(w)),
         cutoff=W,
     )

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, zeta
 
 __all__ = [
     "polylog",
@@ -46,11 +46,10 @@ def polylog(x, p, tol=1e-12):
     -----
     For |x| < 1 the summation stops once the geometric tail bound
     |x|^(L+1) / ((L+1)^p (1-|x|)) drops below tolerance.  At x = 1 the
-    geometric bound degenerates; the tail is then taken from the integral of
-    t^-p with Euler-Maclaurin corrections, terminated by the remainder bound.
-    At x = -1 the alternating-series bound (first omitted term) is used.
-    Just below 1 (1 - x < 1e-4) direct summation needs ~1/(1-x) terms, so
-    the value is taken from the expansion about the unit point in mu = ln x,
+    value is zeta(p) and at x = -1 it is -(1 - 2^(1-p)) zeta(p), with zeta
+    from scipy.  Just below 1 (1 - x < 1e-4) direct summation needs
+    ~1/(1-x) terms, so the value is taken from the expansion about the unit
+    point in mu = ln x,
 
         sum_{k != p-1} zeta(p-k) mu^k / k!
             + mu^(p-1)/(p-1)! (H_{p-1} - ln(-mu)),
@@ -68,12 +67,12 @@ def polylog(x, p, tol=1e-12):
     if x == 0.0:
         return 0.0
     if x == 1.0:
-        return _zeta_tail_summed(p, tol)
+        return float(zeta(p))
     if x == -1.0:
         # alternating sum of l^-p in terms of the x = 1 value
-        return -(1.0 - 2.0 ** (1 - p)) * _zeta_tail_summed(p, tol)
+        return -(1.0 - 2.0 ** (1 - p)) * float(zeta(p))
     if x > 1.0 - 1e-4:
-        return _polylog_near_unit(x, p, tol)
+        return _polylog_near_unit(x, p)
     if x < -(1.0 - 1e-4):
         # square-argument inversion: both pieces land in fast regions
         return (2.0 ** (1 - p) * polylog(x * x, p, 0.25 * tol)
@@ -86,50 +85,14 @@ def polylog(x, p, tol=1e-12):
         ell = np.arange(start, start + _BLOCK, dtype=float)
         total += float(np.sum(x**ell / ell**p))
         last = start + _BLOCK - 1
-        if ax < 1.0:
-            tail = ax ** (last + 1) / ((last + 1) ** p * (1.0 - ax))
-        else:  # x = -1, alternating: next term bounds the remainder
-            tail = 1.0 / (last + 1) ** p
+        tail = ax ** (last + 1) / ((last + 1) ** p * (1.0 - ax))
         if tail <= tol * max(abs(total), 1e-300):
             return total
         start += _BLOCK
     raise RuntimeError("polylog summation failed to meet tolerance")
 
 
-def _zeta_tail_summed(p, tol):
-    # sum_{l<=N} l^-p plus the Euler-Maclaurin tail over l > N:
-    #   N^(1-p)/(p-1) - N^-p/2 + p N^-(p+1)/12 - p(p+1)(p+2) N^-(p+3)/720
-    # with remainder below the B6-order term ~ p..(p+4) N^-(p+5)/30240.
-    N = 32
-    while True:
-        ell = np.arange(1, N + 1, dtype=float)
-        s = float(np.sum(ell ** (-p)))
-        tail = (
-            N ** (1 - p) / (p - 1)
-            - 0.5 * N ** (-p)
-            + p * N ** (-p - 1) / 12.0
-            - p * (p + 1) * (p + 2) * N ** (-p - 3) / 720.0
-        )
-        rem = p * (p + 1) * (p + 2) * (p + 3) * (p + 4) * N ** (-p - 5) / 30240.0
-        if rem <= tol * (s + tail):
-            return s + tail
-        N *= 2
-
-
-def _zeta_int(m, tol):
-    # Riemann zeta at an integer argument m != 1, as needed by the
-    # near-unit polylog expansion.
-    if m >= 2:
-        return _zeta_tail_summed(m, tol)
-    if m == 0:
-        return -0.5
-    if m % 2 == 0:
-        return 0.0  # negative even arguments
-    n = -m
-    return -float(bernoulli(n + 1)) / (n + 1)
-
-
-def _polylog_near_unit(x, p, tol):
+def _polylog_near_unit(x, p):
     # Expansion of the bounded polylog about the unit point, in mu = ln x.
     # Valid for |mu| < 2 pi; used only for 1 - x < 1e-4 where twelve terms
     # leave a remainder far below double precision.
@@ -139,7 +102,7 @@ def _polylog_near_unit(x, p, tol):
     powk = 1.0  # mu^k / k!
     for k in range(0, 13):
         if k != p - 1:
-            total += _zeta_int(p - k, min(tol, 1e-15)) * powk
+            total += float(zeta(p - k)) * powk
         powk *= mu / (k + 1)
     return total
 

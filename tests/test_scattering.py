@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casmat.quadrature import integrate_semi_infinite
-from casmat.scattering import (CavityConfig, ModelCapabilityError, airy_factor,
-                               cavity_matrices, load_tabulated_mirror,
+from casmat.scattering import (CavityConfig, airy_factor, cavity_matrices,
+                               load_tabulated_mirror,
                                lorentzian_mirror, perfect_mirror, phase_shift,
                                phase_shift_derivative_decomposition,
                                tabulated_mirror, validate_model)
@@ -31,19 +30,6 @@ def test_lorentzian_amplitudes():
     assert m.r_imag(xi) == pytest.approx(-2.0 / (2.0 + xi))
     r = complex(m.r_real(3.0))
     assert r == pytest.approx(-2.0 / (2.0 - 3.0j))
-
-
-def test_lorentzian_time_kernel_integrates_to_static_reflection():
-    m = lorentzian_mirror(1.7)
-    res = integrate_semi_infinite(m.r_time, 1.0 / 1.7)
-    assert res.value == pytest.approx(-1.0, rel=1e-10)
-
-
-def test_perfect_mirror_has_no_smooth_time_kernel():
-    # the ideal limit reflects instantaneously; engines treat it as a
-    # zero-delay special case instead of calling r_time
-    with pytest.raises(ModelCapabilityError):
-        perfect_mirror().r_time(0.3)
 
 
 @given(st.floats(0.05, 50.0), st.floats(0.05, 50.0))

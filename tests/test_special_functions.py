@@ -104,3 +104,12 @@ def test_hypoexp_equal_rates_reduce_to_erlang():
     got = hypoexp_weight(2, 1.3, 1.3 + 1e-9, s)
     want = erlang_weight(4, 1.3, s)
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_polylog_unit_circle_is_exact_zeta():
+    # zeta(p) and the alternating sum -(1 - 2^(1-p)) zeta(p) to 2 ulp, with
+    # no absolute slack
+    for p, z in ((2, ZETA2), (3, ZETA3), (4, ZETA4)):
+        alt = -(1.0 - 2.0 ** (1 - p)) * z
+        assert abs(polylog(1.0, p) - z) <= 2 * math.ulp(z)
+        assert abs(polylog(-1.0, p) - alt) <= 2 * math.ulp(alt)

@@ -142,3 +142,40 @@ def test_free_energy_kernel_at_underflowing_alpha_tau():
                                          rel=1e-9)
         assert mixed[1] == free_energy_kernel_time(1e3, 1e-9)
         assert free_energy_kernel_time(np.array([]), 1.0).size == 0
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0, 7.0])
+def test_thermal_kernels_match_mpmath_across_x(T):
+    # 40-digit values from the defining expressions at the same float tau,
+    # on both sides of every x = pi T tau where an evaluation could switch
+    # form; the rounding of x = pi T tau is amplified ~2x by the e^{-2x}
+    # tails, hence (4x + 16) ulp
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        alpha = mpmath.pi * mpmath.mpf(T)
+        for x in (1e-3, 0.5, 5.0, 19.99, 20.01, 50.0, 299.0, 301.0, 350.0):
+            tau = x / (math.pi * T)
+            t = mpmath.mpf(tau)
+            c = -(alpha**2 / mpmath.pi) / mpmath.sinh(alpha * t) ** 2
+            # (alpha/2 pi)(1 - coth) without its cancellation
+            k = -(alpha / mpmath.pi) / mpmath.expm1(2 * alpha * t)
+            c4 = mpmath.diff(lambda u: alpha * mpmath.coth(alpha * u) / u,
+                             t, 2) / mpmath.pi**2
+            rel = (4.0 * x + 16.0) * eps
+            assert thermal_kernel_time(tau, T) == pytest.approx(
+                float(c), rel=rel, abs=0)
+            assert free_energy_kernel_time(tau, T) == pytest.approx(
+                float(k), rel=rel, abs=0)
+            assert kernel_4d_thermal(tau, T) == pytest.approx(
+                float(c4), rel=rel, abs=0)
+
+
+def test_thermal_kernels_finite_without_warnings():
+    tau = np.geomspace(1e-3, 1e4, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (0.3, 1.0, 100.0):
+            for kernel in (thermal_kernel_time, free_energy_kernel_time,
+                           kernel_4d_thermal):
+                assert np.all(np.isfinite(kernel(tau, T)))
