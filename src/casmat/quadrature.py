@@ -13,10 +13,13 @@ terms plus the tail, and its error bar adds a rounding allowance of
 the truncation error is far below the terms' own rounding.  One rule,
 `_tol_met`, decides whether an error meets a spec's tolerances.
 
-Integrand callables must accept numpy arrays of abscissae.
+Integrands receive flat numpy arrays of abscissae spanning many panels
+(`_panel` takes a march's or a bisection's panels in one call) and must
+be elementwise: a node's value may not depend on the other nodes.
 """
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -35,6 +38,7 @@ __all__ = [
 
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
+_X22 = np.concatenate([_X15, _X7])
 
 # panel-marching geometry for the semi-infinite transform
 _GROWTH = 1.4
@@ -83,32 +87,38 @@ def _tol_met(error, value, spec):
 
 
 def _panel(f, a, b):
-    """Embedded 7/15-point Gauss estimate of the integral of f on [a, b]."""
-    mid = 0.5 * (a + b)
+    """Embedded 7/15-point Gauss estimates on the panels [a_i, b_i].
+
+    One call of f on all their 15 + 7 nodes; returns lists of the 15-point
+    values and of |I15 - I7|, each weighted on its own panel's nodes only.
+    """
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
     half = 0.5 * (b - a)
-    y15 = np.asarray(f(mid + half * _X15), dtype=float)
-    y7 = np.asarray(f(mid + half * _X7), dtype=float)
-    i15 = half * float(_W15 @ y15)
-    i7 = half * float(_W7 @ y7)
-    return i15, abs(i15 - i7)
+    y = np.asarray(f((0.5 * (a + b) + half * _X22).ravel()), dtype=float)
+    i15, err = [], []
+    for h, row in zip(half[:, 0].tolist(), y.reshape(-1, 22)):
+        i15.append(h * float(_W15 @ row[:15]))
+        err.append(abs(i15[-1] - h * float(_W7 @ row[15:])))
+    return i15, err
 
 
-def _refine(f, panels, evaluations, spec, extra_error=0.0):
+def _refine(f, panels, spec, extra_error=0.0):
     """Globally refine a list of [err, a, b, value, depth] panels.
 
     Bisects the worst panel until the summed error estimate (plus any fixed
     extra_error, e.g. a truncated-tail bound) meets the tolerance.  Returns
-    an IntegrationResult; convergence fails when a panel would exceed the
-    depth cap or the panel budget runs out.
+    an IntegrationResult whose evaluations count every panel evaluated,
+    the given ones included; convergence fails when a panel would exceed
+    the depth cap or the panel budget runs out.
     """
 
     heap = []
     total_value = 0.0
     total_error = extra_error
-    counter = 0
+    tick = itertools.count()  # heap tie-breaker: older panels first
     for err, a, b, val, depth in panels:
-        heapq.heappush(heap, (-err, counter, a, b, val, err, depth))
-        counter += 1
+        heapq.heappush(heap, (-err, next(tick), a, b, val, err, depth))
         total_value += val
         total_error += err
 
@@ -117,20 +127,15 @@ def _refine(f, panels, evaluations, spec, extra_error=0.0):
     while not _tol_met(total_error, total_value, spec):
         neg_err, _, a, b, val, err, depth = heapq.heappop(heap)
         if depth >= spec.max_subdivisions or len(heap) + 2 > _MAX_TOTAL_PANELS:
-            heapq.heappush(heap, (neg_err, counter, a, b, val, err, depth))
-            counter += 1
+            heapq.heappush(heap, (neg_err, next(tick), a, b, val, err, depth))
             converged = False
             break
         mid = 0.5 * (a + b)
-        vl, el = _panel(f, a, mid)
-        vr, er = _panel(f, mid, b)
-        evaluations += 44
+        (vl, vr), (el, er) = _panel(f, (a, mid), (mid, b))
         total_value += vl + vr - val
         total_error += el + er - err
-        heapq.heappush(heap, (-el, counter, a, mid, vl, el, depth + 1))
-        counter += 1
-        heapq.heappush(heap, (-er, counter, mid, b, vr, er, depth + 1))
-        counter += 1
+        heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
+        heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
         pops += 1
         if pops % 512 == 0:
             # resum to flush floating-point drift in the running totals
@@ -140,6 +145,7 @@ def _refine(f, panels, evaluations, spec, extra_error=0.0):
     total_value = sum(item[4] for item in heap)
     total_error = extra_error + sum(item[5] for item in heap)
     converged = converged and _tol_met(total_error, total_value, spec)
+    evaluations = 22 * (len(panels) + 2 * pops)
     return IntegrationResult(total_value, total_error, evaluations, converged)
 
 
@@ -149,8 +155,9 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
     Parameters
     ----------
     f : callable
-        Vectorized integrand; never evaluated at 0 (Gauss nodes are
-        interior), so integrable endpoint singularities are admissible.
+        Elementwise integrand, called on flat arrays of nodes spanning
+        several panels; never evaluated at 0 (Gauss nodes are interior),
+        so integrable endpoint singularities are admissible.
     decay_scale : float
         Scale of the exponential decay of f; sets the initial panel width
         and the minimum extent covered before tail truncation.
@@ -170,38 +177,34 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
 
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
     panels = []
-    evaluations = 0
     a = 0.0
     width = 0.5 * decay_scale
     running = 0.0
     small_streak = 0
-    contributions = []
-    marched_out = False
-    for _ in range(_MAX_MARCH_PANELS):
-        b = a + width
-        val, err = _panel(f, a, b)
-        evaluations += 22
-        panels.append([err, a, b, val, 0])
-        running += val
-        contributions.append(abs(val))
-        if (b >= _MIN_EXTENT_SCALES * decay_scale
-                and _tol_met(abs(val), running, tail_spec)):
-            small_streak += 1
-            if small_streak >= 2:
-                marched_out = True
-                break
-        else:
-            small_streak = 0
-        a = b
-        width *= _GROWTH
+    extent = _MIN_EXTENT_SCALES * decay_scale
+    while small_streak < 2 and len(panels) < _MAX_MARCH_PANELS:
+        # one call for the fewest panels after which the march could stop:
+        # those up to the extent, then two in a row that pass the tail test
+        starts, ends = [], []
+        need = 2 - small_streak
+        while need and len(panels) + len(ends) < _MAX_MARCH_PANELS:
+            starts.append(a)
+            a += width
+            ends.append(a)
+            width *= _GROWTH
+            if a >= extent:
+                need -= 1
+        for a0, b0, val, err in zip(starts, ends, *_panel(f, starts, ends)):
+            panels.append([err, a0, b0, val, 0])
+            running += val
+            small = b0 >= extent and _tol_met(abs(val), running, tail_spec)
+            small_streak = small_streak + 1 if small else 0
 
-    tail_error = 0.0
-    if len(contributions) >= 2 and contributions[-2] > 0.0:
-        ratio = min(0.9, contributions[-1] / contributions[-2])
-        tail_error = contributions[-1] * ratio / (1.0 - ratio)
-
-    result = _refine(f, panels, evaluations, spec, extra_error=tail_error)
-    if not marched_out:
+    prev, last = (abs(p[3]) for p in panels[-2:])  # the march makes >= 7
+    ratio = min(0.9, last / prev) if prev > 0.0 else 0.0
+    result = _refine(f, panels, spec,
+                     extra_error=last * ratio / (1.0 - ratio))
+    if small_streak < 2:  # the march hit its panel cap
         result.converged = False
     return result
 

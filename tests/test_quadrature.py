@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from casmat.quadrature import (QuadratureSpec, integrate_semi_infinite,
+from casmat.quadrature import (QuadratureSpec, _panel, integrate_semi_infinite,
                                sum_roundtrip_series)
 
 ZETA2 = 1.6449340668482264365
@@ -49,6 +49,39 @@ def test_tight_tolerance_honoured():
     res = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(x) ** 2, 1.0,
                                   spec)
     assert res.value == pytest.approx(0.4, rel=1e-12)
+
+
+def _counted(f, calls):
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+    return counted
+
+
+def test_panels_share_one_integrand_call():
+    # the panel rule takes every panel's nodes in one call of an
+    # elementwise integrand, and each panel's estimate is bit-equal to the
+    # one it gets on its own
+    calls = []
+    f = _counted(lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2 + 1.0 / (1.0 + x),
+                 calls)
+    a = [0.0, 0.5, 1.7, 3.0, 40.0]
+    b = [0.5, 1.7, 3.0, 7.5, 41.0]
+    values, errors = _panel(f, a, b)
+    assert calls == [22 * len(a)]
+    for i in range(len(a)):
+        assert _panel(f, [a[i]], [b[i]]) == ([values[i]], [errors[i]])
+
+
+def test_march_and_bisections_batch_their_panels():
+    # the march takes its first seven panels (out to 6 decay scales, plus
+    # one) in one call and each bisection's two halves in one more; the
+    # evaluation count is unchanged, 22 per panel
+    calls = []
+    res = integrate_semi_infinite(_counted(lambda x: np.exp(-x), calls), 1.0)
+    assert res.value == pytest.approx(1.0, rel=1e-12)
+    assert res.evaluations == 242
+    assert calls == [154, 44, 44]
 
 
 def test_geometric_series():

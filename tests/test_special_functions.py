@@ -106,6 +106,37 @@ def test_hypoexp_equal_rates_reduce_to_erlang():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
+@pytest.mark.parametrize("ell", [1, 5, 64, 256, 1024])
+def test_hypoexp_weight_matches_mpmath(ell):
+    # 40-digit 1F1 form at the same float s, from 0.05 to 2.5 mean delays.
+    # Any log-space evaluation adds and exponentiates summands as large as
+    # (a+b)s/2 ~ 1e5 (ell = 1024, rates 0.1 and 10), so the relative error
+    # is bounded by 4 eps times the sum L of their magnitudes, plus one
+    # subnormal ulp where the density underflows
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    c = ell + 0.5
+    for a, b in ((0.3, 3.0), (0.533, 2.474), (1.0, 1.001), (0.1, 10.0)):
+        s = (ell / a + ell / b) * np.linspace(0.05, 2.5, 5)
+        got = hypoexp_weight(ell, a, b, s)
+        for si, wi in zip(s, got):
+            with mpmath.workdps(40):
+                A, B, S = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(si)
+                ref = float((A * B) ** ell * S ** (2 * ell - 1)
+                            * mpmath.exp(-B * S)
+                            * mpmath.hyp1f1(ell, 2 * ell, (B - A) * S,
+                                            maxterms=10**6)
+                            / mpmath.factorial(2 * ell - 1))
+            y = ((b - a) * si / 4.0) ** 2
+            k = math.floor(2.0 * y / (math.sqrt(c * c + 4.0 * y) + c))
+            L = (ell * abs(math.log(a * b)) + (2 * ell - 1) * abs(math.log(si))
+                 + 0.5 * (a + b) * si + math.lgamma(2 * ell) + math.lgamma(c)
+                 + k * abs(math.log(y)) + math.lgamma(k + 1)
+                 + math.lgamma(c + k))
+            bound = 4.0 * eps * L * ref + eps * np.finfo(float).tiny
+            assert abs(wi - ref) <= bound, (a, b, si, wi, ref)
+
+
 def test_polylog_unit_circle_is_exact_zeta():
     # zeta(p) and the alternating sum -(1 - 2^(1-p)) zeta(p) to 2 ulp, with
     # no absolute slack

@@ -56,14 +56,16 @@ def test_small_x_expansions():
 
 
 def test_thermal_kernel_asymptotic_branch_is_continuous():
-    # the overflow-safe branch takes over at large pi T tau; both sides of
-    # the switch must agree with the unreduced expression
+    # on both sides of pi T tau = 20, where an asymptotic form could take
+    # over, the kernel must equal the unreduced expression; the values are
+    # ~3e-17, so no absolute slack
     T = 0.8
     alpha = math.pi * T
     for x in (19.99, 20.01):
         tau = x / alpha
         exact = -(alpha ** 2 / math.pi) / math.sinh(x) ** 2
-        assert thermal_kernel_time(tau, T) == pytest.approx(exact, rel=1e-12)
+        assert thermal_kernel_time(tau, T) == pytest.approx(exact, rel=1e-12,
+                                                            abs=0)
 
 
 def test_thermal_kernels_match_frequency_sums():
