@@ -101,17 +101,16 @@ def _sum_integral_terms(integrand_for, scale_for, spec):
     """
     inner = replace(spec, rel_tol=0.5 * spec.rel_tol,
                     abs_tol=0.5 * spec.abs_tol)
-    quad_err = 0.0
-    quad_ok = True
+    quads = []
 
-    def term(l):
-        nonlocal quad_err, quad_ok
-        res = integrate_semi_infinite(integrand_for(l), scale_for(l), inner)
-        quad_err += abs(res.error_estimate)
-        quad_ok = quad_ok and res.converged
-        return res.value
+    def terms(ells):
+        quads.extend(integrate_semi_infinite(integrand_for(l), scale_for(l),
+                                             inner) for l in ells.tolist())
+        return [res.value for res in quads[-ells.size:]]
 
-    series = _sum_series(term, spec)
+    series = _sum_series(terms, spec)
+    quad_err = sum(abs(res.error_estimate) for res in quads)
+    quad_ok = all(res.converged for res in quads)
     return IntegrationResult(series.value, series.error_estimate + quad_err,
                              series.evaluations, series.converged and quad_ok)
 
@@ -125,7 +124,7 @@ def _roundtrip_sum(cfg, kernel, spec):
         sum_l  int_0^inf ds  w_l(s) kernel(l, 2 l q + s).
 
     For a perfect pair the density is a delta at s = 0 and the loop
-    reflection is (-1)(-1) = 1, so the l-th term is kernel(l, 2 l q).
+    reflection is (-1)(-1) = 1, so the terms are kernel(l, 2 l q) on l arrays.
     """
     q = cfg.q
     weight_for, mean_for = _delay_profile(cfg)

@@ -13,9 +13,10 @@ terms plus the tail, and its error bar adds a rounding allowance of
 the truncation error is far below the terms' own rounding.  One rule,
 `_tol_met`, decides whether an error meets a spec's tolerances.
 
-Integrands receive flat numpy arrays of abscissae spanning many panels
-(`_panel` takes a march's or a bisection's panels in one call) and must
-be elementwise: a node's value may not depend on the other nodes.
+Integrands receive flat arrays of abscissae spanning many panels (`_panel`
+takes a march's or a bisection's panels in one call), series terms integer
+arrays of l (a block between two checkpoints); both must be elementwise:
+a node's value may not depend on the other nodes.
 """
 
 import heapq
@@ -82,7 +83,9 @@ class IntegrationResult:
 
 
 def _tol_met(error, value, spec):
-    """True when error <= max(spec.abs_tol, spec.rel_tol * |value|)."""
+    """error <= max(spec.abs_tol, spec.rel_tol * |value|), elementwise."""
+    if isinstance(error, np.ndarray):
+        return error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
     return bool(error <= max(spec.abs_tol, spec.rel_tol * abs(value)))
 
 
@@ -266,61 +269,60 @@ def _fit_algebraic_tail(term_list, L):
     return tail, abs(tail - tail2)
 
 
-def _sum_series(term, spec, ratio_bound=None):
+def _sum_series(terms, spec, ratio_bound=None):
     """The series engine behind sum_roundtrip_series and the engines' sums.
 
-    term(l) is evaluated for l = 1, 2, ... and accumulated.  Exit routes, in
-    order of preference at each checkpoint: a priori geometric bound (when
-    ratio_bound < 1 is supplied), observed-ratio geometric bound, exact
-    polylogarithm detection of a ratio |x| <= 1 - 1e-6, and an algebraic
-    1/l^k tail fit (from 64 terms on).  Critical sequences such as 1/l^2
-    therefore close through the tail fit.  Exit decisions use the running
-    partial sum; the returned value is the exact `math.fsum` of the
-    computed terms plus any fitted tail, and the error bar adds the
-    rounding allowance 2 eps sum_l |t_l| to the truncation bound.  Returns
-    an IntegrationResult whose evaluations field counts term() calls.
+    terms(ells) maps the integer array of l from one checkpoint + 1 to the
+    next (1..64, 65..128, ..., 1025..cap) to its terms in one call.  Exits,
+    in order: a priori geometric bound (ratio_bound < 1) at the first l
+    that meets it, later terms of its block discarded; then at checkpoints
+    an observed-ratio geometric bound, exact polylogarithm detection of a
+    ratio |x| <= 1 - 1e-6, and an algebraic 1/l^k tail fit (from 64 terms
+    on), which closes critical sequences such as 1/l^2.  Exit decisions
+    use the sequential running partial sum; the value is the exact
+    `math.fsum` of the terms used plus any fitted tail, and the error bar
+    adds the rounding allowance 2 eps sum_l |t_l| to the truncation bound.
+    evaluations counts the terms used, not the calls.
     """
     cap = spec.max_roundtrips
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
-    terms = []
+    geometric = ratio_bound is not None and ratio_bound < 1.0
+    kept = []
     partial = 0.0
     best = None  # (proxy, result) of the tail fit closest to tolerance
 
     def result(tail, error, converged):
-        rounding = _SUM_ROUNDING * sum(map(abs, terms))
-        return IntegrationResult(math.fsum(terms) + tail, error + rounding,
-                                 ell, converged)
+        rounding = _SUM_ROUNDING * sum(map(abs, kept))
+        return IntegrationResult(math.fsum(kept) + tail, error + rounding,
+                                 len(kept), converged)
 
     checkpoints = sorted({min(c, cap) for c in (64, 128, 256, 512, 1024, cap)})
-    ell = 0
-    for stop in checkpoints:
-        while ell < stop:
-            ell += 1
-            t = float(term(ell))
-            terms.append(t)
-            partial += t
-            if ratio_bound is not None and ratio_bound < 1.0:
-                tail = abs(t) * ratio_bound / (1.0 - ratio_bound)
-                if _tol_met(tail, partial, tail_spec):
-                    return result(0.0, tail, True)
+    for ell in checkpoints:
+        ells = np.arange(len(kept) + 1, ell + 1)
+        block = np.asarray(terms(ells), dtype=float).reshape(ells.shape)
+        sums = np.cumsum(np.concatenate(([partial], block)))[1:]
+        if geometric:
+            bounds = np.abs(block) * ratio_bound / (1.0 - ratio_bound)
+            hit = np.flatnonzero(_tol_met(bounds, sums, tail_spec))
+            if hit.size:
+                kept += block[:hit[0] + 1].tolist()
+                return result(0.0, float(bounds[hit[0]]), True)
+        kept += block.tolist()
+        partial = float(sums[-1])
 
-        window = np.abs(terms[-9:])
-        if len(terms) >= 9 and np.max(window) == 0.0:
-            # terms have underflowed to exact zero: the series is finished
+        window = np.abs(kept[-9:])
+        if np.max(window) == 0.0:
+            # all terms, or the last 9, are exact zeros (underflow): done
             return result(0.0, 0.0, True)
-        if len(terms) >= 9 and np.all(window[:-1] > 0.0):
-            ratios = window[1:] / window[:-1]
-            if np.all(ratios < 0.98):
-                r = float(np.max(ratios))
+        if len(kept) >= 9 and np.all(window[:-1] > 0.0):
+            r = float(np.max(window[1:] / window[:-1]))
+            if r < 0.98:
                 tail = window[-1] * r / (1.0 - r)
                 if _tol_met(tail, partial, tail_spec):
                     return result(0.0, tail, True)
 
-        if np.max(np.abs(terms)) == 0.0:
-            return IntegrationResult(0.0, 0.0, ell, True)
-
         nwin = min(16, ell)
-        hit = _detect_polylog(terms[-nwin:], ell - nwin + 1)
+        hit = _detect_polylog(kept[-nwin:], ell - nwin + 1)
         if hit is not None:
             c, x, p = hit
             ells = np.arange(1, ell + 1, dtype=float)
@@ -330,7 +332,7 @@ def _sum_series(term, spec, ratio_bound=None):
                           True)
 
         if ell >= 64:
-            fit = _fit_algebraic_tail(terms, ell)
+            fit = _fit_algebraic_tail(kept, ell)
             if fit is not None:
                 tail, proxy = fit
                 if _tol_met(proxy, partial + tail, tail_spec):
@@ -339,11 +341,9 @@ def _sum_series(term, spec, ratio_bound=None):
                     best = (proxy, result(tail, proxy, False))
 
     if best is not None:
-        return replace(best[1], evaluations=ell)
-    tail = abs(terms[-1]) if terms else 0.0
-    if ratio_bound is not None and ratio_bound < 1.0 and terms:
-        tail = abs(terms[-1]) * ratio_bound / (1.0 - ratio_bound)
-    return result(0.0, tail, False)
+        return replace(best[1], evaluations=len(kept))
+    return result(0.0, float(bounds[-1]) if geometric else abs(kept[-1]),
+                  False)
 
 
 def sum_roundtrip_series(term, ratio_bound, spec=None):
@@ -352,7 +352,8 @@ def sum_roundtrip_series(term, ratio_bound, spec=None):
     Parameters
     ----------
     term : callable
-        term(l) returns the l-roundtrip contribution (a float).
+        term(ells) returns the l-roundtrip contributions for an integer
+        array of l, elementwise; terms past a geometric exit are discarded.
     ratio_bound : float
         A priori bound on |term(l+1)/term(l)|.  For ratio_bound < 1 the
         truncation can use the geometric tail bound
@@ -366,7 +367,7 @@ def sum_roundtrip_series(term, ratio_bound, spec=None):
     Returns
     -------
     IntegrationResult
-        evaluations counts calls to term.
+        evaluations counts the terms used, not the calls to term.
     """
     if spec is None:
         spec = QuadratureSpec()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casmat import casimir2d
 from casmat.casimir2d import (casimir_energy, force_imag_axis,
                               force_large_distance, force_roundtrip_time,
                               free_energy, internal_energy_thermal,
@@ -86,6 +87,37 @@ def test_roundtrip_cap_is_honest():
     res = force_roundtrip_time(cfg, QuadratureSpec(max_roundtrips=4))
     assert not res.converged
     assert res.roundtrips_used == 4
+
+
+@pytest.mark.parametrize("tq, used, converged", [
+    (1e-4, 10000, False), (0.0036, 512, True), (0.2, 64, True)])
+def test_perfect_thermal_series_term_counts(tq, used, converged):
+    res = force_roundtrip_time(_pair(perfect_mirror, 1.0, T=tq))
+    assert res.roundtrips_used == used
+    assert res.converged is converged
+
+
+def test_large_distance_series_term_count():
+    # the a priori exit falls one term before the block edge at l = 128
+    res = force_large_distance(0.9052, 2.2387, temperature=0.0037 / 2.2387)
+    assert res.converged
+    assert res.roundtrips_used == 127
+
+
+def test_perfect_series_calls_kernel_once_per_block(monkeypatch):
+    sizes = []
+    kernel = casimir2d.thermal_kernel_time
+
+    def counted(tau, T):
+        sizes.append(np.size(tau))
+        return kernel(tau, T)
+
+    monkeypatch.setattr(casimir2d, "thermal_kernel_time", counted)
+    res = force_roundtrip_time(_pair(perfect_mirror, 1.0, T=1e-4))
+    assert res.roundtrips_used == 10000
+    # blocks end at the checkpoints 64, 128, 256, 512, 1024 and the cap
+    assert len(sizes) <= 6
+    assert sum(sizes) == 10000
 
 
 def test_large_distance_limits():

@@ -78,6 +78,13 @@ def test_thermal_pressure_frozen_value():
     assert res.value == pytest.approx(0.020022966209335976842, rel=1e-10)
 
 
+def test_thermal_pressure_series_term_count():
+    res = pressure_thermal_large_distance(0.9023, 2.2494,
+                                          0.0038 / 2.2494)
+    assert res.converged
+    assert res.roundtrips_used == 70
+
+
 def test_thermal_pressure_crossover_monotone():
     vals = [pressure_thermal_large_distance(1.0, 1.0, T).value
             for T in (0.01, 0.1, 1.0, 10.0)]

@@ -99,6 +99,23 @@ def test_geometric_series_slow_ratio():
     assert abs(res.value - 0.96 / 0.04) <= 2.0 * res.error_estimate
 
 
+@pytest.mark.parametrize("x, used", [(0.5, 34), (0.96, 565), (0.995, 4594)])
+def test_geometric_exit_matches_one_term_loop(x, used):
+    # the series pulls its terms in blocks, but its a priori exit must stop
+    # at the l where a loop over one term at a time meets the same rule
+    spec = QuadratureSpec()
+    partial, ell = 0.0, 0
+    while True:
+        ell += 1
+        partial += x ** ell
+        bound = x ** ell * x / (1.0 - x)
+        if bound <= max(spec.abs_tol, spec.series_tail_tol * abs(partial)):
+            break
+    res = sum_roundtrip_series(lambda l: x ** l, x)
+    assert res.converged
+    assert res.evaluations == ell == used
+
+
 def test_series_bound_validation():
     with pytest.raises(ValueError):
         sum_roundtrip_series(lambda ell: 0.5 ** ell, -0.5)
