@@ -192,7 +192,9 @@ def force_roundtrip_time(cfg, spec=None):
     collapses and F = -sum_l c_T(2 l q) exactly.
 
     Entirely independent of the imaginary-axis route: real time-domain
-    kernels, no contour rotation.  Works at any temperature >= 0.
+    kernels, no contour rotation.  Works at any temperature >= 0.  At
+    T > 0 it is the Matsubara sum without its n = 0 term, which is
+    T/(2q + sum_i 1/Omega_i) over the lorentzian cutoffs Omega_i.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -218,10 +220,10 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
     """
     if not -1.0 <= r0 <= 1.0:
         raise ValueError("r0 must lie in [-1, 1]")
-    if q <= 0.0:
-        raise ValueError("separation must be positive")
-    if temperature < 0.0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0.0 < q < np.inf:
+        raise ValueError("separation must be positive and finite")
+    if not 0.0 <= temperature < np.inf:
+        raise ValueError("temperature must be finite and nonnegative")
     if r0 == 0.0:
         return ForceResult(0.0, 0.0, "large-distance", None, True)
     if temperature == 0.0:
@@ -254,8 +256,8 @@ def mode_sum_oracle_2d(q):
 
     is exact, and is returned with zero error estimate.
     """
-    if q <= 0.0:
-        raise ValueError("separation must be positive")
+    if not 0.0 < q < np.inf:
+        raise ValueError("separation must be positive and finite")
     coeff = bernoulli(2) / 2  # the only surviving Euler-Maclaurin term
     value = float(coeff) * np.pi / (2.0 * q * q)
     return ForceResult(value, 0.0, "mode-sum-oracle", None, True)
@@ -306,7 +308,9 @@ def free_energy(cfg, spec=None):
     At very low temperature the terms develop a long 1/l plateau of
     height alpha/(2 pi) that is cut off only near l* ~ 1/(4 alpha q);
     when the series is truncated before l* the uncollected plateau,
-    (alpha/2 pi) ln(l*/L), is added to the error estimate.
+    (alpha/2 pi) ln(l*/L), is added to the error estimate.  Like the
+    force it omits the n = 0 Matsubara term, which diverges here because
+    r1 r2 = 1 at zero frequency.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -339,7 +343,8 @@ def internal_energy_thermal(cfg, spec=None):
         tau = 2 l q + s,
 
     and its error bar is the series' own.  The terms fall off like 1/l^2
-    with no low-temperature plateau.
+    with no low-temperature plateau.  The n = 0 Matsubara term, -T/2, is
+    omitted, as in the force.
     """
     if spec is None:
         spec = QuadratureSpec()

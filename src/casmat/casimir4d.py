@@ -122,8 +122,8 @@ def pressure_large_distance(r0, q, spec=None):
     """
     if not -1.0 <= r0 <= 1.0:
         raise ValueError("r0 must lie in [-1, 1]")
-    if q <= 0.0:
-        raise ValueError("separation must be positive")
+    if not 0.0 < q < np.inf:
+        raise ValueError("separation must be positive and finite")
     if r0 == 0.0:
         return ForceResult(0.0, 0.0, "large-distance", None, True)
     value = 3.0 * polylog(r0, 4, tol=1e-12) / (8.0 * np.pi**2 * q**4)
@@ -141,10 +141,10 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     roundtrip and is summed with that geometric bound.  The split makes
     both the T -> 0 and the Tq >> 1 limits exact by construction.
     """
-    if q <= 0.0:
-        raise ValueError("separation must be positive")
-    if temperature < 0.0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0.0 < q < np.inf:
+        raise ValueError("separation must be positive and finite")
+    if not 0.0 <= temperature < np.inf:
+        raise ValueError("temperature must be finite and nonnegative")
     if not (abs(r0) <= 1.0 - 1e-6 or r0 in (1.0, -1.0)):
         raise ValueError("r0 must satisfy |r0| <= 1 - 1e-6 or be exactly "
                          "+-1")
@@ -179,10 +179,10 @@ def pressure_high_temperature(r0, q, temperature):
     """
     if not -1.0 <= r0 <= 1.0:
         raise ValueError("r0 must lie in [-1, 1]")
-    if q <= 0.0:
-        raise ValueError("separation must be positive")
-    if temperature < 0.0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0.0 < q < np.inf:
+        raise ValueError("separation must be positive and finite")
+    if not 0.0 <= temperature < np.inf:
+        raise ValueError("temperature must be finite and nonnegative")
     if r0 == 0.0 or temperature == 0.0:
         return ForceResult(0.0, 0.0, "closed-form", None, True)
     value = temperature * polylog(r0, 3, tol=1e-12) / (4.0 * np.pi * q**3)
@@ -203,8 +203,8 @@ def mode_sum_oracle_4d(q, per_polarization=False):
     never enter the correction series, so the cutoff drops out exactly.
     The polarization-summed value is pi^2/(240 q^4).
     """
-    if q <= 0.0:
-        raise ValueError("separation must be positive")
+    if not 0.0 < q < np.inf:
+        raise ValueError("separation must be positive and finite")
     coeff = bernoulli(4) * (-6) / 24 / 4  # exact Fraction arithmetic
     value = float(coeff) * np.pi**2 / q**4
     if not per_polarization:

@@ -24,6 +24,7 @@ import copy
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,8 +38,7 @@ from .casimir4d import PlanarMirrorModel
 FIELDS = ["param", "q", "T", "value", "error", "method", "converged",
           "roundtrips"]
 
-_EVAL_COMMANDS = ("force2d", "force4d", "energy2d", "energy4d",
-                  "free-energy2d")
+_METHODS = ["imag-axis", "roundtrip", "large-distance", "high-T", "auto"]
 
 
 def _build_parser():
@@ -58,8 +58,7 @@ def _build_parser():
     common.add_argument("--T", type=float, default=0.0,
                         help="temperature (default 0)")
     common.add_argument("--method", default="auto",
-                        choices=["imag-axis", "roundtrip", "large-distance",
-                                 "high-T", "auto"],
+                        choices=_METHODS,
                         help="evaluation route (default auto)")
     common.add_argument("--r0", type=float, default=None,
                         help="frequency-independent loop reflection for the "
@@ -94,7 +93,7 @@ def _build_parser():
 
     sw = sub.add_parser("sweep", parents=[common],
                         help="evaluate a command over a parameter grid")
-    sw.add_argument("--command", required=True, choices=_EVAL_COMMANDS)
+    sw.add_argument("--command", required=True, choices=list(_ROUTES))
     sw.add_argument("--param", required=True,
                     choices=["q", "T", "omega1", "omega2", "r0"])
     sw.add_argument("--from", dest="from_", type=float, required=True)
@@ -157,105 +156,101 @@ def _cavity(args, planar=False):
     return CavityConfig(m1, m2, args.q, temperature=args.T)
 
 
-def _record(args, res, method=None):
+def _record(args, res):
     rt = getattr(res, "roundtrips_used", None)
     return {"param": "", "q": args.q, "T": args.T, "value": res.value,
-            "error": res.error_estimate,
-            "method": method if method is not None else res.method,
+            "error": res.error_estimate, "method": res.method,
             "converged": bool(res.converged),
             "roundtrips": rt if rt is not None else ""}
 
 
-def _eval_force2d(args):
-    spec = _spec(args)
-    method = args.method
-    if method == "high-T":
-        raise ValueError("high-T is a 4D method; the 2D thermal force is "
-                         "available through --method large-distance or "
-                         "roundtrip")
-    if method == "auto":
-        if args.r0 is not None:
-            method = "large-distance"
-        elif args.model == "perfect":
-            if args.T == 0.0:
-                res = casimir2d.mode_sum_oracle_2d(args.q)
-                return _record(args, res, method="closed-form")
-            method = "roundtrip"
-        else:
-            method = "imag-axis" if args.T == 0.0 else "roundtrip"
-    if method == "large-distance":
-        r0 = args.r0 if args.r0 is not None else _cavity(args).loop_r0()
-        return _record(args, casimir2d.force_large_distance(
-            r0, args.q, temperature=args.T, spec=spec))
-    cfg = _cavity(args)
-    if method == "imag-axis":
-        return _record(args, casimir2d.force_imag_axis(cfg, spec))
-    return _record(args, casimir2d.force_roundtrip_time(cfg, spec))
+def _r0(args):
+    """--r0, or else the mirror pair's zero-frequency loop reflection."""
+    return args.r0 if args.r0 is not None else _cavity(args).loop_r0()
 
 
-def _eval_force4d(args):
-    spec = _spec(args)
-    method = args.method
+# command -> route -> one engine call (args, spec); every route but
+# "closed-form" is a --method choice, and _route picks "closed-form"
+_ROUTES = {
+    "force2d": {
+        "imag-axis": lambda a, s: casimir2d.force_imag_axis(_cavity(a), s),
+        "roundtrip": lambda a, s: casimir2d.force_roundtrip_time(
+            _cavity(a), s),
+        "large-distance": lambda a, s: casimir2d.force_large_distance(
+            _r0(a), a.q, temperature=a.T, spec=s),
+        "closed-form": lambda a, s: replace(
+            casimir2d.mode_sum_oracle_2d(a.q), method="closed-form"),
+    },
+    "force4d": {
+        "imag-axis": lambda a, s: casimir4d.pressure_imag_axis(
+            _cavity(a, True), s),
+        "roundtrip": lambda a, s: casimir4d.pressure_roundtrip(
+            _cavity(a, True), s),
+        "large-distance":
+            lambda a, s: casimir4d.pressure_thermal_large_distance(
+                _r0(a), a.q, a.T, s),
+        "high-T": lambda a, s: casimir4d.pressure_high_temperature(
+            _r0(a), a.q, a.T),
+        "closed-form": lambda a, s: replace(
+            casimir4d.mode_sum_oracle_4d(a.q), method="closed-form"),
+    },
+    "energy2d": {
+        "imag-axis": lambda a, s: casimir2d.casimir_energy(_cavity(a), s),
+        "roundtrip": lambda a, s: casimir2d.internal_energy_thermal(
+            _cavity(a), s),
+    },
+    "energy4d": {
+        "imag-axis": lambda a, s: casimir4d.energy_4d(_cavity(a, True), s),
+    },
+    "free-energy2d": {
+        "roundtrip": lambda a, s: casimir2d.free_energy(_cavity(a), s),
+    },
+}
+
+
+def _route(command, args):
+    """The key of _ROUTES[command] that --method selects, auto resolved.
+
+    auto takes, in order: the large-distance form for a force given --r0
+    or for the perfect-mirror pressure; a command's only route; at T = 0
+    the closed form for the perfect-mirror force2d, else the imaginary
+    axis; at T > 0 the roundtrip series.  The perfect-mirror
+    large-distance pressure at T = 0 is the closed form.
+    """
+    routes, method = _ROUTES[command], args.method
+    if method != "auto" and method not in routes:
+        raise ValueError("%s supports --method %s" % (command, ", ".join(
+            m for m in _METHODS if m in routes or m == "auto")))
+    perfect = args.model == "perfect" and args.r0 is None
     if method == "auto":
-        if args.r0 is not None or args.model == "perfect":
+        if args.r0 is not None and "large-distance" in routes or (
+                command == "force4d" and perfect):
             method = "large-distance"
+        elif len(routes) == 1:
+            (method,) = routes
         elif args.T == 0.0:
-            method = "imag-axis"
-        else:
+            method = ("closed-form" if perfect and command == "force2d"
+                      else "imag-axis")
+        elif command == "force4d":
             raise ModelCapabilityError(
                 "the 4D thermal pressure is implemented for "
                 "frequency-independent reflection; pass --r0")
-    if method == "high-T":
-        r0 = args.r0 if args.r0 is not None else _cavity(args, planar=True).loop_r0()
-        return _record(args, casimir4d.pressure_high_temperature(
-            r0, args.q, args.T))
-    if method == "large-distance":
-        if args.r0 is None and args.model == "perfect" and args.T == 0.0:
-            return _record(args, casimir4d.mode_sum_oracle_4d(args.q),
-                           method="closed-form")
-        r0 = args.r0 if args.r0 is not None else _cavity(args, planar=True).loop_r0()
-        return _record(args, casimir4d.pressure_thermal_large_distance(
-            r0, args.q, args.T, spec))
-    cfg = _cavity(args, planar=True)
-    if method == "imag-axis":
-        return _record(args, casimir4d.pressure_imag_axis(cfg, spec))
-    return _record(args, casimir4d.pressure_roundtrip(cfg, spec))
+        else:
+            method = "roundtrip"
+    if (command == "force4d" and method == "large-distance" and perfect
+            and args.T == 0.0):
+        return "closed-form"
+    return method
 
 
-def _eval_energy2d(args):
+def _evaluate(command, args):
+    """One record: command evaluated by the route _route picks."""
     spec = _spec(args)
-    cfg = _cavity(args)
-    if args.method in ("large-distance", "high-T"):
-        raise ValueError("energy2d supports --method auto, imag-axis or "
-                         "roundtrip")
-    if args.method == "imag-axis" or (args.method == "auto" and args.T == 0.0):
-        return _record(args, casimir2d.casimir_energy(cfg, spec))
-    if args.T == 0.0:
-        raise ValueError("the roundtrip energy evaluation requires T > 0")
-    return _record(args, casimir2d.internal_energy_thermal(cfg, spec))
-
-
-def _eval_energy4d(args):
-    if args.method not in ("auto", "imag-axis"):
-        raise ValueError("energy4d is evaluated on the imaginary axis")
-    cfg = _cavity(args, planar=True)
-    return _record(args, casimir4d.energy_4d(cfg, _spec(args)))
-
-
-def _eval_free_energy2d(args):
-    if args.method not in ("auto", "roundtrip"):
-        raise ValueError("free-energy2d is evaluated by the roundtrip series")
-    cfg = _cavity(args)
-    return _record(args, casimir2d.free_energy(cfg, _spec(args)))
-
-
-_EVALUATORS = {"force2d": _eval_force2d, "force4d": _eval_force4d,
-               "energy2d": _eval_energy2d, "energy4d": _eval_energy4d,
-               "free-energy2d": _eval_free_energy2d}
+    return _record(args, _ROUTES[command][_route(command, args)](args, spec))
 
 
 def _cmd_sweep(args):
-    if args.to <= args.from_ or args.from_ <= 0.0:
+    if not 0.0 < args.from_ < args.to:
         raise ValueError("sweep range must be positive and ordered "
                          "(0 < from < to)")
     if args.points < 1:
@@ -267,12 +262,11 @@ def _cmd_sweep(args):
         values = np.geomspace(args.from_, args.to, args.points)
     else:
         values = np.linspace(args.from_, args.to, args.points)
-    evaluate = _EVALUATORS[args.command]
 
     def one(v):
         point = copy.copy(args)
         setattr(point, args.param, float(v))
-        rec = evaluate(point)
+        rec = _evaluate(args.command, point)
         rec["param"] = "%s=%r" % (args.param, float(v))
         return rec
 
@@ -342,7 +336,7 @@ def _run(args):
     elif args.command_name == "oracle":
         records = _cmd_oracle(args)
     else:
-        records = [_EVALUATORS[args.command_name](args)]
+        records = [_evaluate(args.command_name, args)]
     emit_records(records, args.output)
     return 4 if any(not r["converged"] for r in records) else 0
 

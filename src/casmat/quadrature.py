@@ -22,7 +22,7 @@ a node's value may not depend on the other nodes.
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -68,8 +68,8 @@ class QuadratureSpec:
     max_roundtrips: int = 10000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.series_tail_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < v < np.inf for v in astuple(self)):
+            raise ValueError("tolerances and caps must be positive and finite")
         if self.max_subdivisions < 1 or self.max_roundtrips < 1:
             raise ValueError("max_subdivisions and max_roundtrips must be >= 1")
 

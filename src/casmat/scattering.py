@@ -122,8 +122,8 @@ def lorentzian_mirror(cutoff):
     transparency is marginal (w |r[w]| -> cutoff, not 0), which is why the
     force engines only ever evaluate this model off the real axis.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+    if not 0 < cutoff < np.inf:
+        raise ValueError("cutoff must be positive and finite")
     W = float(cutoff)
     return MirrorModel(
         "lorentzian",
@@ -218,10 +218,10 @@ class CavityConfig:
     """
 
     def __init__(self, mirror1, mirror2, q, temperature=0.0):
-        if q <= 0:
-            raise ValueError("separation q must be positive")
-        if temperature < 0:
-            raise ValueError("temperature must be nonnegative")
+        if not 0 < q < np.inf:
+            raise ValueError("separation q must be positive and finite")
+        if not 0 <= temperature < np.inf:
+            raise ValueError("temperature must be finite and nonnegative")
         self.mirror1 = mirror1
         self.mirror2 = mirror2
         self.q = float(q)

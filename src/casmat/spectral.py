@@ -38,7 +38,8 @@ def _sinh_ratios(x):
 
     With e = e^{-x} and m = 1 - e^{-2x} = -expm1(-2x): x/sinh x = 2 x e/m
     and x coth x = x (1 + e^2)/m.  x is floored at 1e-300 because alpha tau
-    underflows to 0 at tiny T; below 1e-8 all three already round to 1.
+    underflows to 0 at tiny T (and is 0 at T = 0); below 1e-8 all three
+    already round to 1, so the kernels need no T = 0 branch.
     """
     x = np.maximum(x, 1e-300)
     e = np.exp(-x)
@@ -59,13 +60,11 @@ def thermal_kernel_time(tau, T):
     Evaluated as the vacuum kernel times (x/sinh x)^2, x = alpha tau, so
     that alpha^2 never underflows out of the quotient at tiny T and the
     exponentially small tail -4 pi T^2 e^{-2x} at large x needs no
-    separate branch.  Reduces to the vacuum kernel at T = 0.
+    separate branch.  Equals the vacuum kernel bit for bit at T = 0.
     """
     tau = _check_tau(tau)
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
-    if T == 0:
-        return vacuum_kernel_time(tau)
+    if not 0 <= T < np.inf:
+        raise ValueError("temperature must be finite and nonnegative")
     r, _, _ = _sinh_ratios(np.pi * T * tau)
     out = -(r**2) / (np.pi * tau**2)
     return float(out) if out.ndim == 0 else out
@@ -76,17 +75,14 @@ def free_energy_kernel_time(tau, T):
 
     This is the unique antiderivative-normalized companion of c_T: it
     vanishes as tau -> infinity and satisfies 2 d/dtau = -c_T, which is
-    exactly what the roundtrip series of the free energy consumes.  At
-    T = 0 it degenerates to -1/(2 pi tau).  For T > 0 it is the vacuum form
-    times 2x/expm1(2x) = (x/sinh x) e^{-x}, x = alpha tau; the right-hand
-    side is used because expm1(2x) overflows at large x.
+    exactly what the roundtrip series of the free energy consumes.  It is
+    the T = 0 form -1/(2 pi tau) times 2x/expm1(2x) = (x/sinh x) e^{-x},
+    x = alpha tau, a factor that is exactly 1 at T = 0; the right-hand side
+    is used because expm1(2x) overflows at large x.
     """
     tau = _check_tau(tau)
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
-    if T == 0:
-        out = -1.0 / (2.0 * np.pi * tau)
-        return float(out) if out.ndim == 0 else out
+    if not 0 <= T < np.inf:
+        raise ValueError("temperature must be finite and nonnegative")
     r, _, e = _sinh_ratios(np.pi * T * tau)
     out = -r * e / (2.0 * np.pi * tau)
     return float(out) if out.ndim == 0 else out
@@ -113,8 +109,8 @@ def kernel_4d_thermal(tau, T):
     T tau >> 1.
     """
     tau = _check_tau(tau)
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0 <= T < np.inf:
+        raise ValueError("temperature must be finite and nonnegative")
     if T == 0:
         return kernel_4d_vacuum(tau)
     r, xc, _ = _sinh_ratios(np.pi * T * tau)

@@ -74,6 +74,16 @@ def test_roundtrip_unequal_cutoffs():
     assert res.value == pytest.approx(ref.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("cutoff, q", [(1.3, 0.7), (0.5, 2.0), (2.0, 0.4)])
+def test_roundtrip_mixed_pair(cutoff, q):
+    # one perfect mirror: l roundtrips delay by a single-rate Erlang density
+    cfg = CavityConfig(perfect_mirror(), lorentzian_mirror(cutoff), q)
+    res = force_roundtrip_time(cfg)
+    ref = force_imag_axis(cfg)
+    assert res.converged and ref.converged
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
 def test_roundtrip_needs_time_kernel():
     xi = np.geomspace(1e-3, 1e3, 100)
     tab = tabulated_mirror(xi, -1.0 / (1.0 + xi))
@@ -292,3 +302,14 @@ def test_result_round_trips_through_json(route):
     assert type(res.converged) is bool
     record = dataclasses.asdict(res)
     assert json.loads(json.dumps(record)) == record
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: force_large_distance(0.5, x),
+    lambda x: force_large_distance(0.5, 1.0, temperature=x),
+    mode_sum_oracle_2d,
+], ids=["large-distance-q", "large-distance-T", "oracle-q"])
+def test_non_finite_parameters_are_rejected(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)

@@ -180,3 +180,18 @@ def test_result_round_trips_through_json(route):
     assert type(res.converged) is bool
     record = dataclasses.asdict(res)
     assert json.loads(json.dumps(record)) == record
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: pressure_large_distance(0.5, x),
+    lambda x: pressure_thermal_large_distance(0.5, x, 0.3),
+    lambda x: pressure_thermal_large_distance(0.5, 1.0, x),
+    lambda x: pressure_high_temperature(0.5, x, 1.0),
+    lambda x: pressure_high_temperature(0.5, 1.0, x),
+    mode_sum_oracle_4d,
+], ids=["large-distance-q", "thermal-large-distance-q",
+        "thermal-large-distance-T", "high-T-q", "high-T-T", "oracle-q"])
+def test_non_finite_parameters_are_rejected(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)

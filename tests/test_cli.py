@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from casmat import cli
+from casmat import casimir2d, casimir4d, cli
 from casmat.casimir2d import force_imag_axis
-from casmat.scattering import CavityConfig, lorentzian_mirror
+from casmat.casimir4d import PlanarMirrorModel
+from casmat.scattering import CavityConfig, lorentzian_mirror, perfect_mirror
 
 HEADER = "param,q,T,value,error,method,converged,roundtrips"
 
@@ -199,3 +200,133 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == HEADER
+
+
+def test_non_finite_separation_exits_2(capsys):
+    for argv in (["force2d", "--q", "nan"],
+                 ["force2d", "--method", "large-distance", "--r0", "0.5",
+                  "--q", "nan"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+MODELS = {"perfect": (["--q", "0.9"], lambda: (perfect_mirror(),
+                                               perfect_mirror())),
+          "lorentzian": (["--model", "lorentzian", "--omega1", "1.3",
+                          "--omega2", "0.7", "--q", "0.9"],
+                         lambda: (lorentzian_mirror(1.3),
+                                  lorentzian_mirror(0.7)))}
+
+
+def _cfg(model, T=0.0, planar=False):
+    m1, m2 = MODELS[model][1]()
+    if planar:
+        m1, m2 = PlanarMirrorModel(m1), PlanarMirrorModel(m2)
+    return CavityConfig(m1, m2, 0.9, temperature=T)
+
+
+def _case(model, head, route, call):
+    return pytest.param(head + MODELS[model][0], route, call,
+                        id=" ".join([model] + head))
+
+
+# the routes of the CLI's table by an explicit --method ...
+ROUTE_CASES = [
+    _case("lorentzian", ["force2d", "--method", "imag-axis"], "imag-axis",
+          lambda: casimir2d.force_imag_axis(_cfg("lorentzian"))),
+    _case("lorentzian", ["force2d", "--method", "roundtrip", "--T", "0.2"],
+          "roundtrip", lambda: casimir2d.force_roundtrip_time(
+              _cfg("lorentzian", 0.2))),
+    _case("lorentzian", ["force2d", "--method", "large-distance", "--T",
+                         "0.2"], "large-distance",
+          lambda: casimir2d.force_large_distance(1.0, 0.9, temperature=0.2)),
+    _case("lorentzian", ["force4d", "--method", "imag-axis"], "imag-axis",
+          lambda: casimir4d.pressure_imag_axis(_cfg("lorentzian",
+                                                    planar=True))),
+    _case("lorentzian", ["force4d", "--method", "roundtrip"], "roundtrip",
+          lambda: casimir4d.pressure_roundtrip(_cfg("lorentzian",
+                                                    planar=True))),
+    _case("lorentzian", ["force4d", "--method", "large-distance", "--T",
+                         "0.2"], "large-distance",
+          lambda: casimir4d.pressure_thermal_large_distance(1.0, 0.9, 0.2)),
+    _case("lorentzian", ["force4d", "--method", "high-T", "--r0", "0.5",
+                         "--T", "0.2"], "high-T",
+          lambda: casimir4d.pressure_high_temperature(0.5, 0.9, 0.2)),
+    _case("perfect", ["force4d", "--method", "large-distance"], "closed-form",
+          lambda: casimir4d.mode_sum_oracle_4d(0.9)),
+    _case("lorentzian", ["energy2d", "--method", "imag-axis"], "imag-axis",
+          lambda: casimir2d.casimir_energy(_cfg("lorentzian"))),
+    _case("lorentzian", ["energy2d", "--method", "roundtrip", "--T", "0.2"],
+          "roundtrip", lambda: casimir2d.internal_energy_thermal(
+              _cfg("lorentzian", 0.2))),
+    _case("lorentzian", ["energy4d", "--method", "imag-axis"], "imag-axis",
+          lambda: casimir4d.energy_4d(_cfg("lorentzian", planar=True))),
+    _case("lorentzian", ["free-energy2d", "--method", "roundtrip", "--T",
+                         "0.2"], "roundtrip",
+          lambda: casimir2d.free_energy(_cfg("lorentzian", 0.2))),
+    # ... and each resolution of --method auto
+    _case("perfect", ["force2d"], "closed-form",
+          lambda: casimir2d.mode_sum_oracle_2d(0.9)),
+    _case("perfect", ["force2d", "--T", "0.2"], "roundtrip",
+          lambda: casimir2d.force_roundtrip_time(_cfg("perfect", 0.2))),
+    _case("lorentzian", ["force2d"], "imag-axis",
+          lambda: casimir2d.force_imag_axis(_cfg("lorentzian"))),
+    _case("lorentzian", ["force2d", "--T", "0.2"], "roundtrip",
+          lambda: casimir2d.force_roundtrip_time(_cfg("lorentzian", 0.2))),
+    _case("lorentzian", ["force2d", "--r0", "0.5"], "large-distance",
+          lambda: casimir2d.force_large_distance(0.5, 0.9)),
+    _case("perfect", ["force4d"], "closed-form",
+          lambda: casimir4d.mode_sum_oracle_4d(0.9)),
+    _case("perfect", ["force4d", "--T", "0.2"], "large-distance",
+          lambda: casimir4d.pressure_thermal_large_distance(1.0, 0.9, 0.2)),
+    _case("lorentzian", ["force4d", "--r0", "0.5"], "large-distance",
+          lambda: casimir4d.pressure_thermal_large_distance(0.5, 0.9, 0.0)),
+    _case("lorentzian", ["force4d"], "imag-axis",
+          lambda: casimir4d.pressure_imag_axis(_cfg("lorentzian",
+                                                    planar=True))),
+    _case("lorentzian", ["energy2d"], "imag-axis",
+          lambda: casimir2d.casimir_energy(_cfg("lorentzian"))),
+    _case("lorentzian", ["energy2d", "--T", "0.2"], "roundtrip",
+          lambda: casimir2d.internal_energy_thermal(_cfg("lorentzian", 0.2))),
+    _case("lorentzian", ["energy4d"], "imag-axis",
+          lambda: casimir4d.energy_4d(_cfg("lorentzian", planar=True))),
+    _case("lorentzian", ["free-energy2d", "--T", "0.2"], "roundtrip",
+          lambda: casimir2d.free_energy(_cfg("lorentzian", 0.2))),
+]
+
+
+def test_route_cases_cover_the_table():
+    covered = {(case.values[0][0], case.values[1]) for case in ROUTE_CASES}
+    assert covered == {(command, route) for command, routes
+                       in cli._ROUTES.items() for route in routes}
+
+
+@pytest.mark.parametrize("argv, route, call", ROUTE_CASES)
+def test_route_record_equals_library_call(argv, route, call, capsys):
+    args = cli._build_parser().parse_args(argv)
+    assert cli._route(args.command_name, args) == route
+    code, out, _ = run_cli(argv + ["--output", "json"], capsys)
+    res = call()
+    assert code == (0 if res.converged else 4)
+    rt = getattr(res, "roundtrips_used", None)
+    assert json.loads(out) == [{
+        "param": "", "q": 0.9, "T": args.T, "value": res.value,
+        "error": res.error_estimate,
+        "method": "closed-form" if route == "closed-form" else res.method,
+        "converged": res.converged, "roundtrips": "" if rt is None else rt}]
+
+
+@pytest.mark.parametrize("command, method", [
+    ("force2d", "high-T"), ("energy2d", "large-distance"),
+    ("energy2d", "high-T"), ("energy4d", "roundtrip"),
+    ("energy4d", "large-distance"), ("energy4d", "high-T"),
+    ("free-energy2d", "imag-axis"), ("free-energy2d", "large-distance"),
+    ("free-energy2d", "high-T")])
+def test_unsupported_method_exits_2(command, method, capsys):
+    code, out, err = run_cli([command, "--method", method, "--T", "0.2",
+                              "--r0", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s supports --method" % command)

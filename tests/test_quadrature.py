@@ -121,6 +121,13 @@ def test_series_bound_validation():
         sum_roundtrip_series(lambda ell: 0.5 ** ell, -0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "series_tail_tol"])
+def test_non_finite_tolerances_are_rejected(field, bad):
+    with pytest.raises(ValueError):
+        QuadratureSpec(**{field: bad})
+
+
 def test_roundtrip_cap_reported():
     # a ratio this close to 1 cannot satisfy the tail bound within the cap,
     # and the cap sits below the first tail-analysis checkpoint

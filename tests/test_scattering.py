@@ -87,6 +87,18 @@ def test_cavity_config_validation():
         CavityConfig(m, m, 1.0, temperature=-0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lorentzian_mirror,
+    lambda x: CavityConfig(perfect_mirror(), perfect_mirror(), x),
+    lambda x: CavityConfig(perfect_mirror(), perfect_mirror(), 1.0,
+                           temperature=x),
+], ids=["cutoff", "cavity-q", "cavity-T"])
+def test_non_finite_parameters_are_rejected(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
+
 def test_loop_reflectivity():
     cfg = CavityConfig(perfect_mirror(), lorentzian_mirror(2.0), 1.0)
     # (-1) * (-2/(2+xi)) is positive: an attractive pair

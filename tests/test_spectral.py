@@ -105,6 +105,25 @@ def test_free_energy_kernel_zero_temperature():
         -1.0 / (8.0 * math.pi), rel=1e-15)
 
 
+def test_zero_temperature_kernels_equal_vacuum_forms_exactly():
+    # no T = 0 branch: the floored sinh ratios are exactly 1 at x = 0
+    tau = np.geomspace(1e-6, 1e6, 2001)
+    assert np.array_equal(thermal_kernel_time(tau, 0.0),
+                          vacuum_kernel_time(tau))
+    assert np.array_equal(free_energy_kernel_time(tau, 0.0),
+                          -1.0 / (2.0 * np.pi * tau))
+    assert np.array_equal(kernel_4d_thermal(tau, 0.0), kernel_4d_vacuum(tau))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kernel", [thermal_kernel_time,
+                                    free_energy_kernel_time,
+                                    kernel_4d_thermal])
+def test_non_finite_temperature_is_rejected(kernel, bad):
+    with pytest.raises(ValueError):
+        kernel(1.0, bad)
+
+
 def test_free_energy_kernel_links_to_force_kernel():
     # twice the tau-derivative of the free-energy kernel is minus the
     # thermal force kernel
