@@ -61,11 +61,11 @@ def _delay_profile(cfg):
 
     Returns
     -------
-    weight_for, mean_for : callables or (None, None)
-        ``weight_for(l)`` is the delay density for l roundtrips (None when
-        both mirrors respond instantaneously and the density is a delta at
-        zero delay); ``mean_for(l)`` is its mean, used as the integration
-        scale.
+    weight, mean : callables or (None, None)
+        ``weight(l, s)`` is the delay density of l roundtrips at delay s,
+        elementwise in l and s (None when both mirrors respond
+        instantaneously and the density is a delta at zero delay);
+        ``mean(l)`` is its mean, used as the integration scale.
     """
     rates = []
     for m in (cfg.mirror1, cfg.mirror2):
@@ -79,38 +79,42 @@ def _delay_profile(cfg):
         return None, None
     if len(rates) == 1:
         rate = rates[0]
-        return (lambda l: (lambda s: erlang_weight(l, rate, s)),
-                lambda l: l / rate)
+        return (lambda l, s: erlang_weight(l, rate, s)), (lambda l: l / rate)
     a, b = rates
     if abs(a - b) <= 1e-12 * max(a, b):
         rate = 0.5 * (a + b)
-        return (lambda l: (lambda s: erlang_weight(2 * l, rate, s)),
+        return ((lambda l, s: erlang_weight(2 * l, rate, s)),
                 lambda l: 2.0 * l / rate)
-    return (lambda l: (lambda s: hypoexp_weight(l, a, b, s)),
-            lambda l: l / a + l / b)
+    return (lambda l, s: hypoexp_weight(l, a, b, s)), (lambda l: l / a + l / b)
 
 
-def _sum_integral_terms(integrand_for, scale_for, spec):
+def _sum_integral_terms(integrand, scale, spec):
     """Sum a roundtrip series whose l-th term is an integral over (0, inf).
 
-    ``integrand_for(l)`` returns the vectorized l-th integrand and
-    ``scale_for(l)`` its decay scale.  Each term is integrated slightly
-    tighter than the series budget so the accumulated term errors stay
-    inside the caller's tolerance; the result adds those quadrature errors
-    to the series error and is converged only if every term integral is.
+    ``integrand(l, x)`` is the l-th integrand at x, elementwise in an
+    integer array l and x, and ``scale(ells)`` the decay scales of the
+    terms ells.  Each block of terms is one lockstep block of
+    `integrate_semi_infinite`.  Each term is integrated slightly tighter
+    than the series budget so the accumulated term errors stay inside the
+    caller's tolerance; the result adds those quadrature errors, summed in
+    term order, to the series error and is converged only if every term
+    integral is.
     """
     inner = replace(spec, rel_tol=0.5 * spec.rel_tol,
                     abs_tol=0.5 * spec.abs_tol)
-    quads = []
+    quad_errors = []
+    quad_ok = True
 
     def terms(ells):
-        quads.extend(integrate_semi_infinite(integrand_for(l), scale_for(l),
-                                             inner) for l in ells.tolist())
-        return [res.value for res in quads[-ells.size:]]
+        nonlocal quad_ok
+        res = integrate_semi_infinite(lambda i, x: integrand(ells[i], x),
+                                      scale(ells), inner)
+        quad_errors.extend(res.error_estimate.tolist())
+        quad_ok = quad_ok and res.converged
+        return res.value
 
     series = _sum_series(terms, spec)
-    quad_err = sum(abs(res.error_estimate) for res in quads)
-    quad_ok = all(res.converged for res in quads)
+    quad_err = sum(map(abs, quad_errors))
     return IntegrationResult(series.value, series.error_estimate + quad_err,
                              series.evaluations, series.converged and quad_ok)
 
@@ -123,19 +127,17 @@ def _roundtrip_sum(cfg, kernel, spec):
 
         sum_l  int_0^inf ds  w_l(s) kernel(l, 2 l q + s).
 
-    For a perfect pair the density is a delta at s = 0 and the loop
-    reflection is (-1)(-1) = 1, so the terms are kernel(l, 2 l q) on l arrays.
+    kernel is elementwise in l and tau: it gets one l per term for a
+    perfect pair, whose density is a delta at s = 0 and whose loop
+    reflection is (-1)(-1) = 1, so the terms are kernel(l, 2 l q), and
+    one l per quadrature node otherwise.
     """
     q = cfg.q
-    weight_for, mean_for = _delay_profile(cfg)
-    if weight_for is None:
+    weight, mean = _delay_profile(cfg)
+    if weight is None:
         return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec)
-
-    def integrand_for(l):
-        w = weight_for(l)
-        return lambda s: w(s) * kernel(l, 2.0 * l * q + s)
-
-    return _sum_integral_terms(integrand_for, mean_for, spec)
+    return _sum_integral_terms(
+        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), mean, spec)
 
 
 def force_imag_axis(cfg, spec=None):

@@ -101,13 +101,14 @@ def pressure_roundtrip(cfg, spec=None):
         spec = QuadratureSpec()
     q = cfg.q
 
-    def integrand_for(l):
-        def f(kappa):
-            return (kappa**3 * cfg.loop_r_imag(kappa)**l
-                    * np.exp(-2.0 * l * kappa * q) / np.pi**2)
-        return f
+    def integrand(l, kappa):
+        r = cfg.loop_r_imag(kappa)
+        # numpy squares r**2 for a scalar 2 but calls pow on an array of
+        # exponents, which can round differently
+        rl = np.where(l == 2, r * r, r**l)
+        return kappa**3 * rl * np.exp(-2.0 * l * kappa * q) / np.pi**2
 
-    series = _sum_integral_terms(integrand_for, lambda l: 0.5 / (l * q), spec)
+    series = _sum_integral_terms(integrand, lambda l: 0.5 / (l * q), spec)
     ok = series.converged and _tol_met(series.error_estimate, series.value,
                                        spec)
     return ForceResult(series.value, series.error_estimate, "roundtrip-time",

@@ -13,16 +13,20 @@ terms plus the tail, and its error bar adds a rounding allowance of
 the truncation error is far below the terms' own rounding.  One rule,
 `_tol_met`, decides whether an error meets a spec's tolerances.
 
-Integrands receive flat arrays of abscissae spanning many panels (`_panel`
-takes a march's or a bisection's panels in one call), series terms integer
-arrays of l (a block between two checkpoints); both must be elementwise:
-a node's value may not depend on the other nodes.
+`integrate_semi_infinite` takes one integral or a block of them, run in
+lockstep: one integrand call (`_panel`) per march round or refinement
+sweep of the whole block, while each integral keeps its own panels, so its
+results are those it gets on its own.  Integrands receive flat arrays of
+abscissae spanning many panels (with each node's integral index for a
+block), series terms integer arrays of l (a block between two
+checkpoints); both must be elementwise: a node's value may not depend on
+the other nodes.
 """
 
 import heapq
 import itertools
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -68,7 +72,7 @@ class QuadratureSpec:
     max_roundtrips: int = 10000
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in astuple(self)):
+        if not all(0 < v < np.inf for v in vars(self).values()):
             raise ValueError("tolerances and caps must be positive and finite")
         if self.max_subdivisions < 1 or self.max_roundtrips < 1:
             raise ValueError("max_subdivisions and max_roundtrips must be >= 1")
@@ -89,67 +93,26 @@ def _tol_met(error, value, spec):
     return bool(error <= max(spec.abs_tol, spec.rel_tol * abs(value)))
 
 
-def _panel(f, a, b):
+def _panel(f, a, b, owner=None):
     """Embedded 7/15-point Gauss estimates on the panels [a_i, b_i].
 
-    One call of f on all their 15 + 7 nodes; returns lists of the 15-point
-    values and of |I15 - I7|, each weighted on its own panel's nodes only.
+    One call of f on all their 15 + 7 nodes: f(x), or f(i, x) with i the
+    integral index of each node when owner[k] is panel k's integral in a
+    block.  Returns lists of the 15-point values and of |I15 - I7|, each
+    weighted on its own panel's nodes only.
     """
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[:, None]
     half = 0.5 * (b - a)
-    y = np.asarray(f((0.5 * (a + b) + half * _X22).ravel()), dtype=float)
-    i15, err = [], []
-    for h, row in zip(half[:, 0].tolist(), y.reshape(-1, 22)):
-        i15.append(h * float(_W15 @ row[:15]))
-        err.append(abs(i15[-1] - h * float(_W7 @ row[15:])))
-    return i15, err
-
-
-def _refine(f, panels, spec, extra_error=0.0):
-    """Globally refine a list of [err, a, b, value, depth] panels.
-
-    Bisects the worst panel until the summed error estimate (plus any fixed
-    extra_error, e.g. a truncated-tail bound) meets the tolerance.  Returns
-    an IntegrationResult whose evaluations count every panel evaluated,
-    the given ones included; convergence fails when a panel would exceed
-    the depth cap or the panel budget runs out.
-    """
-
-    heap = []
-    total_value = 0.0
-    total_error = extra_error
-    tick = itertools.count()  # heap tie-breaker: older panels first
-    for err, a, b, val, depth in panels:
-        heapq.heappush(heap, (-err, next(tick), a, b, val, err, depth))
-        total_value += val
-        total_error += err
-
-    pops = 0
-    converged = True
-    while not _tol_met(total_error, total_value, spec):
-        neg_err, _, a, b, val, err, depth = heapq.heappop(heap)
-        if depth >= spec.max_subdivisions or len(heap) + 2 > _MAX_TOTAL_PANELS:
-            heapq.heappush(heap, (neg_err, next(tick), a, b, val, err, depth))
-            converged = False
-            break
-        mid = 0.5 * (a + b)
-        (vl, vr), (el, er) = _panel(f, (a, mid), (mid, b))
-        total_value += vl + vr - val
-        total_error += el + er - err
-        heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
-        heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
-        pops += 1
-        if pops % 512 == 0:
-            # resum to flush floating-point drift in the running totals
-            total_value = sum(item[4] for item in heap)
-            total_error = extra_error + sum(item[5] for item in heap)
-
-    total_value = sum(item[4] for item in heap)
-    total_error = extra_error + sum(item[5] for item in heap)
-    converged = converged and _tol_met(total_error, total_value, spec)
-    evaluations = 22 * (len(panels) + 2 * pops)
-    return IntegrationResult(total_value, total_error, evaluations, converged)
+    x = (0.5 * (a + b) + half * _X22).ravel()
+    y = np.asarray(f(x) if owner is None else f(np.repeat(owner, 22), x),
+                   dtype=float).reshape(-1, 1, 22)
+    # a stack of row-times-weights products: each row gets the vector dot
+    # product it gets on its own
+    half = half[:, 0]
+    i15 = half * (y[:, :, :15] @ _W15)[:, 0]
+    err = np.abs(i15 - half * (y[:, :, 15:] @ _W7)[:, 0])
+    return i15.tolist(), err.tolist()
 
 
 def integrate_semi_infinite(f, decay_scale, spec=None):
@@ -160,10 +123,13 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
     f : callable
         Elementwise integrand, called on flat arrays of nodes spanning
         several panels; never evaluated at 0 (Gauss nodes are interior),
-        so integrable endpoint singularities are admissible.
-    decay_scale : float
+        so integrable endpoint singularities are admissible.  For a scalar
+        decay_scale it is f(x); for a block it is f(i, x), where i holds
+        the index into decay_scale of the integral each node belongs to.
+    decay_scale : float or 1-D array
         Scale of the exponential decay of f; sets the initial panel width
-        and the minimum extent covered before tail truncation.
+        and the minimum extent covered before tail truncation.  An array
+        of n scales integrates a block of n integrals in lockstep.
     spec : QuadratureSpec, optional
 
     Returns
@@ -171,45 +137,134 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
     IntegrationResult
         Panel marching stops once two consecutive panels contribute below
         the tail tolerance; the truncated tail enters the error estimate
-        through a geometric extrapolation of the last panels.
+        through a geometric extrapolation of the last panels.  Then the
+        worst panel is bisected until the summed errors meet the
+        tolerance, a panel reaches the depth cap or the panel budget runs
+        out.  For a block, value and error_estimate are arrays with one
+        entry per integral, evaluations is the block's total and converged
+        is true only if every integral converged.
+
+    Notes
+    -----
+    Each march round makes one call of f on the next panels of every
+    integral still marching, and each refinement sweep one call on the
+    two halves of the worst panel of every integral still short of its
+    tolerance.  Integrals share nothing but these calls, so each gets
+    exactly the panels, value and error it gets on its own.
     """
-    if decay_scale <= 0:
-        raise ValueError("decay_scale must be positive")
+    block = np.ndim(decay_scale) > 0
+    scales = np.ravel(decay_scale).tolist()
+    if not all(0.0 < d < np.inf for d in scales):
+        raise ValueError("decay_scale must be positive and finite")
     if spec is None:
         spec = QuadratureSpec()
-
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
-    panels = []
-    a = 0.0
-    width = 0.5 * decay_scale
-    running = 0.0
-    small_streak = 0
-    extent = _MIN_EXTENT_SCALES * decay_scale
-    while small_streak < 2 and len(panels) < _MAX_MARCH_PANELS:
-        # one call for the fewest panels after which the march could stop:
-        # those up to the extent, then two in a row that pass the tail test
-        starts, ends = [], []
-        need = 2 - small_streak
-        while need and len(panels) + len(ends) < _MAX_MARCH_PANELS:
-            starts.append(a)
-            a += width
-            ends.append(a)
-            width *= _GROWTH
-            if a >= extent:
-                need -= 1
-        for a0, b0, val, err in zip(starts, ends, *_panel(f, starts, ends)):
-            panels.append([err, a0, b0, val, 0])
-            running += val
-            small = b0 >= extent and _tol_met(abs(val), running, tail_spec)
-            small_streak = small_streak + 1 if small else 0
+    n = len(scales)
+    tick = itertools.count()  # heap tie-breaker: older panels first
+    # per integral: its panel heap of (-err, tick, a, b, value, err, depth),
+    # the errors of its march panels in order, its running value and the
+    # march state
+    heaps = [[] for _ in range(n)]
+    march_errs = [[] for _ in range(n)]
+    value = [0.0] * n
+    edge = [0.0] * n
+    width = [0.5 * d for d in scales]
+    extent = [_MIN_EXTENT_SCALES * d for d in scales]
+    streak = [0] * n
+    prev, last = [0.0] * n, [0.0] * n  # |value| of the last two panels
+    marching = list(range(n))
+    while marching:
+        # one call for the fewest panels after which each march could
+        # stop: those up to the extent, then two in a row that pass the
+        # tail test
+        starts, ends, owner = [], [], []
+        for k in marching:
+            a, w, count, need = edge[k], width[k], len(heaps[k]), 2 - streak[k]
+            while need and count < _MAX_MARCH_PANELS:
+                starts.append(a)
+                a += w
+                ends.append(a)
+                owner.append(k)
+                w *= _GROWTH
+                count += 1
+                if a >= extent[k]:
+                    need -= 1
+            edge[k], width[k] = a, w
+        for k, a0, b0, val, err in zip(
+                owner, starts, ends,
+                *_panel(f, starts, ends, owner if block else None)):
+            heapq.heappush(heaps[k], (-err, next(tick), a0, b0, val, err, 0))
+            march_errs[k].append(err)
+            value[k] += val
+            small = b0 >= extent[k] and _tol_met(abs(val), value[k],
+                                                 tail_spec)
+            streak[k] = streak[k] + 1 if small else 0
+            prev[k], last[k] = last[k], abs(val)
+        marching = [k for k in marching
+                    if streak[k] < 2 and len(heaps[k]) < _MAX_MARCH_PANELS]
 
-    prev, last = (abs(p[3]) for p in panels[-2:])  # the march makes >= 7
-    ratio = min(0.9, last / prev) if prev > 0.0 else 0.0
-    result = _refine(f, panels, spec,
-                     extra_error=last * ratio / (1.0 - ratio))
-    if small_streak < 2:  # the march hit its panel cap
-        result.converged = False
-    return result
+    # the truncated tail: a geometric extrapolation of the last two
+    # panels (the march makes >= 7), a fixed part of each error total
+    extra, error = [], []
+    for p, t, errs in zip(prev, last, march_errs):
+        ratio = min(0.9, t / p) if p > 0.0 else 0.0
+        extra.append(t * ratio / (1.0 - ratio))
+        error.append(extra[-1])
+        for err in errs:
+            error[-1] += err
+    pops = [0] * n
+    capped = [False] * n
+    refining = [k for k in range(n) if not _tol_met(error[k], value[k], spec)]
+    while refining:
+        starts, ends, owner, split = [], [], [], []
+        for k in refining:
+            heap = heaps[k]
+            item = heapq.heappop(heap)
+            if item[6] >= spec.max_subdivisions or \
+                    len(heap) + 2 > _MAX_TOTAL_PANELS:
+                heapq.heappush(heap, (item[0], next(tick)) + item[2:])
+                capped[k] = True
+                continue
+            a, b = item[2], item[3]
+            mid = 0.5 * (a + b)
+            starts += (a, mid)
+            ends += (mid, b)
+            owner += (k, k)
+            split.append((k, mid, item))
+        if not split:
+            break
+        vals, errs = _panel(f, starts, ends, owner if block else None)
+        halves = zip(vals[::2], vals[1::2], errs[::2], errs[1::2])
+        refining = []
+        for (k, mid, item), (vl, vr, el, er) in zip(split, halves):
+            _, _, a, b, val, err, depth = item
+            value[k] += vl + vr - val
+            error[k] += el + er - err
+            heap = heaps[k]
+            heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
+            heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
+            pops[k] += 1
+            if pops[k] % 512 == 0:
+                # resum to flush floating-point drift in the running totals
+                value[k] = sum(item[4] for item in heap)
+                error[k] = extra[k] + sum(item[5] for item in heap)
+            if not _tol_met(error[k], value[k], spec):
+                refining.append(k)
+
+    converged = []
+    for k in range(n):
+        heap = heaps[k]
+        value[k] = sum(item[4] for item in heap)
+        error[k] = extra[k] + sum(item[5] for item in heap)
+        converged.append(not capped[k] and streak[k] >= 2
+                         and _tol_met(error[k], value[k], spec))
+    # a bisection replaces one panel by two and evaluates both
+    evaluations = 22 * (sum(map(len, heaps)) + sum(pops))
+    if not block:
+        return IntegrationResult(value[0], error[0], evaluations,
+                                 converged[0])
+    return IntegrationResult(np.array(value), np.array(error), evaluations,
+                             all(converged))
 
 
 def _detect_polylog(terms, first_ell):

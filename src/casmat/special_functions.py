@@ -127,26 +127,39 @@ def _bernoulli_table(kmax):
     return table
 
 
+def _roundtrips(ell):
+    """ell as an integer array, checked to hold only integers >= 1."""
+    ell = np.asarray(ell)
+    if not np.all((ell >= 1) & (ell < np.inf) & (ell == np.floor(ell))):
+        raise ValueError("ell must be an integer >= 1")
+    return ell.astype(int)
+
+
+def _delays(s):
+    """s as a float array, checked to hold only finite delays >= 0."""
+    s = np.asarray(s, dtype=float)
+    if not np.all((s >= 0.0) & (s < np.inf)):
+        raise ValueError("s must be finite and nonnegative")
+    return s
+
+
 def erlang_weight(ell, rate, s):
     """Density at s of the sum of ell independent exponential delays of rate.
 
     w(s) = rate^ell s^(ell-1) e^(-rate s) / (ell-1)!   for s >= 0,
-    normalized to unit integral.  Vectorized over s.
+    normalized to unit integral.  Elementwise in ell and s, which
+    broadcast against each other.
 
     Parameters
     ----------
-    ell : int, >= 1
+    ell : int or integer ndarray, >= 1
     rate : float, > 0
     s : float or ndarray, >= 0
     """
-    if ell < 1 or int(ell) != ell:
-        raise ValueError("ell must be an integer >= 1")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    ell = int(ell)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
-        raise ValueError("s must be nonnegative")
+    ell = _roundtrips(ell)
+    if not 0.0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite")
+    s_arr = _delays(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         logw = (
             ell * math.log(rate)
@@ -156,8 +169,12 @@ def erlang_weight(ell, rate, s):
         )
         w = np.exp(logw)
     # the s = 0 endpoint: rate for a single delay, zero for ell >= 2
-    w = np.where(s_arr == 0.0, rate if ell == 1 else 0.0, w)
-    return float(w) if np.ndim(s) == 0 else w
+    w = np.where(s_arr == 0.0, np.where(ell == 1, rate, 0.0), w)
+    return float(w) if w.ndim == 0 else w
+
+
+# elements of one window group's temporaries in `hypoexp_weight`
+_WINDOW_ELEMENTS = 16384
 
 
 def hypoexp_weight(ell, rate1, rate2, s):
@@ -177,35 +194,68 @@ def hypoexp_weight(ell, rate1, rate2, s):
     y / ((k + 1)(c + k)), 9 sqrt(k* + 1) + 12 terms each way (they fall
     like a Gaussian of width <= sqrt(k*)), with `gammaln` for the peak
     term only: O(sqrt(k*)) per node, and no node depends on another.
-    Vectorized over s.
+
+    Elementwise in ell (an int or integer array) and s, which broadcast
+    against each other, so one call serves nodes of many roundtrip
+    orders.  Nodes are summed in groups of similar window length, sorted
+    by length, and each group's rows are padded only to the group's
+    longest window.  A group's temporaries hold at most
+    `_WINDOW_ELEMENTS` (16,384) floats, or one node's window if that is
+    longer, so memory stays bounded whatever the number of nodes.  A
+    node's sums are running sums along its own row, so they do not depend
+    on the padding or on the other nodes of its group.
     """
-    if ell < 1 or int(ell) != ell:
-        raise ValueError("ell must be an integer >= 1")
-    if rate1 <= 0 or rate2 <= 0:
-        raise ValueError("rates must be positive")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr < 0):
-        raise ValueError("s must be nonnegative")
+    ell = _roundtrips(ell)
+    if not (0.0 < rate1 < np.inf and 0.0 < rate2 < np.inf):
+        raise ValueError("rates must be positive and finite")
+    ell, s = np.broadcast_arrays(ell, _delays(s))
+    shape = s.shape
+    ell, s = ell.ravel(), s.ravel()
 
     c = ell + 0.5
     # floored at the smallest normal float so that log y and 1/y stay finite
-    y = np.maximum((0.25 * (rate2 - rate1) * s_arr) ** 2, np.finfo(float).tiny)
+    y = np.maximum((0.25 * (rate2 - rate1) * s) ** 2, np.finfo(float).tiny)
     peak = np.floor(2.0 * y / (np.sqrt(c * c + 4.0 * y) + c))
     last = np.ceil(9.0 * np.sqrt(peak + 1.0) + 12.0).astype(int) - 1
+    total = np.empty_like(y)
+    order = np.argsort(last, kind="stable")
+    size = last[order] + 1  # window lengths, shortest first
+    lo = 0
+    while lo < y.size:
+        # the next nodes whose windows are at most 5/4 of the shortest
+        # left, as many of them as the element cap allows
+        hi = np.searchsorted(size, size[lo] * 5 // 4, side="right")
+        hi = min(hi, lo + max(1, _WINDOW_ELEMENTS // size[hi - 1]))
+        rows = order[lo:hi]
+        total[rows] = _window_sums(y[rows], c[rows], peak[rows], last[rows])
+        lo = hi
+    log_w = (ell * math.log(rate1 * rate2) + xlogy(2 * ell - 1, s)
+             - 0.5 * (rate1 + rate2) * s - gammaln(2 * ell) + gammaln(c)
+             + peak * np.log(y) - gammaln(peak + 1.0) - gammaln(c + peak))
+    w = np.exp(log_w + np.log(total)).reshape(shape)
+    return float(w) if w.ndim == 0 else w
+
+
+def _window_sums(y, c, peak, last):
+    """1 + the 0F1 terms over each node's window, in units of its peak term.
+
+    Ratios y / (m (c + m - 1)) above the peak, m = k* + j, and their
+    inverses below it, m = k* + 1 - j (zero past k = 0), for
+    j = 1 .. last_i + 1, each side summed by running products and sums
+    along the node's row.
+    """
     j = np.arange(1.0, last.max() + 2.0)
-    # ratios y / (m (c + m - 1)) above the peak, m = k* + j, and their
-    # inverses below it, m = k* + 1 - j (zero past k = 0)
+    cm1 = (c - 1.0)[:, None]
     up = peak[:, None] + j
-    up = y[:, None] / (up * (up + (c - 1.0)))
-    down = np.maximum(peak[:, None] + 1.0 - j, 0.0)
-    down *= down + (c - 1.0)
+    up = y[:, None] / (up * (up + cm1))
+    # below the peak the ratio is zero at k = 0 and so is every running
+    # product after it: node i's sum is complete at j = min(last_i, k*_i) + 1
+    stop = np.minimum(last, peak).astype(int)
+    down = np.maximum(peak[:, None] + 1.0 - j[:stop.max() + 1], 0.0)
+    down *= down + cm1
     down /= y[:, None]
     rows, total = np.arange(y.size), 1.0
-    for ratios in (up, down):
+    for ratios, at in ((up, last), (down, stop)):
         np.cumprod(ratios, axis=1, out=ratios)
-        total = total + np.cumsum(ratios, axis=1, out=ratios)[rows, last]
-    log_w = (ell * math.log(rate1 * rate2) + xlogy(2 * ell - 1, s_arr)
-             - 0.5 * (rate1 + rate2) * s_arr - gammaln(2 * ell) + gammaln(c)
-             + peak * np.log(y) - gammaln(peak + 1.0) - gammaln(c + peak))
-    w = np.exp(log_w + np.log(total))
-    return float(w[0]) if np.ndim(s) == 0 else w.reshape(np.shape(s))
+        total = total + np.cumsum(ratios, axis=1, out=ratios)[rows, at]
+    return total

@@ -28,8 +28,8 @@ __all__ = [
 
 def _check_tau(tau):
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
-        raise ValueError("kernel requires tau > 0")
+    if not np.all((tau > 0.0) & (tau < np.inf)):
+        raise ValueError("kernel requires finite tau > 0")
     return tau
 
 

@@ -130,6 +130,33 @@ def test_perfect_series_calls_kernel_once_per_block(monkeypatch):
     assert sum(sizes) == 10000
 
 
+def test_split_cutoff_series_shares_density_calls_per_block(monkeypatch):
+    # each block of terms is integrated in lockstep: the hypoexponential
+    # density is called once per march round or bisection sweep of the
+    # block, not per term (one term at a time, a block of 64 makes about
+    # 170 calls)
+    blocks, calls = [], []
+    integrate, weight = (casimir2d.integrate_semi_infinite,
+                         casimir2d.hypoexp_weight)
+
+    def counted_integrate(f, decay_scale, spec=None):
+        blocks.append(np.size(decay_scale))
+        return integrate(f, decay_scale, spec)
+
+    def counted_weight(ell, rate1, rate2, s):
+        calls.append(np.size(s))
+        return weight(ell, rate1, rate2, s)
+
+    monkeypatch.setattr(casimir2d, "integrate_semi_infinite",
+                        counted_integrate)
+    monkeypatch.setattr(casimir2d, "hypoexp_weight", counted_weight)
+    cfg = CavityConfig(lorentzian_mirror(0.3), lorentzian_mirror(3.0), 0.2)
+    res = force_roundtrip_time(cfg)
+    assert res.converged
+    assert blocks == [64, 64] and res.roundtrips_used == 128
+    assert len(calls) <= 16 * len(blocks)
+
+
 def test_large_distance_limits():
     assert force_large_distance(1.0, 1.0).value == pytest.approx(
         ZETA2 / (4.0 * math.pi), rel=1e-12)

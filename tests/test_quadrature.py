@@ -154,3 +154,110 @@ def test_critical_series_closes_through_algebraic_tail():
     # precision costs up to n more ulps of roundoff on top
     roundoff = res.evaluations * math.ulp(ZETA2)
     assert abs(res.value - ZETA2) <= res.error_estimate + roundoff
+
+
+def _singles(f, scales, spec):
+    """The integrals of a block, each integrated on its own."""
+    return [integrate_semi_infinite(
+        lambda x, k=k: f(np.full(x.size, k), x), d, spec)
+        for k, d in enumerate(scales)]
+
+
+def _assert_block_matches(f, scales, spec=None):
+    block = integrate_semi_infinite(f, np.asarray(scales), spec)
+    singles = _singles(f, scales, spec)
+    assert block.value.tolist() == [r.value for r in singles]
+    assert block.error_estimate.tolist() == [r.error_estimate
+                                             for r in singles]
+    assert block.evaluations == sum(r.evaluations for r in singles)
+    assert block.converged is all(r.converged for r in singles)
+    return singles
+
+
+def _captured_blocks(monkeypatch, module, run):
+    """The (integrand, scales, spec) of every block an engine integrates."""
+    blocks = []
+
+    def spy(f, decay_scale, spec=None):
+        blocks.append((f, decay_scale, spec))
+        return integrate_semi_infinite(f, decay_scale, spec)
+
+    monkeypatch.setattr(module, "integrate_semi_infinite", spy)
+    run()
+    monkeypatch.undo()
+    return blocks
+
+
+@pytest.mark.parametrize("route", ["force", "pressure"])
+def test_block_equals_one_integral_at_a_time(monkeypatch, route):
+    # the series blocks of a split-cutoff roundtrip force (hypoexponential
+    # delay densities) and of a roundtrip pressure: in lockstep, each term
+    # gets bit for bit the value, error and evaluations it gets alone
+    from casmat import casimir2d, casimir4d
+    from casmat.scattering import CavityConfig, lorentzian_mirror
+    m1, m2 = lorentzian_mirror(0.3), lorentzian_mirror(3.0)
+    if route == "force":
+        run = lambda: casimir2d.force_roundtrip_time(  # noqa: E731
+            CavityConfig(m1, m2, 0.2))
+    else:
+        planar = casimir4d.PlanarMirrorModel
+        run = lambda: casimir4d.pressure_roundtrip(  # noqa: E731
+            CavityConfig(planar(m1), planar(m2), 0.7))
+    blocks = _captured_blocks(monkeypatch, casimir2d, run)
+    assert [np.size(scales) for _, scales, _ in blocks] == [64, 64]
+    for f, scales, spec in blocks:
+        _assert_block_matches(f, scales, spec)
+
+
+def test_block_integrals_stopped_by_the_depth_cap():
+    # a tolerance out of reach at depth 4: the faster oscillations stop at
+    # the cap while their neighbours converge, and neither disturbs the
+    # other's panels
+    w = np.linspace(0.0, 40.0, 12)
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=4)
+    singles = _assert_block_matches(
+        lambda i, x: np.exp(-x) * np.cos(w[i] * x) ** 2, np.ones(12), spec)
+    assert {r.converged for r in singles} == {True, False}
+
+
+def test_block_of_one_is_the_scalar_call():
+    f = lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2  # noqa: E731
+    alone = integrate_semi_infinite(f, 0.7)
+    block = integrate_semi_infinite(lambda i, x: f(x), [0.7])
+    assert isinstance(alone.value, float)
+    assert (block.value.tolist(), block.error_estimate.tolist(),
+            block.evaluations, block.converged) == (
+        [alone.value], [alone.error_estimate], alone.evaluations,
+        alone.converged)
+
+
+def test_block_shares_integrand_calls():
+    # one call per march round and per refinement sweep, not per integral:
+    # the block makes as many calls as its costliest integral's march
+    # rounds plus as many as its costliest integral's bisections
+    def integrand(calls):
+        def f(i, x):
+            calls.append(x.size)
+            return np.exp(-x) * np.cos(i * x) ** 2
+        return f
+
+    calls = []
+    res = integrate_semi_infinite(integrand(calls), np.ones(8))
+    alone = [[] for _ in range(8)]
+    for k, counted in enumerate(alone):
+        f = integrand(counted)
+        integrate_semi_infinite(lambda x: f(np.full(x.size, k), x), 1.0)
+    assert res.converged
+    assert sum(calls) == res.evaluations
+    costliest = max(len(c) for c in alone)
+    assert costliest <= len(calls) <= 2 * costliest < sum(map(len, alone))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_decay_scales_are_rejected(bad):
+    calls = []
+    with pytest.raises(ValueError):
+        integrate_semi_infinite(_counted(lambda x: np.exp(-x), calls), bad)
+    with pytest.raises(ValueError):
+        integrate_semi_infinite(lambda i, x: np.exp(-x), [1.0, bad])
+    assert calls == []

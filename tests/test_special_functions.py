@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casmat import special_functions
 from casmat.quadrature import integrate_semi_infinite
 from casmat.special_functions import (bernoulli, erlang_weight, hypoexp_weight,
                                       polylog)
@@ -144,3 +145,62 @@ def test_polylog_unit_circle_is_exact_zeta():
         alt = -(1.0 - 2.0 ** (1 - p)) * z
         assert abs(polylog(1.0, p) - z) <= 2 * math.ulp(z)
         assert abs(polylog(-1.0, p) - alt) <= 2 * math.ulp(alt)
+
+
+def _mixed_nodes(n, rng, smax):
+    """n nodes with their own roundtrip orders, some of them at s = 0."""
+    ell = rng.integers(1, 300, n)
+    s = rng.uniform(0.0, smax, n) * ell
+    s[::97] = 0.0
+    return ell, s
+
+
+def test_erlang_weight_takes_one_ell_per_node():
+    rng = np.random.default_rng(11)
+    ell, s = _mixed_nodes(2000, rng, 4.0)
+    ell[:5] = 1
+    got = erlang_weight(ell, 1.3, s)
+    for l in np.unique(ell):
+        at = ell == l
+        assert got[at].tolist() == erlang_weight(int(l), 1.3, s[at]).tolist()
+    # ell and s broadcast against each other
+    assert erlang_weight(ell, 1.3, 2.0).tolist() == [
+        erlang_weight(int(l), 1.3, 2.0) for l in ell]
+
+
+@pytest.mark.parametrize("cap", [None, 4096, 64, 1])
+def test_hypoexp_weight_takes_one_ell_per_node(monkeypatch, cap):
+    # nodes of many orders share one call, summed in window groups that
+    # the element cap splits, down to one node per group and windows
+    # longer than the cap; each equals its value in a call for its order
+    if cap is not None:
+        monkeypatch.setattr(special_functions, "_WINDOW_ELEMENTS", cap)
+    rng = np.random.default_rng(12)
+    ell, s = _mixed_nodes(3000, rng, 12.0)
+    got = hypoexp_weight(ell, 0.1, 10.0, s)
+    monkeypatch.undo()
+    for l in np.unique(ell):
+        at = ell == l
+        assert got[at].tolist() == hypoexp_weight(int(l), 0.1, 10.0,
+                                                  s[at]).tolist()
+    assert hypoexp_weight(ell[:50], 0.1, 10.0, 3.0).tolist() == [
+        hypoexp_weight(int(l), 0.1, 10.0, 3.0) for l in ell[:50]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: erlang_weight(2, x, 1.0),
+    lambda x: erlang_weight(2, 1.0, x),
+    lambda x: erlang_weight(2, 1.0, np.array([1.0, x])),
+    lambda x: erlang_weight(x, 1.0, 1.0),
+    lambda x: hypoexp_weight(2, x, 2.0, 1.0),
+    lambda x: hypoexp_weight(2, 1.0, x, 1.0),
+    lambda x: hypoexp_weight(2, 1.0, 2.0, x),
+    lambda x: hypoexp_weight(np.array([1, 2]), 1.0, 2.0, np.array([1.0, x])),
+    lambda x: hypoexp_weight(x, 1.0, 2.0, 1.0),
+], ids=["erlang-rate", "erlang-s", "erlang-s-array", "erlang-ell",
+        "hypoexp-rate1", "hypoexp-rate2", "hypoexp-s", "hypoexp-s-array",
+        "hypoexp-ell"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_delay_density_inputs_are_rejected(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)

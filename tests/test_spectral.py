@@ -124,6 +124,21 @@ def test_non_finite_temperature_is_rejected(kernel, bad):
         kernel(1.0, bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kernel", [
+    vacuum_kernel_time,
+    lambda tau: thermal_kernel_time(tau, 0.2),
+    lambda tau: free_energy_kernel_time(tau, 0.2),
+    kernel_4d_vacuum,
+    lambda tau: kernel_4d_thermal(tau, 0.2),
+], ids=["vacuum", "thermal", "free-energy", "4d-vacuum", "4d-thermal"])
+def test_non_finite_delays_are_rejected(kernel, bad):
+    with pytest.raises(ValueError):
+        kernel(bad)
+    with pytest.raises(ValueError):
+        kernel(np.array([1.0, bad]))
+
+
 def test_free_energy_kernel_links_to_force_kernel():
     # twice the tau-derivative of the free-energy kernel is minus the
     # thermal force kernel
