@@ -199,7 +199,8 @@ def hypoexp_weight(ell, rate1, rate2, s):
     against each other, so one call serves nodes of many roundtrip
     orders.  Nodes are summed in groups of similar window length, sorted
     by length, and each group's rows are padded only to the group's
-    longest window.  A group's temporaries hold at most
+    longest window, and the side below the peak only to the group's
+    largest k*, as the terms stop at k = 0.  A group's temporaries hold at most
     `_WINDOW_ELEMENTS` (16,384) floats, or one node's window if that is
     longer, so memory stays bounded whatever the number of nodes.  A
     node's sums are running sums along its own row, so they do not depend
