@@ -296,13 +296,13 @@ def _cmd_validate(args):
 
 
 def _cmd_oracle(args):
+    if (args.model != "perfect" or args.T != 0.0 or args.method != "auto"
+            or args.r0 is not None):
+        raise ValueError("oracle is the perfect-mirror value at T = 0 and "
+                         "takes no --model, --T, --method or --r0")
     if args.dimension == 2:
-        res = casimir2d.mode_sum_oracle_2d(args.q)
-    else:
-        res = casimir4d.mode_sum_oracle_4d(args.q)
-    rec = _record(args, res)
-    rec["T"] = 0.0
-    return [rec]
+        return [_record(args, casimir2d.mode_sum_oracle_2d(args.q))]
+    return [_record(args, casimir4d.mode_sum_oracle_4d(args.q))]
 
 
 def emit_records(records, fmt, stream=None):

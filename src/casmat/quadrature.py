@@ -26,6 +26,7 @@ the other nodes.
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,8 +75,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if not all(0 < v < np.inf for v in vars(self).values()):
             raise ValueError("tolerances and caps must be positive and finite")
-        if self.max_subdivisions < 1 or self.max_roundtrips < 1:
-            raise ValueError("max_subdivisions and max_roundtrips must be >= 1")
+        if not all(isinstance(cap, numbers.Integral) and cap >= 1
+                   for cap in (self.max_subdivisions, self.max_roundtrips)):
+            raise ValueError(
+                "max_subdivisions and max_roundtrips must be integers >= 1")
 
 
 @dataclass

@@ -74,6 +74,16 @@ def test_roundtrip_unequal_cutoffs():
     assert res.value == pytest.approx(ref.value, rel=1e-9)
 
 
+def test_roundtrip_widely_split_cutoffs():
+    # cutoffs two decades apart: nearly every node of the delay density
+    # takes its Bessel form
+    cfg = CavityConfig(lorentzian_mirror(0.1), lorentzian_mirror(10.0), 1.0)
+    res = force_roundtrip_time(cfg)
+    ref = force_imag_axis(cfg)
+    assert res.converged and ref.converged
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
 @pytest.mark.parametrize("cutoff, q", [(1.3, 0.7), (0.5, 2.0), (2.0, 0.4)])
 def test_roundtrip_mixed_pair(cutoff, q):
     # one perfect mirror: l roundtrips delay by a single-rate Erlang density

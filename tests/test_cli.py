@@ -194,6 +194,22 @@ def test_oracle_command(capsys):
     assert float(rec["value"]) == math.pi ** 2 / 240.0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--model", "lorentzian", "--omega1", "1"],
+    ["--T", "0.3"],
+    ["--method", "roundtrip"],
+    ["--method", "imag-axis"],
+    ["--r0", "0.5"],
+    ["--q", "0.9", "--T", "0.3", "--model", "lorentzian", "--omega1", "1",
+     "--method", "roundtrip"],
+])
+def test_oracle_rejects_flags_it_cannot_honour(capsys, flags):
+    code, out, err = run_cli(["oracle"] + flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "casmat.cli", "force2d",
                            "--q", "1", "--output", "csv"],

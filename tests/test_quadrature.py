@@ -128,6 +128,13 @@ def test_non_finite_tolerances_are_rejected(field, bad):
         QuadratureSpec(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [1.5, 64.5, 60.0])
+@pytest.mark.parametrize("field", ["max_roundtrips", "max_subdivisions"])
+def test_non_integer_caps_are_rejected(field, bad):
+    with pytest.raises(ValueError):
+        QuadratureSpec(**{field: bad})
+
+
 def test_roundtrip_cap_reported():
     # a ratio this close to 1 cannot satisfy the tail bound within the cap,
     # and the cap sits below the first tail-analysis checkpoint

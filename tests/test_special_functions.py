@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import hyp0f1, ive
 
-from casmat import special_functions
 from casmat.quadrature import integrate_semi_infinite
 from casmat.special_functions import (bernoulli, erlang_weight, hypoexp_weight,
                                       polylog)
@@ -168,23 +168,66 @@ def test_erlang_weight_takes_one_ell_per_node():
         erlang_weight(int(l), 1.3, 2.0) for l in ell]
 
 
-@pytest.mark.parametrize("cap", [None, 4096, 64, 1])
-def test_hypoexp_weight_takes_one_ell_per_node(monkeypatch, cap):
-    # nodes of many orders share one call, summed in window groups that
-    # the element cap splits, down to one node per group and windows
-    # longer than the cap; each equals its value in a call for its order
-    if cap is not None:
-        monkeypatch.setattr(special_functions, "_WINDOW_ELEMENTS", cap)
+def test_hypoexp_weight_takes_one_ell_per_node():
+    # nodes of many orders share one call; each equals its value in a call
+    # for its order
     rng = np.random.default_rng(12)
     ell, s = _mixed_nodes(3000, rng, 12.0)
     got = hypoexp_weight(ell, 0.1, 10.0, s)
-    monkeypatch.undo()
     for l in np.unique(ell):
         at = ell == l
         assert got[at].tolist() == hypoexp_weight(int(l), 0.1, 10.0,
                                                   s[at]).tolist()
     assert hypoexp_weight(ell[:50], 0.1, 10.0, 3.0).tolist() == [
         hypoexp_weight(int(l), 0.1, 10.0, 3.0) for l in ell[:50]]
+
+
+def _forms(ell, rate1, rate2, s):
+    """Which form each node takes: 0 Bessel, 1 0F1, 2 Debye."""
+    z = 0.5 * abs(rate2 - rate1) * s
+    near = ~(ive(ell - 0.5, z) >= np.finfo(float).tiny)
+    over = near & (hyp0f1(ell + 0.5, (0.5 * z) ** 2) == np.inf)
+    return near.astype(int) + over
+
+
+@pytest.mark.parametrize("rate1, rate2, orders, forms", [
+    (1.0, 1.001, [1, 5, 64, 256, 1024], {0, 1}),
+    (1.0, 3.0, [64, 1024, 2048, 4096], {0, 1, 2}),
+])
+def test_hypoexp_weight_mixed_forms_are_per_node(rate1, rate2, orders, forms):
+    # one call whose nodes take different forms (s = 0 takes 0F1); each
+    # node equals its value in a call of its own, bit for bit
+    rng = np.random.default_rng(13)
+    ell = rng.choice(orders, 400)
+    s = (ell / rate1 + ell / rate2) * rng.uniform(0.0, 2.5, 400)
+    s[::50] = 0.0
+    assert set(_forms(ell, rate1, rate2, s).tolist()) == forms
+    got = hypoexp_weight(ell, rate1, rate2, s)
+    assert np.all(np.isfinite(got))
+    assert got.tolist() == [hypoexp_weight(int(l), rate1, rate2, si)
+                            for l, si in zip(ell, s)]
+
+
+@pytest.mark.parametrize("ell, a, b", [(4096, 1.0, 3.0), (3000, 1e-3, 1e3)])
+def test_hypoexp_weight_past_both_scipy_forms(ell, a, b):
+    # around the mean delay 0F1 overflows, and ive underflows (ell = 4096
+    # at rates 1 and 3) or is NaN past its argument limit (d s / 2 = 1.5e9
+    # at rates 1e-3 and 1e3), so the density comes from Debye's expansion;
+    # 40-digit 0F1 reference, relative error bounded as in the mpmath
+    # test by 4 eps times summands of about 1.5e5 in all
+    mpmath = pytest.importorskip("mpmath")
+    s = (ell / a + ell / b) * np.array([0.9, 1.0, 1.1])
+    assert _forms(ell, a, b, s).tolist() == [2, 2, 2]
+    got = hypoexp_weight(ell, a, b, s)
+    for si, wi in zip(s, got):
+        with mpmath.workdps(40):
+            A, B, S = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(si)
+            ref = float((A * B) ** ell * S ** (2 * ell - 1)
+                        * mpmath.exp(-(A + B) * S / 2)
+                        * mpmath.hyp0f1(ell + mpmath.mpf(1) / 2,
+                                        ((B - A) * S / 4) ** 2)
+                        / mpmath.factorial(2 * ell - 1))
+        assert wi == pytest.approx(ref, rel=1.5e-10)
 
 
 @pytest.mark.parametrize("call", [
@@ -204,3 +247,13 @@ def test_hypoexp_weight_takes_one_ell_per_node(monkeypatch, cap):
 def test_non_finite_delay_density_inputs_are_rejected(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: polylog(math.nan, 2),
+    lambda: polylog(0.5, 2, tol=math.nan),
+    lambda: polylog(0.5, 2, tol=math.inf),
+], ids=["x-nan", "tol-nan", "tol-inf"])
+def test_non_finite_polylog_inputs_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()

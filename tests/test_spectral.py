@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import trapezoid
 
 from casmat.spectral import (free_energy_kernel_time, kernel_4d_thermal,
                              kernel_4d_vacuum, thermal_kernel_time,
@@ -87,7 +88,7 @@ def test_thermal_kernel_matches_bose_weighted_transform():
     tau, T = 1.0, 0.3
     w = np.linspace(1e-8, 60.0 * T, 200001)
     n = 1.0 / np.expm1(w / T)
-    transform = np.trapezoid((2.0 / math.pi) * w * n * np.cos(w * tau), w)
+    transform = trapezoid((2.0 / math.pi) * w * n * np.cos(w * tau), w)
     diff = thermal_kernel_time(tau, T) - vacuum_kernel_time(tau)
     assert diff == pytest.approx(transform, rel=1e-6)
 
