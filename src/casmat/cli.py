@@ -215,7 +215,8 @@ def _route(command, args):
     or for the perfect-mirror pressure; a command's only route; at T = 0
     the closed form for the perfect-mirror force2d, else the imaginary
     axis; at T > 0 the roundtrip series.  The perfect-mirror
-    large-distance pressure at T = 0 is the closed form.
+    large-distance pressure at T = 0 is the closed form.  --r0 on any
+    other route is an error.
     """
     routes, method = _ROUTES[command], args.method
     if method != "auto" and method not in routes:
@@ -237,6 +238,9 @@ def _route(command, args):
                 "frequency-independent reflection; pass --r0")
         else:
             method = "roundtrip"
+    if args.r0 is not None and method not in ("large-distance", "high-T"):
+        raise ValueError("--r0 is taken by --method large-distance and "
+                         "high-T only, not by %s %s" % (command, method))
     if (command == "force4d" and method == "large-distance" and perfect
             and args.T == 0.0):
         return "closed-form"

@@ -13,10 +13,12 @@ terms plus the tail, and its error bar adds a rounding allowance of
 the truncation error is far below the terms' own rounding.  One rule,
 `_tol_met`, decides whether an error meets a spec's tolerances.
 
-`integrate_semi_infinite` takes one integral or a block of them, run in
-lockstep: one integrand call (`_panel`) per march round or refinement
-sweep of the whole block, while each integral keeps its own panels, so its
-results are those it gets on its own.  Integrands receive flat arrays of
+`integrate_semi_infinite` takes one integral or a block of them.  Each
+integral is a coroutine (`_integral`) that asks for the panels its march
+or refinement needs next, and each round makes one integrand call
+(`_panel`) on the requests of all unfinished integrals, with no barrier
+between the two phases.  Integrals share only these calls, so each gets
+the results it gets on its own.  Integrands receive flat arrays of
 abscissae spanning many panels (with each node's integral index for a
 block), series terms integer arrays of l (a block between two
 checkpoints); both must be elementwise: a node's value may not depend on
@@ -39,7 +41,6 @@ __all__ = [
     "QuadratureSpec",
     "IntegrationResult",
     "integrate_semi_infinite",
-    "sum_roundtrip_series",
 ]
 
 _X7, _W7 = leggauss(7)
@@ -118,6 +119,75 @@ def _panel(f, a, b, owner=None):
     return i15.tolist(), err.tolist()
 
 
+def _integral(scale, spec, tail_spec):
+    """One integral's march and worst-panel-first refinement, as a coroutine.
+
+    Yields the (starts, ends) of the panels it needs next and is sent
+    their (values, errors) from `_panel`.  Returns (value, error, panels
+    made, converged).
+    """
+    tick = itertools.count()  # heap tie-breaker: older panels first
+    heap = []  # (-err, tick, a, b, value, err, depth)
+    march_errs = []  # the errors of the march panels, in order
+    value = edge = 0.0
+    width, extent = 0.5 * scale, _MIN_EXTENT_SCALES * scale
+    streak = 0
+    prev = last = 0.0  # |value| of the last two panels
+    while streak < 2 and len(heap) < _MAX_MARCH_PANELS:
+        # the fewest panels after which the march could stop: those up to
+        # the extent, then two in a row that pass the tail test
+        starts, ends, need = [], [], 2 - streak
+        while need and len(heap) + len(starts) < _MAX_MARCH_PANELS:
+            starts.append(edge)
+            edge += width
+            ends.append(edge)
+            width *= _GROWTH
+            if edge >= extent:
+                need -= 1
+        vals, errs = yield starts, ends
+        for a, b, val, err in zip(starts, ends, vals, errs):
+            heapq.heappush(heap, (-err, next(tick), a, b, val, err, 0))
+            march_errs.append(err)
+            value += val
+            small = b >= extent and _tol_met(abs(val), value, tail_spec)
+            streak = streak + 1 if small else 0
+            prev, last = last, abs(val)
+
+    # the truncated tail: a geometric extrapolation of the last two panels
+    # (the march makes >= 7), a fixed part of the error total
+    ratio = min(0.9, last / prev) if prev > 0.0 else 0.0
+    extra = error = last * ratio / (1.0 - ratio)
+    for err in march_errs:
+        error += err
+    pops = 0
+    capped = False
+    while not _tol_met(error, value, spec):
+        item = heapq.heappop(heap)
+        if item[6] >= spec.max_subdivisions or \
+                len(heap) + 2 > _MAX_TOTAL_PANELS:
+            heapq.heappush(heap, (item[0], next(tick)) + item[2:])
+            capped = True
+            break
+        _, _, a, b, val, err, depth = item
+        mid = 0.5 * (a + b)
+        (vl, vr), (el, er) = yield (a, mid), (mid, b)
+        value += vl + vr - val
+        error += el + er - err
+        heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
+        heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
+        pops += 1
+        if pops % 512 == 0:
+            # resum to flush floating-point drift in the running totals
+            value = sum(item[4] for item in heap)
+            error = extra + sum(item[5] for item in heap)
+
+    value = sum(item[4] for item in heap)
+    error = extra + sum(item[5] for item in heap)
+    # a bisection replaces one panel by two and evaluates both
+    return (value, error, len(heap) + pops,
+            not capped and streak >= 2 and _tol_met(error, value, spec))
+
+
 def integrate_semi_infinite(f, decay_scale, spec=None):
     """Integrate f over (0, inf) for an (at least) exponentially damped f.
 
@@ -149,10 +219,12 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
 
     Notes
     -----
-    Each march round makes one call of f on the next panels of every
-    integral still marching, and each refinement sweep one call on the
-    two halves of the worst panel of every integral still short of its
-    tolerance.  Integrals share nothing but these calls, so each gets
+    Each integral runs as its own coroutine (`_integral`).  Every round
+    makes one call of f on the panels that each unfinished integral asks
+    for next: the next march panels of one, the two halves of the worst
+    panel of another.  There is no barrier between the march and the
+    refinement, so a block makes as many calls as its costliest integral
+    makes alone.  Integrals share nothing but these calls, so each gets
     exactly the panels, value and error it gets on its own.
     """
     block = np.ndim(decay_scale) > 0
@@ -162,107 +234,28 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
     if spec is None:
         spec = QuadratureSpec()
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
-    n = len(scales)
-    tick = itertools.count()  # heap tie-breaker: older panels first
-    # per integral: its panel heap of (-err, tick, a, b, value, err, depth),
-    # the errors of its march panels in order, its running value and the
-    # march state
-    heaps = [[] for _ in range(n)]
-    march_errs = [[] for _ in range(n)]
-    value = [0.0] * n
-    edge = [0.0] * n
-    width = [0.5 * d for d in scales]
-    extent = [_MIN_EXTENT_SCALES * d for d in scales]
-    streak = [0] * n
-    prev, last = [0.0] * n, [0.0] * n  # |value| of the last two panels
-    marching = list(range(n))
-    while marching:
-        # one call for the fewest panels after which each march could
-        # stop: those up to the extent, then two in a row that pass the
-        # tail test
+    runs = [_integral(d, spec, tail_spec) for d in scales]
+    # (index, coroutine, its request) of each unfinished integral
+    live = [(k, run, next(run)) for k, run in enumerate(runs)]
+    results = [None] * len(runs)
+    while live:
         starts, ends, owner = [], [], []
-        for k in marching:
-            a, w, count, need = edge[k], width[k], len(heaps[k]), 2 - streak[k]
-            while need and count < _MAX_MARCH_PANELS:
-                starts.append(a)
-                a += w
-                ends.append(a)
-                owner.append(k)
-                w *= _GROWTH
-                count += 1
-                if a >= extent[k]:
-                    need -= 1
-            edge[k], width[k] = a, w
-        for k, a0, b0, val, err in zip(
-                owner, starts, ends,
-                *_panel(f, starts, ends, owner if block else None)):
-            heapq.heappush(heaps[k], (-err, next(tick), a0, b0, val, err, 0))
-            march_errs[k].append(err)
-            value[k] += val
-            small = b0 >= extent[k] and _tol_met(abs(val), value[k],
-                                                 tail_spec)
-            streak[k] = streak[k] + 1 if small else 0
-            prev[k], last[k] = last[k], abs(val)
-        marching = [k for k in marching
-                    if streak[k] < 2 and len(heaps[k]) < _MAX_MARCH_PANELS]
-
-    # the truncated tail: a geometric extrapolation of the last two
-    # panels (the march makes >= 7), a fixed part of each error total
-    extra, error = [], []
-    for p, t, errs in zip(prev, last, march_errs):
-        ratio = min(0.9, t / p) if p > 0.0 else 0.0
-        extra.append(t * ratio / (1.0 - ratio))
-        error.append(extra[-1])
-        for err in errs:
-            error[-1] += err
-    pops = [0] * n
-    capped = [False] * n
-    refining = [k for k in range(n) if not _tol_met(error[k], value[k], spec)]
-    while refining:
-        starts, ends, owner, split = [], [], [], []
-        for k in refining:
-            heap = heaps[k]
-            item = heapq.heappop(heap)
-            if item[6] >= spec.max_subdivisions or \
-                    len(heap) + 2 > _MAX_TOTAL_PANELS:
-                heapq.heappush(heap, (item[0], next(tick)) + item[2:])
-                capped[k] = True
-                continue
-            a, b = item[2], item[3]
-            mid = 0.5 * (a + b)
-            starts += (a, mid)
-            ends += (mid, b)
-            owner += (k, k)
-            split.append((k, mid, item))
-        if not split:
-            break
+        for k, _, (a, b) in live:
+            starts += a
+            ends += b
+            owner += [k] * len(a)
         vals, errs = _panel(f, starts, ends, owner if block else None)
-        halves = zip(vals[::2], vals[1::2], errs[::2], errs[1::2])
-        refining = []
-        for (k, mid, item), (vl, vr, el, er) in zip(split, halves):
-            _, _, a, b, val, err, depth = item
-            value[k] += vl + vr - val
-            error[k] += el + er - err
-            heap = heaps[k]
-            heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
-            heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
-            pops[k] += 1
-            if pops[k] % 512 == 0:
-                # resum to flush floating-point drift in the running totals
-                value[k] = sum(item[4] for item in heap)
-                error[k] = extra[k] + sum(item[5] for item in heap)
-            if not _tol_met(error[k], value[k], spec):
-                refining.append(k)
-
-    converged = []
-    for k in range(n):
-        heap = heaps[k]
-        value[k] = sum(item[4] for item in heap)
-        error[k] = extra[k] + sum(item[5] for item in heap)
-        converged.append(not capped[k] and streak[k] >= 2
-                         and _tol_met(error[k], value[k], spec))
-    # a bisection replaces one panel by two and evaluates both
-    evaluations = 22 * (sum(map(len, heaps)) + sum(pops))
+        i, still = 0, []
+        for k, run, (a, _) in live:
+            j = i + len(a)
+            try:
+                still.append((k, run, run.send((vals[i:j], errs[i:j]))))
+            except StopIteration as done:
+                results[k] = done.value
+            i = j
+        live = still
+    value, error, panels, converged = zip(*results) if results else [()] * 4
+    evaluations = 22 * sum(panels)
     if not block:
         return IntegrationResult(value[0], error[0], evaluations,
                                  converged[0])
@@ -328,12 +321,14 @@ def _fit_algebraic_tail(term_list, L):
 
 
 def _sum_series(terms, spec, ratio_bound=None):
-    """The series engine behind sum_roundtrip_series and the engines' sums.
+    """Sum the roundtrip series sum_{l>=1} t_l: every engine's series.
 
     terms(ells) maps the integer array of l from one checkpoint + 1 to the
-    next (1..64, 65..128, ..., 1025..cap) to its terms in one call.  Exits,
-    in order: a priori geometric bound (ratio_bound < 1) at the first l
-    that meets it, later terms of its block discarded; then at checkpoints
+    next (1..64, 65..128, ..., 1025..cap) to its terms in one call,
+    elementwise.  ratio_bound bounds |t_{l+1} / t_l| a priori; at or above
+    1 (perfectly reflecting pairs) it says nothing.  Exits, in order: a
+    priori geometric bound (ratio_bound < 1) at the first l that meets it,
+    later terms of its block discarded; then at checkpoints
     an observed-ratio geometric bound, exact polylogarithm detection of a
     ratio |x| <= 1 - 1e-6, and an algebraic 1/l^k tail fit (from 64 terms
     on), which closes critical sequences such as 1/l^2.  Exit decisions
@@ -402,33 +397,3 @@ def _sum_series(terms, spec, ratio_bound=None):
         return replace(best[1], evaluations=len(kept))
     return result(0.0, float(bounds[-1]) if geometric else abs(kept[-1]),
                   False)
-
-
-def sum_roundtrip_series(term, ratio_bound, spec=None):
-    """Sum the roundtrip series sum_{l>=1} term(l).
-
-    Parameters
-    ----------
-    term : callable
-        term(ells) returns the l-roundtrip contributions for an integer
-        array of l, elementwise; terms past a geometric exit are discarded.
-    ratio_bound : float
-        A priori bound on |term(l+1)/term(l)|.  For ratio_bound < 1 the
-        truncation can use the geometric tail bound
-        |term(L)| ratio_bound / (1 - ratio_bound).  At or above 1
-        (perfectly reflecting pairs) the bound says nothing and the sum
-        closes only through the observed-ratio, polylogarithm or algebraic
-        tail exits of `_sum_series`; otherwise it is reported as
-        non-converged rather than truncated blindly.
-    spec : QuadratureSpec, optional
-
-    Returns
-    -------
-    IntegrationResult
-        evaluations counts the terms used, not the calls to term.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    if ratio_bound <= 0:
-        raise ValueError("ratio_bound must be positive")
-    return _sum_series(term, spec, ratio_bound=ratio_bound)

@@ -334,6 +334,21 @@ def test_route_record_equals_library_call(argv, route, call, capsys):
         "converged": res.converged, "roundtrips": "" if rt is None else rt}]
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy2d", "--r0", "0.5"],
+    ["sweep", "--command", "energy4d", "--param", "r0", "--from", "0.2",
+     "--to", "0.9", "--points", "3"],
+    ["force2d", "--method", "imag-axis", "--model", "lorentzian",
+     "--omega1", "1", "--r0", "0.5"]])
+def test_r0_on_a_route_that_ignores_it_exits_2(argv, capsys):
+    # only the large-distance and high-T routes read --r0; any other route
+    # would print a value that does not depend on it
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "--r0" in err
+
 @pytest.mark.parametrize("command, method", [
     ("force2d", "high-T"), ("energy2d", "large-distance"),
     ("energy2d", "high-T"), ("energy4d", "roundtrip"),

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from casmat.quadrature import (QuadratureSpec, _panel, integrate_semi_infinite,
-                               sum_roundtrip_series)
+from casmat.quadrature import (QuadratureSpec, _panel, _sum_series,
+                               integrate_semi_infinite)
+from casmat.special_functions import polylog
 
 ZETA2 = 1.6449340668482264365
 
@@ -85,7 +86,7 @@ def test_march_and_bisections_batch_their_panels():
 
 
 def test_geometric_series():
-    res = sum_roundtrip_series(lambda ell: 0.5 ** ell, 0.5)
+    res = _sum_series(lambda ell: 0.5 ** ell, QuadratureSpec(), 0.5)
     assert res.converged
     # truncation sits under the default tail tolerance and is reported
     assert res.value == pytest.approx(1.0, rel=1e-9)
@@ -93,7 +94,7 @@ def test_geometric_series():
 
 
 def test_geometric_series_slow_ratio():
-    res = sum_roundtrip_series(lambda ell: 0.96 ** ell, 0.96)
+    res = _sum_series(lambda ell: 0.96 ** ell, QuadratureSpec(), 0.96)
     assert res.converged
     assert res.value == pytest.approx(0.96 / 0.04, rel=1e-9)
     assert abs(res.value - 0.96 / 0.04) <= 2.0 * res.error_estimate
@@ -111,14 +112,9 @@ def test_geometric_exit_matches_one_term_loop(x, used):
         bound = x ** ell * x / (1.0 - x)
         if bound <= max(spec.abs_tol, spec.series_tail_tol * abs(partial)):
             break
-    res = sum_roundtrip_series(lambda l: x ** l, x)
+    res = _sum_series(lambda l: x ** l, QuadratureSpec(), x)
     assert res.converged
     assert res.evaluations == ell == used
-
-
-def test_series_bound_validation():
-    with pytest.raises(ValueError):
-        sum_roundtrip_series(lambda ell: 0.5 ** ell, -0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -139,7 +135,7 @@ def test_roundtrip_cap_reported():
     # a ratio this close to 1 cannot satisfy the tail bound within the cap,
     # and the cap sits below the first tail-analysis checkpoint
     spec = QuadratureSpec(max_roundtrips=30)
-    res = sum_roundtrip_series(lambda ell: 0.995 ** ell, 0.995, spec)
+    res = _sum_series(lambda ell: 0.995 ** ell, spec, 0.995)
     assert not res.converged
     assert res.evaluations == 30
     assert res.error_estimate > 0.0
@@ -155,13 +151,50 @@ def test_result_fields():
 def test_critical_series_closes_through_algebraic_tail():
     # ratio bound 1 gives no geometric bound and no polylog closes a ratio
     # of exactly 1: the sum must come from the 1/l^k tail fit
-    res = sum_roundtrip_series(lambda ell: 1.0 / ell ** 2, 1.0)
+    res = _sum_series(lambda ell: 1.0 / ell ** 2, QuadratureSpec(), 1.0)
     assert res.converged
     # the bar covers the truncated tail; adding up n terms in double
     # precision costs up to n more ulps of roundoff on top
     roundoff = res.evaluations * math.ulp(ZETA2)
     assert abs(res.value - ZETA2) <= res.error_estimate + roundoff
 
+
+def _polylog_calls(monkeypatch):
+    """Record the polylogarithm calls of the series engine's exact exit."""
+    from casmat import quadrature
+    calls = []
+
+    def spy(x, p, tol=1e-12):
+        calls.append((x, p))
+        return polylog(x, p, tol=tol)
+
+    monkeypatch.setattr(quadrature, "polylog", spy)
+    return calls
+
+
+def test_polylog_series_closes_exactly(monkeypatch):
+    # ratio 0.99 passes neither the observed-ratio exit nor a priori bound:
+    # the first checkpoint recognises x^l / l^2 and adds the exact tail
+    calls = _polylog_calls(monkeypatch)
+    res = _sum_series(lambda l: 0.99 ** l / l ** 2, QuadratureSpec())
+    assert calls == [(0.99, 2)]
+    assert res.converged
+    assert res.evaluations == 64
+    assert res.value == polylog(0.99, 2)
+
+
+def test_nearly_zero_temperature_force_closes_through_polylog(monkeypatch):
+    # at T = 1e-10 the thermal kernel is the vacuum one to double
+    # precision, so the series is r0^l / l^2 up to a constant and must meet
+    # the T = 0 closed form within its own bar
+    from casmat.casimir2d import force_large_distance
+    calls = _polylog_calls(monkeypatch)
+    res = force_large_distance(0.995, 1.0, 1e-10)
+    assert [p for _, p in calls] == [2]
+    assert res.converged
+    assert res.roundtrips_used == 64
+    exact = force_large_distance(0.995, 1.0, 0.0).value
+    assert abs(res.value - exact) <= res.error_estimate
 
 def _singles(f, scales, spec):
     """The integrals of a block, each integrated on its own."""
@@ -238,6 +271,12 @@ def test_block_of_one_is_the_scalar_call():
         alone.converged)
 
 
+def test_empty_block():
+    calls = []
+    res = integrate_semi_infinite(lambda i, x: calls.append(x), np.array([]))
+    assert (res.value.shape, res.error_estimate.shape, res.evaluations,
+            res.converged, calls) == ((0,), (0,), 0, True, [])
+
 def test_block_shares_integrand_calls():
     # one call per march round and per refinement sweep, not per integral:
     # the block makes as many calls as its costliest integral's march
@@ -259,6 +298,30 @@ def test_block_shares_integrand_calls():
     costliest = max(len(c) for c in alone)
     assert costliest <= len(calls) <= 2 * costliest < sum(map(len, alone))
 
+
+def test_block_merges_march_and_refinement():
+    # an integral that finishes its march bisects in the next call while
+    # others still march: the block makes exactly as many calls as its
+    # costliest integral makes alone, and each integral keeps its values
+    w = np.array([0.0, 0.0, 9.0, 20.0])
+    scales = [0.05, 1.0, 1.0, 3.0]
+
+    def integrand(calls):
+        def f(i, x):
+            calls.append(x.size)
+            return np.exp(-x) * np.cos(w[i] * x) ** 2
+        return f
+
+    calls = []
+    integrate_semi_infinite(integrand(calls), scales)
+    alone = []
+    for k, d in enumerate(scales):
+        counted = []
+        f = integrand(counted)
+        integrate_semi_infinite(lambda x: f(np.full(x.size, k), x), d)
+        alone.append(len(counted))
+    assert len(calls) == max(alone)
+    _assert_block_matches(integrand([]), scales)
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_bad_decay_scales_are_rejected(bad):
