@@ -215,8 +215,8 @@ def _route(command, args):
     or for the perfect-mirror pressure; a command's only route; at T = 0
     the closed form for the perfect-mirror force2d, else the imaginary
     axis; at T > 0 the roundtrip series.  The perfect-mirror
-    large-distance pressure at T = 0 is the closed form.  --r0 on any
-    other route is an error.
+    large-distance pressure at T = 0 is the closed form.  --r0 is an
+    error on any route but large-distance and high-T.
     """
     routes, method = _ROUTES[command], args.method
     if method != "auto" and method not in routes:

@@ -349,6 +349,7 @@ def test_r0_on_a_route_that_ignores_it_exits_2(argv, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "--r0" in err
 
+
 @pytest.mark.parametrize("command, method", [
     ("force2d", "high-T"), ("energy2d", "large-distance"),
     ("energy2d", "high-T"), ("energy4d", "roundtrip"),

@@ -196,6 +196,7 @@ def test_nearly_zero_temperature_force_closes_through_polylog(monkeypatch):
     exact = force_large_distance(0.995, 1.0, 0.0).value
     assert abs(res.value - exact) <= res.error_estimate
 
+
 def _singles(f, scales, spec):
     """The integrals of a block, each integrated on its own."""
     return [integrate_semi_infinite(
@@ -277,6 +278,7 @@ def test_empty_block():
     assert (res.value.shape, res.error_estimate.shape, res.evaluations,
             res.converged, calls) == ((0,), (0,), 0, True, [])
 
+
 def test_block_shares_integrand_calls():
     # one call per march round and per refinement sweep, not per integral:
     # the block makes as many calls as its costliest integral's march
@@ -322,6 +324,7 @@ def test_block_merges_march_and_refinement():
         alone.append(len(counted))
     assert len(calls) == max(alone)
     _assert_block_matches(integrand([]), scales)
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_bad_decay_scales_are_rejected(bad):
