@@ -17,10 +17,15 @@ import numpy as np
 from dataclasses import dataclass, replace
 
 from .quadrature import (QuadratureSpec, IntegrationResult,
-                         integrate_semi_infinite, _sum_series, _tol_met)
+                         integrate_semi_infinite, _gauss_laguerre,
+                         _sum_series, _tol_met)
 from .special_functions import polylog, bernoulli, erlang_weight, hypoexp_weight
 from .spectral import thermal_kernel_time, free_energy_kernel_time
 from .scattering import ModelCapabilityError
+
+# the node counts of the Gauss-Laguerre pair that integrates each term of
+# a roundtrip series
+_RULES = (16, 24)
 
 
 @dataclass
@@ -56,16 +61,20 @@ def _delay_profile(cfg):
     the supported models the l-fold loop kernel is a nonnegative delay
     density: instantaneous mirrors contribute nothing, each exponential
     (single-resonance) mirror contributes one exponential stage per
-    bounce, so l roundtrips give an Erlang density (equal rates) or a
-    two-rate hypoexponential (unequal rates).
+    bounce, so l roundtrips give an Erlang density (one lorentzian
+    mirror) or a two-rate hypoexponential (two, which at equal rates is
+    the Erlang density of 2 l stages).
 
     Returns
     -------
-    weight, mean : callables or (None, None)
+    weight, shape : callables or (None, None)
         ``weight(l, s)`` is the delay density of l roundtrips at delay s,
         elementwise in l and s (None when both mirrors respond
         instantaneously and the density is a delta at zero delay);
-        ``mean(l)`` is its mean, used as the integration scale.
+        ``shape(ells)`` is the (alpha, beta) of the gamma law
+        s^alpha e^{-beta s} that each density follows, as for
+        `_sum_integral_terms`: exact for one lorentzian mirror, the law
+        with the density's mean and (rounded) variance for two.
     """
     rates = []
     for m in (cfg.mirror1, cfg.mirror2):
@@ -79,26 +88,34 @@ def _delay_profile(cfg):
         return None, None
     if len(rates) == 1:
         rate = rates[0]
-        return (lambda l, s: erlang_weight(l, rate, s)), (lambda l: l / rate)
+        return ((lambda l, s: erlang_weight(l, rate, s)),
+                lambda l: (l - 1, np.full(l.shape, rate)))
     a, b = rates
-    if abs(a - b) <= 1e-12 * max(a, b):
-        rate = 0.5 * (a + b)
-        return ((lambda l, s: erlang_weight(2 * l, rate, s)),
-                lambda l: 2.0 * l / rate)
-    return (lambda l, s: hypoexp_weight(l, a, b, s)), (lambda l: l / a + l / b)
+
+    def shape(l):
+        mean = l * (1.0 / a + 1.0 / b)
+        k = np.rint(mean * mean / (l * (1.0 / a**2 + 1.0 / b**2)))
+        return k.astype(int) - 1, k / mean
+
+    return (lambda l, s: hypoexp_weight(l, a, b, s)), shape
 
 
-def _sum_integral_terms(integrand, scale, spec):
+def _sum_integral_terms(integrand, shape, spec):
     """Sum a roundtrip series whose l-th term is an integral over (0, inf).
 
     ``integrand(l, x)`` is the l-th integrand at x, elementwise in an
-    integer array l and x, and ``scale(ells)`` the decay scales of the
-    terms ells.  Each block of terms is one lockstep block of
-    `integrate_semi_infinite`.  Each term is integrated slightly tighter
-    than the series budget so the accumulated term errors stay inside the
-    caller's tolerance; the result adds those quadrature errors, summed in
-    term order, to the series error and is converged only if every term
-    integral is.
+    integer array l and x, and ``shape(ells)`` the integer alpha >= 0 and
+    the beta > 0 of the weight x^alpha e^{-beta x} that the integrands of
+    the terms ells follow.  Each term of a block is integrated by the
+    Gauss-Laguerre pair `_RULES` for its weight, in one integrand call for
+    the block: the larger rule gives its value, the difference of the two
+    its error.  The terms whose error misses the inner tolerance, or is
+    not finite, go to one lockstep block of `integrate_semi_infinite`,
+    with the weight's mean (alpha + 1) / beta as decay scale.  Each term
+    is integrated slightly tighter than the series budget so the
+    accumulated term errors stay inside the caller's tolerance; the
+    result adds those quadrature errors, summed in term order, to the
+    series error and is converged only if every fallback integral is.
     """
     inner = replace(spec, rel_tol=0.5 * spec.rel_tol,
                     abs_tol=0.5 * spec.abs_tol)
@@ -107,11 +124,26 @@ def _sum_integral_terms(integrand, scale, spec):
 
     def terms(ells):
         nonlocal quad_ok
-        res = integrate_semi_infinite(lambda i, x: integrand(ells[i], x),
-                                      scale(ells), inner)
-        quad_errors.extend(res.error_estimate.tolist())
-        quad_ok = quad_ok and res.converged
-        return res.value
+        alpha, beta = shape(ells)
+        rules = [_gauss_laguerre(m, a) for a in alpha.tolist()
+                 for m in _RULES]
+        t, log_w = (np.concatenate(x).reshape(ells.size, -1)
+                    for x in zip(*rules))
+        beta = beta[:, None]
+        y = integrand(np.repeat(ells, t.shape[1]), (t / beta).ravel())
+        y = y.reshape(t.shape) * np.exp(log_w) / beta
+        value = y[:, _RULES[0]:].sum(axis=1)
+        error = np.abs(value - y[:, :_RULES[0]].sum(axis=1))
+        redo = np.flatnonzero(~_tol_met(error, value, inner))
+        if redo.size:
+            alpha, beta = alpha[redo], beta[redo, 0]
+            res = integrate_semi_infinite(
+                lambda i, x: integrand(ells[redo][i], x),
+                (alpha + 1) / beta, inner)
+            value[redo], error[redo] = res.value, res.error_estimate
+            quad_ok = quad_ok and res.converged
+        quad_errors.extend(error.tolist())
+        return value
 
     series = _sum_series(terms, spec)
     quad_err = sum(map(abs, quad_errors))
@@ -133,11 +165,11 @@ def _roundtrip_sum(cfg, kernel, spec):
     one l per quadrature node otherwise.
     """
     q = cfg.q
-    weight, mean = _delay_profile(cfg)
+    weight, shape = _delay_profile(cfg)
     if weight is None:
         return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec)
     return _sum_integral_terms(
-        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), mean, spec)
+        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), shape, spec)
 
 
 def force_imag_axis(cfg, spec=None):

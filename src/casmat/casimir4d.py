@@ -108,7 +108,12 @@ def pressure_roundtrip(cfg, spec=None):
         rl = np.where(l == 2, r * r, r**l)
         return kappa**3 * rl * np.exp(-2.0 * l * kappa * q) / np.pi**2
 
-    series = _sum_integral_terms(integrand, lambda l: 0.5 / (l * q), spec)
+    # r1 r2 ~ e^{-kappa sum_i 1/Omega_i} at small kappa over the lorentzian
+    # cutoffs Omega_i: the l-th integrand follows kappa^3 e^{-l lam kappa}
+    lam = 2.0 * q + sum(1.0 / m.cutoff for m in (cfg.mirror1, cfg.mirror2)
+                        if m.kind == "lorentzian")
+    series = _sum_integral_terms(
+        integrand, lambda l: (np.full(l.shape, 3), l * lam), spec)
     ok = series.converged and _tol_met(series.error_estimate, series.value,
                                        spec)
     return ForceResult(series.value, series.error_estimate, "roundtrip-time",

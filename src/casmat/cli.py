@@ -278,6 +278,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_validate(args):
+    if args.T != 0.0 or args.method != "auto" or args.r0 is not None:
+        raise ValueError("validate-model checks the mirror model itself and "
+                         "takes no --T, --method or --r0")
     m, _ = _mirror_pair(args)
     scale = args.omega1 if args.model == "lorentzian" else 1.0
     grid = np.geomspace(1e-2, 1e2, 41) * scale

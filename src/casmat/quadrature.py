@@ -4,8 +4,11 @@ All physical integrals in this package are either rotated to the imaginary
 frequency axis or expressed as time-domain roundtrip sums, so every integrand
 reaching this module is smooth (at worst endpoint-log-singular) and decays
 exponentially.  The engine is an embedded Gauss pair (7/15 point) on panels,
-globally refined worst-panel-first, plus one series summator, `_sum_series`,
-with a geometric tail bound and two escape hatches for slowly decaying term
+globally refined worst-panel-first; generalized Gauss-Laguerre rules
+(`_gauss_laguerre`, Golub-Welsch) for the roundtrip terms, whose
+integrands follow a known weight t^alpha e^{-t}, with the panel engine as
+their fallback; and one series summator, `_sum_series`, with a geometric
+or power-law tail bound and two escape hatches for slowly decaying term
 sequences: exact polylogarithm detection and an algebraic 1/l^k tail fit.
 A series value is the exactly rounded sum (`math.fsum`) of its computed
 terms plus the tail, and its error bar adds a rounding allowance of
@@ -25,6 +28,7 @@ checkpoints); both must be elementwise: a node's value may not depend on
 the other nodes.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -33,7 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import zeta as _hurwitz
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln, zeta as _hurwitz
 
 from .special_functions import polylog
 
@@ -263,6 +268,31 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
                              all(converged))
 
 
+@functools.lru_cache(maxsize=4096)
+def _gauss_laguerre(m, alpha):
+    """m-point generalized Gauss-Laguerre rule for int_0^inf g(t) dt.
+
+    Exact when g(t) is t^alpha e^{-t} times a polynomial of degree < 2m,
+    for an integer alpha >= 0.  Golub-Welsch: the nodes t are the
+    eigenvalues of the Jacobi matrix of the Laguerre polynomials L^(alpha)
+    and the weights Gamma(alpha + 1) v_0^2, with v_0 the first components
+    of its eigenvectors.  Returns (t, log_w) as read-only arrays, with
+    the weight function divided out of the weights,
+
+        log_w = ln Gamma(alpha + 1) + ln v_0^2 + t - alpha ln t,
+
+    so int g ~ sum exp(log_w) g(t), and kept as logs: Gamma(alpha + 1)
+    alone overflows past alpha = 170.
+    """
+    i = np.arange(m, dtype=float)
+    t, v = eigh_tridiagonal(2.0 * i + alpha + 1.0,
+                            np.sqrt(i[1:] * (i[1:] + alpha)))
+    log_w = gammaln(alpha + 1.0) + 2.0 * np.log(np.abs(v[0])) + t \
+        - alpha * np.log(t)
+    t.flags.writeable = log_w.flags.writeable = False
+    return t, log_w
+
+
 def _detect_polylog(terms, first_ell):
     """Check whether terms follow c x^l / l^p exactly; return (c, x, p) or None.
 
@@ -328,14 +358,15 @@ def _sum_series(terms, spec, ratio_bound=None):
     elementwise.  ratio_bound bounds |t_{l+1} / t_l| a priori; at or above
     1 (perfectly reflecting pairs) it says nothing.  Exits, in order: a
     priori geometric bound (ratio_bound < 1) at the first l that meets it,
-    later terms of its block discarded; then at checkpoints
-    an observed-ratio geometric bound, exact polylogarithm detection of a
-    ratio |x| <= 1 - 1e-6, and an algebraic 1/l^k tail fit (from 64 terms
-    on), which closes critical sequences such as 1/l^2.  Exit decisions
-    use the sequential running partial sum; the value is the exact
-    `math.fsum` of the terms used plus any fitted tail, and the error bar
-    adds the rounding allowance 2 eps sum_l |t_l| to the truncation bound.
-    evaluations counts the terms used, not the calls.
+    later terms of its block discarded; then at checkpoints an
+    observed-ratio bound (the larger of the geometric tail and the
+    power-law tail through the last two terms), exact polylogarithm
+    detection of a ratio |x| <= 1 - 1e-6, and an algebraic 1/l^k tail fit
+    (from 64 terms on), which closes critical sequences such as 1/l^2.
+    Exit decisions use the sequential running partial sum; the value is
+    the exact `math.fsum` of the terms used plus any fitted tail, and the
+    error bar adds the rounding allowance 2 eps sum_l |t_l| to the
+    truncation bound.  evaluations counts the terms used, not the calls.
     """
     cap = spec.max_roundtrips
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
@@ -369,8 +400,13 @@ def _sum_series(terms, spec, ratio_bound=None):
             return result(0.0, 0.0, True)
         if len(kept) >= 9 and np.all(window[:-1] > 0.0):
             r = float(np.max(window[1:] / window[:-1]))
-            if r < 0.98:
-                tail = window[-1] * r / (1.0 - r)
+            # the exponent of a power law through the last two terms: terms
+            # that fall algebraically have ratios rising toward 1, and only
+            # t_L L / (p - 1) bounds their tail
+            p = (math.log(window[-2] / window[-1]) / math.log(ell / (ell - 1))
+                 if window[-1] > 0.0 else math.inf)
+            if r < 0.98 and p > 1.0:
+                tail = window[-1] * max(r / (1.0 - r), ell / (p - 1.0))
                 if _tol_met(tail, partial, tail_spec):
                     return result(0.0, tail, True)
 

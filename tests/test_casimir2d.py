@@ -140,31 +140,62 @@ def test_perfect_series_calls_kernel_once_per_block(monkeypatch):
     assert sum(sizes) == 10000
 
 
-def test_split_cutoff_series_shares_density_calls_per_block(monkeypatch):
-    # each block of terms is integrated in lockstep: the hypoexponential
-    # density is called once per march round or bisection sweep of the
-    # block, not per term (one term at a time, a block of 64 makes about
-    # 170 calls)
+def _spy_blocks_and_densities(monkeypatch):
+    """Record the series blocks and the hypoexponential density calls."""
     blocks, calls = [], []
-    integrate, weight = (casimir2d.integrate_semi_infinite,
-                         casimir2d.hypoexp_weight)
+    sum_series, weight = casimir2d._sum_series, casimir2d.hypoexp_weight
 
-    def counted_integrate(f, decay_scale, spec=None):
-        blocks.append(np.size(decay_scale))
-        return integrate(f, decay_scale, spec)
+    def counted_series(terms, spec, ratio_bound=None):
+        def counted_terms(ells):
+            blocks.append(ells.size)
+            return terms(ells)
+        return sum_series(counted_terms, spec, ratio_bound)
 
     def counted_weight(ell, rate1, rate2, s):
-        calls.append(np.size(s))
+        calls.append(np.unique(ell).tolist())
         return weight(ell, rate1, rate2, s)
 
-    monkeypatch.setattr(casimir2d, "integrate_semi_infinite",
-                        counted_integrate)
+    monkeypatch.setattr(casimir2d, "_sum_series", counted_series)
     monkeypatch.setattr(casimir2d, "hypoexp_weight", counted_weight)
+    return blocks, calls
+
+
+def test_split_cutoff_series_shares_density_calls_per_block(monkeypatch):
+    # the density is called once on the fixed-rule nodes of a whole block
+    # and then once per march round or bisection sweep of the block's
+    # fallback terms, not per term (one term at a time, a block of 64
+    # makes about 170 calls)
+    blocks, calls = _spy_blocks_and_densities(monkeypatch)
     cfg = CavityConfig(lorentzian_mirror(0.3), lorentzian_mirror(3.0), 0.2)
     res = force_roundtrip_time(cfg)
     assert res.converged
     assert blocks == [64, 64] and res.roundtrips_used == 128
+    assert calls[0] == list(range(1, 65))
     assert len(calls) <= 16 * len(blocks)
+
+
+def test_widely_split_low_orders_fall_back(monkeypatch):
+    # at cutoffs two decades apart the gamma law misses the one- and
+    # two-roundtrip densities, which are far from unimodal: the rule pair
+    # disagrees and those terms go to the adaptive integrator
+    _, calls = _spy_blocks_and_densities(monkeypatch)
+    cfg = CavityConfig(lorentzian_mirror(0.1), lorentzian_mirror(10.0), 1.0)
+    res = force_roundtrip_time(cfg)
+    assert res.converged and res.roundtrips_used == 128
+    fixed = [list(range(1, 65)), list(range(65, 129))]
+    assert [c for c in calls if c in fixed] == fixed
+    fallback = set().union(*(c for c in calls if c not in fixed))
+    assert {1, 2} <= fallback and max(fallback) < 64
+
+
+@pytest.mark.parametrize("w1, w2, q", [(0.78, 1.69, 101.0),
+                                       (0.53, 2.47, 468.7)])
+def test_roundtrip_meets_imag_axis_at_large_separation(w1, w2, q):
+    # large-separation forces the all-adaptive series left unconverged
+    cfg = CavityConfig(lorentzian_mirror(w1), lorentzian_mirror(w2), q)
+    res, ref = force_roundtrip_time(cfg), force_imag_axis(cfg)
+    assert res.converged and ref.converged
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
 
 
 def test_large_distance_limits():

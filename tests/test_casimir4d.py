@@ -63,6 +63,18 @@ def test_roundtrip_representation():
         pressure_imag_axis(cfg).value, rel=1e-12)
 
 
+@pytest.mark.parametrize("w1, w2, q", [(2.6, 0.381, 26.0),
+                                       (0.678, 1.46, 56.1)])
+def test_roundtrip_meets_imag_axis_at_large_separation(w1, w2, q):
+    # pressures the all-adaptive series left unconverged (q = 26) or just
+    # outside their bars (q = 56)
+    cfg = CavityConfig(PlanarMirrorModel(lorentzian_mirror(w1)),
+                       PlanarMirrorModel(lorentzian_mirror(w2)), q)
+    res, ref = pressure_roundtrip(cfg), pressure_imag_axis(cfg)
+    assert res.converged and ref.converged
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
 def test_large_distance_limits():
     assert pressure_large_distance(1.0, 1.0).value == pytest.approx(
         3.0 * 1.0823232337111381915 / (8.0 * math.pi ** 2), rel=1e-12)

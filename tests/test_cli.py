@@ -186,6 +186,21 @@ def test_validate_model_command(capsys):
     assert "unitarity" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--r0", "0.5"],
+    ["--T", "3"],
+    ["--method", "roundtrip"],
+    ["--method", "imag-axis"],
+    ["--r0", "0.5", "--T", "3", "--method", "roundtrip"],
+])
+def test_validate_model_rejects_flags_it_cannot_honour(capsys, flags):
+    code, out, err = run_cli(["validate-model", "--model", "lorentzian",
+                              "--omega1", "1"] + flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(["oracle", "--dimension", "4", "--output", "csv"],
                            capsys)

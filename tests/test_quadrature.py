@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from casmat.quadrature import (QuadratureSpec, _panel, _sum_series,
-                               integrate_semi_infinite)
+from casmat.quadrature import (QuadratureSpec, _gauss_laguerre, _panel,
+                               _sum_series, integrate_semi_infinite)
 from casmat.special_functions import polylog
 
 ZETA2 = 1.6449340668482264365
@@ -159,6 +160,42 @@ def test_critical_series_closes_through_algebraic_tail():
     assert abs(res.value - ZETA2) <= res.error_estimate + roundoff
 
 
+def test_algebraic_terms_get_an_honest_observed_ratio_bar():
+    # ratios of c/l^4 rise toward 1 and stay below 0.98 at l = 64: a
+    # geometric bound from the largest of them, 15 t_64, falls short of the
+    # tail, about 21 t_64, which the power-law bound t_L L / (p - 1) covers
+    res = _sum_series(lambda l: 1e-9 / l ** 4, QuadratureSpec())
+    assert res.converged
+    assert res.evaluations == 64
+    assert abs(res.value - 1e-9 * math.pi ** 4 / 90.0) <= res.error_estimate
+
+
+@pytest.mark.parametrize("alpha", [0, 3, 255, 20000])
+@pytest.mark.parametrize("m", [16, 24])
+def test_gauss_laguerre_rule_is_exact(m, alpha):
+    # int_0^inf t^j t^alpha e^{-t} dt = Gamma(alpha + j + 1) for j < 2m, and
+    # the scaled rule integrates s^j s^alpha e^{-beta s} to
+    # Gamma(alpha + j + 1) / beta^(alpha + j + 1); checked in logs, since
+    # Gamma overflows past alpha = 170, to the rounding of the logs
+    # (ln Gamma(20001) is 1.8e5)
+    t, log_w = _gauss_laguerre(m, alpha)
+    assert t.shape == log_w.shape == (m,)
+    assert np.all(np.isfinite(log_w)) and np.all(t > 0.0)
+    beta = 2.5
+    s = t / beta
+    rel = 1e-13 * max(1.0, gammaln(alpha + 2 * m))
+    for j in range(2 * m):
+        log_terms = log_w + (alpha + j) * np.log(s) - beta * s - math.log(beta)
+        exact = gammaln(alpha + j + 1) - (alpha + j + 1) * math.log(beta)
+        assert np.sum(np.exp(log_terms - exact)) == pytest.approx(1.0, rel=rel)
+
+
+def test_gauss_laguerre_rules_are_cached_read_only():
+    assert _gauss_laguerre(24, 7) is _gauss_laguerre(24, 7)
+    with pytest.raises(ValueError):
+        _gauss_laguerre(24, 7)[0][0] = 1.0
+
+
 def _polylog_calls(monkeypatch):
     """Record the polylogarithm calls of the series engine's exact exit."""
     from casmat import quadrature
@@ -215,39 +252,38 @@ def _assert_block_matches(f, scales, spec=None):
     return singles
 
 
-def _captured_blocks(monkeypatch, module, run):
-    """The (integrand, scales, spec) of every block an engine integrates."""
-    blocks = []
-
-    def spy(f, decay_scale, spec=None):
-        blocks.append((f, decay_scale, spec))
-        return integrate_semi_infinite(f, decay_scale, spec)
-
-    monkeypatch.setattr(module, "integrate_semi_infinite", spy)
-    run()
-    monkeypatch.undo()
-    return blocks
-
-
 @pytest.mark.parametrize("route", ["force", "pressure"])
-def test_block_equals_one_integral_at_a_time(monkeypatch, route):
-    # the series blocks of a split-cutoff roundtrip force (hypoexponential
-    # delay densities) and of a roundtrip pressure: in lockstep, each term
-    # gets bit for bit the value, error and evaluations it gets alone
-    from casmat import casimir2d, casimir4d
+def test_block_equals_one_integral_at_a_time(route):
+    # a full 64-term block of a split-cutoff roundtrip force
+    # (hypoexponential delay densities) and of a roundtrip pressure, built
+    # from the series integrands with the fallback's decay scales and
+    # inner tolerances: in lockstep, each term gets bit for bit the value,
+    # error and evaluations it gets alone
+    from casmat import casimir2d
     from casmat.scattering import CavityConfig, lorentzian_mirror
+    from casmat.spectral import thermal_kernel_time
     m1, m2 = lorentzian_mirror(0.3), lorentzian_mirror(3.0)
+    ells = np.arange(1, 65)
     if route == "force":
-        run = lambda: casimir2d.force_roundtrip_time(  # noqa: E731
-            CavityConfig(m1, m2, 0.2))
+        q = 0.2
+        weight, shape = casimir2d._delay_profile(CavityConfig(m1, m2, q))
+
+        def integrand(l, s):
+            return weight(l, s) * -thermal_kernel_time(2.0 * l * q + s, 0.0)
+
+        alpha, beta = shape(ells)
     else:
-        planar = casimir4d.PlanarMirrorModel
-        run = lambda: casimir4d.pressure_roundtrip(  # noqa: E731
-            CavityConfig(planar(m1), planar(m2), 0.7))
-    blocks = _captured_blocks(monkeypatch, casimir2d, run)
-    assert [np.size(scales) for _, scales, _ in blocks] == [64, 64]
-    for f, scales, spec in blocks:
-        _assert_block_matches(f, scales, spec)
+        cfg = CavityConfig(m1, m2, 0.7)
+
+        def integrand(l, kappa):
+            return (kappa**3 * cfg.loop_r_imag(kappa) ** l
+                    * np.exp(-2.0 * l * kappa * cfg.q) / np.pi**2)
+
+        alpha, beta = np.full(64, 3), ells * (2.0 * cfg.q + 1 / 0.3 + 1 / 3.0)
+    spec = QuadratureSpec(rel_tol=0.5e-9, abs_tol=0.5e-14)
+    singles = _assert_block_matches(lambda i, x: integrand(ells[i], x),
+                                    (alpha + 1) / beta, spec)
+    assert len(singles) == 64 and all(r.converged for r in singles)
 
 
 def test_block_integrals_stopped_by_the_depth_cap():
