@@ -175,9 +175,10 @@ def test_split_cutoff_series_shares_density_calls_per_block(monkeypatch):
 
 
 def test_widely_split_low_orders_fall_back(monkeypatch):
-    # at cutoffs two decades apart the gamma law misses the one- and
-    # two-roundtrip densities, which are far from unimodal: the rule pair
-    # disagrees and those terms go to the adaptive integrator
+    # at cutoffs two decades apart the one- and two-roundtrip densities,
+    # a fast rise and then a slow exponential decay, are far from their
+    # gamma law: the rule pair disagrees and those terms go to the
+    # adaptive integrator
     _, calls = _spy_blocks_and_densities(monkeypatch)
     cfg = CavityConfig(lorentzian_mirror(0.1), lorentzian_mirror(10.0), 1.0)
     res = force_roundtrip_time(cfg)
