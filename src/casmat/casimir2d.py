@@ -207,7 +207,9 @@ def force_imag_axis(cfg, spec=None):
         rbar = cfg.loop_r_imag(u / (2.0 * q))
         return pref * u * rbar / (np.expm1(u) + (1.0 - rbar))
 
-    res = integrate_semi_infinite(integrand, 1.0, spec)
+    knots = cfg.knots  # tabulated mirrors: panel edges at u = 2 q xi_k
+    res = integrate_semi_infinite(integrand, 1.0, spec,
+                                  2.0 * q * knots if len(knots) else ())
     return ForceResult(res.value, res.error_estimate, "imag-axis",
                        None, res.converged)
 
@@ -321,7 +323,7 @@ def casimir_energy(cfg, spec=None):
                              "axis; the log integrand is singular")
         return np.log1p(-x) / (2.0 * np.pi)
 
-    res = integrate_semi_infinite(integrand, 0.5 / q, spec)
+    res = integrate_semi_infinite(integrand, 0.5 / q, spec, cfg.knots)
     return EnergyResult(res.value, res.error_estimate, "imag-axis",
                         "casimir-energy", res.converged)
 

@@ -50,6 +50,10 @@ class PlanarMirrorModel:
     def has_time_kernel(self):
         return self.base.has_time_kernel
 
+    @property
+    def knots(self):
+        return self.base.knots
+
     def r_imag(self, kappa):
         return self.base.r_imag(kappa)
 
@@ -74,7 +78,7 @@ def pressure_imag_axis(cfg, spec=None):
         x = cfg.loop_r_imag(kappa) * np.exp(-2.0 * q * kappa)
         return kappa**3 * x / (1.0 - x) / np.pi**2
 
-    res = integrate_semi_infinite(integrand, 0.5 / q, spec)
+    res = integrate_semi_infinite(integrand, 0.5 / q, spec, cfg.knots)
     return ForceResult(res.value, res.error_estimate, "imag-axis",
                        None, res.converged)
 
@@ -241,6 +245,6 @@ def energy_4d(cfg, spec=None):
                              "axis; the log integrand is singular")
         return kappa**2 * np.log1p(-x) / (2.0 * np.pi**2)
 
-    res = integrate_semi_infinite(integrand, 0.5 / q, spec)
+    res = integrate_semi_infinite(integrand, 0.5 / q, spec, cfg.knots)
     return EnergyResult(res.value, res.error_estimate, "imag-axis",
                         "casimir-energy", res.converged)

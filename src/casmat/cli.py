@@ -22,6 +22,7 @@ meters enters as q/(hbar c) and a 4D pressure result scales by hbar c).
 import argparse
 import copy
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -111,6 +112,16 @@ def _build_parser():
                               "boundary-mode sum")
     orc.add_argument("--dimension", type=int, choices=[2, 4], default=2)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The process's one parser: parse_args keeps no state between calls.
+
+    Cached here, not on _build_parser, which stays a factory of a new
+    parser per call for callers that wrap or patch the parsers it makes.
+    """
+    return _build_parser()
 
 
 def _config_tokens(path):
@@ -350,7 +361,7 @@ def _run(args):
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):

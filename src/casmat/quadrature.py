@@ -3,8 +3,10 @@
 All physical integrals in this package are either rotated to the imaginary
 frequency axis or expressed as time-domain roundtrip sums, so every integrand
 reaching this module is smooth (at worst endpoint-log-singular) and decays
-exponentially.  The engine is an embedded Gauss pair (7/15 point) on panels,
-globally refined worst-panel-first; generalized Gauss-Laguerre rules
+exponentially, or is smooth between known kinks (the knots of a tabulated
+mirror), which the caller passes as panel edges.  The engine is an embedded
+Gauss pair (7/15 point) on panels, cut at any edges inside them (QUADPACK's
+qagp) and globally refined worst-panel-first; generalized Gauss-Laguerre rules
 (`_gauss_laguerre`, Golub-Welsch) for the roundtrip terms, whose
 integrands follow a known weight t^alpha e^{-t}, with the panel engine as
 their fallback; and one series summator, `_sum_series`, with a geometric
@@ -28,6 +30,7 @@ checkpoints); both must be elementwise: a node's value may not depend on
 the other nodes.
 """
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -124,39 +127,70 @@ def _panel(f, a, b, owner=None):
     return i15.tolist(), err.tolist()
 
 
-def _integral(scale, spec, tail_spec):
+def _cut(starts, ends, edges, room):
+    """The panels [starts_k, ends_k] cut at the sorted edges inside each.
+
+    Returns the pieces' starts, ends and panel indices k.  At most room
+    cuts are made in all; past them a panel keeps its remaining edges
+    inside its last piece.
+    """
+    lo, hi, owner = [], [], []
+    for k, (a, b) in enumerate(zip(starts, ends)):
+        inside = edges[bisect.bisect_right(edges, a):
+                       bisect.bisect_left(edges, b)][:room]
+        room -= len(inside)
+        lo += [a] + inside
+        hi += inside + [b]
+        owner += [k] * (len(inside) + 1)
+    return lo, hi, owner
+
+
+def _integral(scale, spec, tail_spec, edges=None):
     """One integral's march and worst-panel-first refinement, as a coroutine.
 
     Yields the (starts, ends) of the panels it needs next and is sent
     their (values, errors) from `_panel`.  Returns (value, error, panels
-    made, converged).
+    made, converged).  A sorted list of edges cuts each march panel at
+    the edges inside it, into pieces the refinement treats as panels; the
+    march's tail test and its panel cap still count whole march panels.
     """
     tick = itertools.count()  # heap tie-breaker: older panels first
     heap = []  # (-err, tick, a, b, value, err, depth)
-    march_errs = []  # the errors of the march panels, in order
+    march_errs = []  # the errors of the march panels (pieces), in order
     value = edge = 0.0
     width, extent = 0.5 * scale, _MIN_EXTENT_SCALES * scale
-    streak = 0
+    streak = marched = 0
+    room = _MAX_MARCH_PANELS  # the march panels the caps still allow
     prev = last = 0.0  # |value| of the last two panels
-    while streak < 2 and len(heap) < _MAX_MARCH_PANELS:
+    while streak < 2 and room > 0:
         # the fewest panels after which the march could stop: those up to
         # the extent, then two in a row that pass the tail test
         starts, ends, need = [], [], 2 - streak
-        while need and len(heap) + len(starts) < _MAX_MARCH_PANELS:
+        while need and len(starts) < room:
             starts.append(edge)
             edge += width
             ends.append(edge)
             width *= _GROWTH
             if edge >= extent:
                 need -= 1
-        vals, errs = yield starts, ends
-        for a, b, val, err in zip(starts, ends, vals, errs):
+        marched += len(starts)
+        lo, hi, owner = starts, ends, None
+        if edges is not None:
+            lo, hi, owner = _cut(starts, ends, edges,
+                                 _MAX_TOTAL_PANELS - len(heap) - len(starts))
+        vals, errs = yield lo, hi
+        march_errs += errs
+        for a, b, val, err in zip(lo, hi, vals, errs):
             heapq.heappush(heap, (-err, next(tick), a, b, val, err, 0))
-            march_errs.append(err)
+        if owner is not None:
+            # the tail test takes whole march panels, the sums of their pieces
+            vals = np.bincount(owner, vals).tolist()
+        for b, val in zip(ends, vals):
             value += val
             small = b >= extent and _tol_met(abs(val), value, tail_spec)
             streak = streak + 1 if small else 0
             prev, last = last, abs(val)
+        room = min(_MAX_MARCH_PANELS - marched, _MAX_TOTAL_PANELS - len(heap))
 
     # the truncated tail: a geometric extrapolation of the last two panels
     # (the march makes >= 7), a fixed part of the error total
@@ -193,7 +227,7 @@ def _integral(scale, spec, tail_spec):
             not capped and streak >= 2 and _tol_met(error, value, spec))
 
 
-def integrate_semi_infinite(f, decay_scale, spec=None):
+def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
     """Integrate f over (0, inf) for an (at least) exponentially damped f.
 
     Parameters
@@ -209,6 +243,14 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
         and the minimum extent covered before tail truncation.  An array
         of n scales integrates a block of n integrals in lockstep.
     spec : QuadratureSpec, optional
+    edges : 1-D array_like, optional
+        Known kinks of f, such as the knots of an interpolated table, in
+        f's own variable and shared by every integral of a block.  Each
+        march panel is cut at the edges inside it, so no Gauss panel
+        straddles a kink (QUADPACK's qagp); the pieces are requested in
+        the same round as their panel, count against the total panel
+        budget but not against the march's panel cap.  Edges outside the
+        march's reach change nothing; without edges no panel is cut.
 
     Returns
     -------
@@ -239,7 +281,14 @@ def integrate_semi_infinite(f, decay_scale, spec=None):
     if spec is None:
         spec = QuadratureSpec()
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
-    runs = [_integral(d, spec, tail_spec) for d in scales]
+    if len(edges):
+        edges = np.unique(np.asarray(edges, dtype=float))
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("edges must be finite")
+        edges = edges.tolist()
+    else:
+        edges = None
+    runs = [_integral(d, spec, tail_spec, edges) for d in scales]
     # (index, coroutine, its request) of each unfinished integral
     live = [(k, run, next(run)) for k, run in enumerate(runs)]
     results = [None] * len(runs)

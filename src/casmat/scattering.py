@@ -53,12 +53,16 @@ class MirrorModel:
         'perfect', 'lorentzian' or 'tabulated'.
     cutoff : float or None
         The lorentzian cutoff frequency.
+    knots : sorted array or ()
+        The abscissae xi at which r[i xi] may have kinks: a table's knots,
+        () for the analytic models.
     """
 
     def __init__(self, kind, r_real_fn=None, s_real_fn=None, r_imag_fn=None,
-                 dlog_r_fn=None, cutoff=None):
+                 dlog_r_fn=None, cutoff=None, knots=()):
         self.kind = kind
         self.cutoff = cutoff
+        self.knots = knots
         self._r_real = r_real_fn
         self._s_real = s_real_fn
         self._r_imag = r_imag_fn
@@ -155,9 +159,13 @@ def tabulated_mirror(xi, r, units="absolute", q=None):
     Interpolation is monotone cubic (PCHIP); outside the table the nearest
     sample value is held constant, so the table should extend to roughly
     40/q where the force integrands have decayed.  Only imaginary-axis
-    evaluations are available for tabulated mirrors.
+    evaluations are available for tabulated mirrors.  The interpolant is
+    only C^1 at the knots, so the model exposes them (absolute, after any
+    q-relative conversion) as ``knots``; the imaginary-axis engines pass
+    them to `integrate_semi_infinite` as panel edges and integrate knot to
+    knot, including the held-constant layer below the first knot.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = np.array(xi, dtype=float)  # a copy: it becomes the read-only knots
     r = np.asarray(r, dtype=float)
     if xi.ndim != 1 or xi.size < 2:
         raise ValueError("need at least two samples")
@@ -182,7 +190,8 @@ def tabulated_mirror(xi, r, units="absolute", q=None):
         out = np.where(x >= hi, rhi, out)
         return out if out.ndim else float(out)
 
-    return MirrorModel("tabulated", r_imag_fn=r_imag)
+    xi.flags.writeable = False
+    return MirrorModel("tabulated", r_imag_fn=r_imag, knots=xi)
 
 
 def load_tabulated_mirror(path, q=None):
@@ -230,6 +239,14 @@ class CavityConfig:
     def loop_r_imag(self, xi):
         """Loop reflectivity r1[i xi] r2[i xi] (real)."""
         return self.mirror1.r_imag(xi) * self.mirror2.r_imag(xi)
+
+    @property
+    def knots(self):
+        """The union of both mirrors' knots: where r1 r2 may have kinks."""
+        k1, k2 = self.mirror1.knots, self.mirror2.knots
+        if len(k1) and len(k2) and k1 is not k2:
+            return np.union1d(k1, k2)
+        return k1 if len(k1) else k2
 
     def loop_r0(self):
         """Zero-frequency loop reflectivity r0 = r1[0] r2[0]."""

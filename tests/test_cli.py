@@ -127,6 +127,46 @@ def test_tabulated_model_cannot_do_thermal_roundtrips(mirror_table, capsys):
     assert code == 3
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    # one parser serves every call of a process, with the output, errors
+    # and exit codes that a freshly built parser gives each call
+    config = tmp_path / "run.cfg"
+    config.write_text("model = lorentzian\nomega1 = 1.3\nq = 0.7\n")
+    calls = [
+        ["force2d", "--q", "0.9"],
+        ["sweep", "--command", "force2d", "--param", "q", "--from", "0.5",
+         "--to", "2", "--points", "3", "--output", "csv"],
+        ["energy2d", "--config", str(config), "--output", "json"],
+        ["force2d", "--no-such-flag"],
+        ["force2d", "--q", "0.9"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
+
+    cli._parser.cache_clear()
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: built.append(1) or build())
+    assert [run(argv) for argv in calls] == fresh
+    assert len(built) == 1
+    # the builder itself stays a factory: wrappers that patch the parsers
+    # it returns must not find a patched one again
+    assert build() is not build()
+
+
 def test_missing_table_file(capsys):
     code, _, err = run_cli(["force2d", "--model", "tabulated", "--table",
                             "/nonexistent/mirror.tab"], capsys)

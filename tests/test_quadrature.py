@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln
 
+from casmat import quadrature
 from casmat.quadrature import (QuadratureSpec, _gauss_laguerre, _panel,
                                _sum_series, integrate_semi_infinite)
 from casmat.special_functions import polylog
@@ -84,6 +87,72 @@ def test_march_and_bisections_batch_their_panels():
     assert res.value == pytest.approx(1.0, rel=1e-12)
     assert res.evaluations == 242
     assert calls == [154, 44, 44]
+
+
+def _kinked(x):
+    # a C^1 monotone cubic between the knots, held constant outside them,
+    # times e^{-x}: kinks at every knot
+    return _KINKED(np.clip(x, _KNOTS[0], _KNOTS[-1])) * np.exp(-x)
+
+
+_KNOTS = np.array([0.3, 0.9, 1.7, 2.2, 3.1, 4.0, 5.5, 7.0])
+_KINKED = PchipInterpolator(_KNOTS, [1.0, 0.2, 0.9, 0.4, 1.5, 0.3, 0.8, 0.5])
+
+
+def test_knot_edges_integrate_a_kinked_integrand_in_few_calls():
+    # the pieces between knots are cubics times e^{-x}, so the march's
+    # first request already meets the tolerance, with an honest bar
+    pieces = np.concatenate(([0.0], _KNOTS, [np.inf]))
+    parts = [quad(_kinked, a, b, epsabs=1e-16, epsrel=1e-13)
+             for a, b in zip(pieces[:-1], pieces[1:])]
+    ref, ref_err = math.fsum(p[0] for p in parts), sum(p[1] for p in parts)
+    calls = []
+    res = integrate_semi_infinite(_counted(_kinked, calls), 1.0,
+                                  edges=_KNOTS)
+    assert res.converged
+    assert len(calls) <= 4
+    assert abs(res.value - ref) <= res.error_estimate + ref_err
+    # without the edges, bisection hunts the kinks down panel by panel
+    blind = []
+    integrate_semi_infinite(_counted(_kinked, blind), 1.0)
+    assert len(blind) > 4 * len(calls)
+
+
+def test_knot_edges_cap_the_pieces_at_the_panel_budget():
+    # more knots than the total panel budget, on an integrand too rough for
+    # the one piece that keeps the uncut edges: the march cuts no more
+    # pieces than the budget allows, and the capped integral is reported
+    # unconverged
+    calls = []
+    edges = np.linspace(1e-3, 5.0, quadrature._MAX_TOTAL_PANELS + 100)
+    res = integrate_semi_infinite(
+        _counted(lambda x: np.exp(-x) * (1.0 + np.abs(np.sin(1e4 * x))),
+                 calls),
+        1.0, edges=edges)
+    assert not res.converged
+    assert res.evaluations <= 22 * quadrature._MAX_TOTAL_PANELS
+    assert sum(calls) == res.evaluations
+
+
+def test_empty_edges_change_nothing():
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+    for f, scale in ((lambda x: np.exp(-x) * np.sin(x) ** 2, 1.0),
+                     (lambda x: np.log1p(-np.exp(-2.0 * x)), 0.5)):
+        assert integrate_semi_infinite(f, scale, spec, edges=()) == \
+            integrate_semi_infinite(f, scale, spec)
+    block = lambda i, x: np.exp(-x * (1.0 + i))
+    scales = np.array([1.0, 0.5, 0.25])
+    a = integrate_semi_infinite(block, scales, spec, edges=())
+    b = integrate_semi_infinite(block, scales, spec)
+    assert a.value.tolist() == b.value.tolist()
+    assert a.error_estimate.tolist() == b.error_estimate.tolist()
+    assert (a.evaluations, a.converged) == (b.evaluations, b.converged)
+
+
+def test_non_finite_edges_are_rejected():
+    with pytest.raises(ValueError):
+        integrate_semi_infinite(lambda x: np.exp(-x), 1.0,
+                                edges=[0.5, math.nan])
 
 
 def test_geometric_series():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casmat.casimir4d import PlanarMirrorModel
 from casmat.scattering import (CavityConfig, airy_factor, cavity_matrices,
                                load_tabulated_mirror,
                                lorentzian_mirror, perfect_mirror, phase_shift,
@@ -75,6 +76,23 @@ def test_tabulated_mirror_q_relative_units(tmp_path):
     assert m.r_imag(0.5) == pytest.approx(-0.5, abs=1e-7)
     with pytest.raises(ValueError):
         load_tabulated_mirror(str(path))
+
+
+def test_knots_are_the_table_abscissae_after_conversion():
+    xi = np.geomspace(1e-3, 1e3, 50)
+    tab = tabulated_mirror(xi, -1.0 / (1.0 + xi), units="q-relative", q=2.0)
+    assert tab.knots.tolist() == (xi / 2.0).tolist()
+    assert not tab.knots.flags.writeable
+    assert lorentzian_mirror(1.0).knots == perfect_mirror().knots == ()
+    assert CavityConfig(perfect_mirror(), lorentzian_mirror(1.0),
+                        1.0).knots == ()
+    assert CavityConfig(tab, perfect_mirror(), 1.0).knots is tab.knots
+    assert CavityConfig(tab, tab, 1.0).knots is tab.knots
+    other = tabulated_mirror([0.5, 1.0, 4.0], [-0.9, -0.5, -0.1])
+    assert CavityConfig(tab, other, 1.0).knots.tolist() == sorted(
+        set(tab.knots.tolist()) | {0.5, 1.0, 4.0})
+    planar = PlanarMirrorModel(tab)
+    assert CavityConfig(planar, planar, 1.0).knots is tab.knots
 
 
 def test_cavity_config_validation():
