@@ -162,7 +162,7 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
                         lambda: built.append(1) or build())
     assert [run(argv) for argv in calls] == fresh
     assert len(built) == 1
-    # the builder itself stays a factory: wrappers that patch the parsers
+    # _build_parser itself stays a factory: wrappers that patch the parsers
     # it returns must not find a patched one again
     assert build() is not build()
 

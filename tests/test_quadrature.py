@@ -89,14 +89,14 @@ def test_march_and_bisections_batch_their_panels():
     assert calls == [154, 44, 44]
 
 
+_KNOTS = np.array([0.3, 0.9, 1.7, 2.2, 3.1, 4.0, 5.5, 7.0])
+_KINKED = PchipInterpolator(_KNOTS, [1.0, 0.2, 0.9, 0.4, 1.5, 0.3, 0.8, 0.5])
+
+
 def _kinked(x):
     # a C^1 monotone cubic between the knots, held constant outside them,
     # times e^{-x}: kinks at every knot
     return _KINKED(np.clip(x, _KNOTS[0], _KNOTS[-1])) * np.exp(-x)
-
-
-_KNOTS = np.array([0.3, 0.9, 1.7, 2.2, 3.1, 4.0, 5.5, 7.0])
-_KINKED = PchipInterpolator(_KNOTS, [1.0, 0.2, 0.9, 0.4, 1.5, 0.3, 0.8, 0.5])
 
 
 def test_knot_edges_integrate_a_kinked_integrand_in_few_calls():
