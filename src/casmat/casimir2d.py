@@ -172,6 +172,42 @@ def _roundtrip_sum(cfg, kernel, spec):
         lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), shape, spec)
 
 
+def _imag_axis_integrand(cfg, coefficient, power, log_form):
+    """The Lifshitz integrand of every imaginary-axis observable (T = 0).
+
+    Each observable is
+
+        coefficient * int_0^inf dxi  xi^power h(x),   x = rbar(xi) e^{-2 q xi},
+
+    with h(x) = ln(1 - x) when log_form, else x / (1 - x).  Returns the
+    integrand in u = 2 q xi, whose decay scale is 1 (a perfect pair's
+    integrand does not depend on q), and the panel edges 2 q xi_k at the
+    knots of a tabulated mirror.  1 - x is formed once, without
+    cancellation, as e^{-u} (expm1(u) + 1 - rbar); the log takes
+    log1p(-x) instead where x < 1/2.
+    """
+    if cfg.temperature != 0.0:
+        raise ValueError("the imaginary-axis integrals are zero-temperature "
+                         "representations")
+    scale = 2.0 * cfg.q
+    c = coefficient / scale ** (power + 1)
+
+    def integrand(u):
+        rbar = cfg.loop_r_imag(u / scale)
+        gap = np.expm1(u) + (1.0 - rbar)  # e^u (1 - x)
+        if gap.min() <= 0.0:
+            raise ValueError("loop reflection reaches 1 on the imaginary "
+                             "axis; the integrand is singular")
+        if log_form:
+            x = rbar * np.exp(-u)
+            h = np.log1p(-x, out=np.log(gap) - u, where=x < 0.5)
+        else:
+            h = rbar / gap
+        return c * u**power * h
+
+    return integrand, scale * np.asarray(cfg.knots)
+
+
 def force_imag_axis(cfg, spec=None):
     """Casimir force from the imaginary-frequency integral (T = 0).
 
@@ -197,19 +233,8 @@ def force_imag_axis(cfg, spec=None):
     ForceResult
         Positive value means attraction.
     """
-    if cfg.temperature != 0.0:
-        raise ValueError("the imaginary-axis force integral is a "
-                         "zero-temperature representation")
-    q = cfg.q
-    pref = 1.0 / (4.0 * np.pi * q * q)
-
-    def integrand(u):
-        rbar = cfg.loop_r_imag(u / (2.0 * q))
-        return pref * u * rbar / (np.expm1(u) + (1.0 - rbar))
-
-    knots = cfg.knots  # tabulated mirrors: panel edges at u = 2 q xi_k
-    res = integrate_semi_infinite(integrand, 1.0, spec,
-                                  2.0 * q * knots if len(knots) else ())
+    integrand, edges = _imag_axis_integrand(cfg, 1.0 / np.pi, 1, False)
+    res = integrate_semi_infinite(integrand, 1.0, spec, edges)
     return ForceResult(res.value, res.error_estimate, "imag-axis",
                        None, res.converged)
 
@@ -311,19 +336,8 @@ def casimir_energy(cfg, spec=None):
     finite-difference version of that identity is a standard cross-check.
     U < 0 for positive loop reflection.
     """
-    if cfg.temperature != 0.0:
-        raise ValueError("casimir_energy is the zero-temperature energy; "
-                         "use free_energy / internal_energy_thermal at T > 0")
-    q = cfg.q
-
-    def integrand(xi):
-        x = cfg.loop_r_imag(xi) * np.exp(-2.0 * q * xi)
-        if np.any(x >= 1.0):
-            raise ValueError("loop reflection reaches 1 on the imaginary "
-                             "axis; the log integrand is singular")
-        return np.log1p(-x) / (2.0 * np.pi)
-
-    res = integrate_semi_infinite(integrand, 0.5 / q, spec, cfg.knots)
+    integrand, edges = _imag_axis_integrand(cfg, 0.5 / np.pi, 0, True)
+    res = integrate_semi_infinite(integrand, 1.0, spec, edges)
     return EnergyResult(res.value, res.error_estimate, "imag-axis",
                         "casimir-energy", res.converged)
 

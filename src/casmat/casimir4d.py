@@ -21,7 +21,8 @@ from .quadrature import (QuadratureSpec, integrate_semi_infinite, _sum_series,
                          _tol_met)
 from .special_functions import polylog, bernoulli
 from .spectral import kernel_4d_thermal
-from .casimir2d import ForceResult, EnergyResult, _sum_integral_terms
+from .casimir2d import (ForceResult, EnergyResult, _imag_axis_integrand,
+                        _sum_integral_terms)
 
 
 class PlanarMirrorModel:
@@ -69,16 +70,8 @@ def pressure_imag_axis(cfg, spec=None):
     with rbar the loop reflection on the imaginary axis.  Per polarization
     the pressure is half of this.
     """
-    if cfg.temperature != 0.0:
-        raise ValueError("the imaginary-axis pressure integral is a "
-                         "zero-temperature representation")
-    q = cfg.q
-
-    def integrand(kappa):
-        x = cfg.loop_r_imag(kappa) * np.exp(-2.0 * q * kappa)
-        return kappa**3 * x / (1.0 - x) / np.pi**2
-
-    res = integrate_semi_infinite(integrand, 0.5 / q, spec, cfg.knots)
+    integrand, edges = _imag_axis_integrand(cfg, 1.0 / np.pi**2, 3, False)
+    res = integrate_semi_infinite(integrand, 1.0, spec, edges)
     return ForceResult(res.value, res.error_estimate, "imag-axis",
                        None, res.converged)
 
@@ -234,17 +227,7 @@ def energy_4d(cfg, spec=None):
     perfect-mirror pressure: the integrated-field-energy relation, exact
     in the perfect-reflection limit.
     """
-    if cfg.temperature != 0.0:
-        raise ValueError("energy_4d is the zero-temperature energy")
-    q = cfg.q
-
-    def integrand(kappa):
-        x = cfg.loop_r_imag(kappa) * np.exp(-2.0 * q * kappa)
-        if np.any(x >= 1.0):
-            raise ValueError("loop reflection reaches 1 on the imaginary "
-                             "axis; the log integrand is singular")
-        return kappa**2 * np.log1p(-x) / (2.0 * np.pi**2)
-
-    res = integrate_semi_infinite(integrand, 0.5 / q, spec, cfg.knots)
+    integrand, edges = _imag_axis_integrand(cfg, 0.5 / np.pi**2, 2, True)
+    res = integrate_semi_infinite(integrand, 1.0, spec, edges)
     return EnergyResult(res.value, res.error_estimate, "imag-axis",
                         "casimir-energy", res.converged)

@@ -145,14 +145,15 @@ def _cut(starts, ends, edges, room):
     return lo, hi, owner
 
 
-def _integral(scale, spec, tail_spec, edges=None):
+def _integral(scale, spec, tail_spec, edges):
     """One integral's march and worst-panel-first refinement, as a coroutine.
 
     Yields the (starts, ends) of the panels it needs next and is sent
     their (values, errors) from `_panel`.  Returns (value, error, panels
-    made, converged).  A sorted list of edges cuts each march panel at
+    made, converged).  The sorted list of edges cuts each march panel at
     the edges inside it, into pieces the refinement treats as panels; the
     march's tail test and its panel cap still count whole march panels.
+    There is one march path: an empty list leaves each panel one piece.
     """
     tick = itertools.count()  # heap tie-breaker: older panels first
     heap = []  # (-err, tick, a, b, value, err, depth)
@@ -174,18 +175,14 @@ def _integral(scale, spec, tail_spec, edges=None):
             if edge >= extent:
                 need -= 1
         marched += len(starts)
-        lo, hi, owner = starts, ends, None
-        if edges is not None:
-            lo, hi, owner = _cut(starts, ends, edges,
-                                 _MAX_TOTAL_PANELS - len(heap) - len(starts))
+        lo, hi, owner = _cut(starts, ends, edges,
+                             _MAX_TOTAL_PANELS - len(heap) - len(starts))
         vals, errs = yield lo, hi
         march_errs += errs
         for a, b, val, err in zip(lo, hi, vals, errs):
             heapq.heappush(heap, (-err, next(tick), a, b, val, err, 0))
-        if owner is not None:
-            # the tail test takes whole march panels, the sums of their pieces
-            vals = np.bincount(owner, vals).tolist()
-        for b, val in zip(ends, vals):
+        # the tail test takes whole march panels, the sums of their pieces
+        for b, val in zip(ends, np.bincount(owner, vals).tolist()):
             value += val
             small = b >= extent and _tol_met(abs(val), value, tail_spec)
             streak = streak + 1 if small else 0
@@ -250,7 +247,8 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
         straddles a kink (QUADPACK's qagp); the pieces are requested in
         the same round as their panel, count against the total panel
         budget but not against the march's panel cap.  Edges outside the
-        march's reach change nothing; without edges no panel is cut.
+        march's reach change nothing.  The march takes one path: with no
+        edges each panel is its own one piece.
 
     Returns
     -------
@@ -281,13 +279,9 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
     if spec is None:
         spec = QuadratureSpec()
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
-    if len(edges):
-        edges = np.unique(np.asarray(edges, dtype=float))
-        if not np.all(np.isfinite(edges)):
-            raise ValueError("edges must be finite")
-        edges = edges.tolist()
-    else:
-        edges = None
+    edges = sorted(set(np.asarray(edges, dtype=float).ravel().tolist()))
+    if not all(map(math.isfinite, edges)):
+        raise ValueError("edges must be finite")
     runs = [_integral(d, spec, tail_spec, edges) for d in scales]
     # (index, coroutine, its request) of each unfinished integral
     live = [(k, run, next(run)) for k, run in enumerate(runs)]

@@ -16,9 +16,9 @@ from casmat.casimir2d import (casimir_energy, force_imag_axis,
                               free_energy, internal_energy_thermal,
                               mode_sum_oracle_2d)
 from casmat.quadrature import QuadratureSpec
-from casmat.scattering import (CavityConfig, ModelCapabilityError,
-                               lorentzian_mirror, perfect_mirror,
-                               tabulated_mirror)
+from casmat.scattering import (CavityConfig, MirrorModel,
+                               ModelCapabilityError, lorentzian_mirror,
+                               perfect_mirror, tabulated_mirror)
 
 ZETA2 = 1.6449340668482264365
 PERFECT_FORCE = math.pi / 24.0
@@ -104,7 +104,7 @@ def test_roundtrip_needs_time_kernel():
         force_roundtrip_time(cfg)
 
 
-# the four imaginary-axis observables as (1/prefactor) int dxi xi^p h(x),
+# the four imaginary-axis observables as prefactor * int dxi xi^p h(x),
 # x = rbar(xi) e^{-2 q xi}: (engine, planar, prefactor, p, log form)
 _IMAG_AXIS = [
     (force_imag_axis, False, 1.0 / math.pi, 1, False),
@@ -114,31 +114,55 @@ _IMAG_AXIS = [
 ]
 
 
-@pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
-def test_tabulated_observables_meet_their_bars(engine, planar, pref, power,
-                                                log_form):
-    # a single-pole table from 1e-6 to 1e4: below its first knot the held
-    # sample bends the integrand within a layer no Gauss node saw before
-    # the knots became panel edges (force2d was 7.5e-7 relative off against
-    # a bar of 4e-11).  The reference integrates the same interpolant knot
-    # to knot with QUADPACK, up to xi = 40/q where x < e^-80.
-    q, w = 1.0, 1.0
-    xs = np.geomspace(1e-6, 1e4, 400)
-    tab = tabulated_mirror(xs, -w / (w + xs))
+def _perfect_pair(planar, q, T=0.0):
+    wrap = casimir4d.PlanarMirrorModel if planar else (lambda m: m)
+    return CavityConfig(wrap(perfect_mirror()), wrap(perfect_mirror()), q,
+                        temperature=T)
+
+
+def _meets_its_bar(engine, planar, pref, power, log_form, xs):
+    # a single-pole table r = -1/(1 + xi) at q = 1.  The reference
+    # integrates the same interpolant knot to knot with QUADPACK, up to
+    # xi = 40 where x < e^-80, with 1 - x = (1 - r^2) - r^2 expm1(-2 xi)
+    tab = tabulated_mirror(xs, -1.0 / (1.0 + xs))
 
     def h(xi):
-        x = tab.r_imag(xi) ** 2 * math.exp(-2.0 * q * xi)
-        return xi**power * (math.log1p(-x) if log_form else x / (1.0 - x))
+        r2 = tab.r_imag(xi) ** 2
+        x = r2 * math.exp(-2.0 * xi)
+        gap = (1.0 - r2) - r2 * math.expm1(-2.0 * xi)
+        if log_form:
+            return xi**power * (math.log1p(-x) if x < 0.5 else math.log(gap))
+        return xi**power * x / gap
 
-    pieces = np.concatenate(([0.0], xs[xs < 40.0 / q], [40.0 / q]))
+    pieces = np.concatenate(([0.0], xs[xs < 40.0], [40.0]))
     parts = [quad(h, a, b, epsabs=1e-17, epsrel=1e-13)
              for a, b in zip(pieces[:-1], pieces[1:])]
     ref = pref * math.fsum(p[0] for p in parts)
     ref_err = pref * sum(p[1] for p in parts)
     mirror = casimir4d.PlanarMirrorModel(tab) if planar else tab
-    res = engine(CavityConfig(mirror, mirror, q))
+    res = engine(CavityConfig(mirror, mirror, 1.0))
     assert res.converged
     assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+
+@pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
+def test_tabulated_observables_meet_their_bars(engine, planar, pref, power,
+                                                log_form):
+    # below the first knot, 1e-6, the held sample bends the integrand
+    # within a layer no Gauss node saw before the knots became panel edges
+    # (force2d was 7.5e-7 relative off against a bar of 4e-11)
+    _meets_its_bar(engine, planar, pref, power, log_form,
+                   np.geomspace(1e-6, 1e4, 400))
+
+
+@pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
+def test_imag_axis_observables_reach_a_perfect_first_sample(
+        engine, planar, pref, power, log_form):
+    # r = -1 at the first knot, 1e-17: there x = r^2 e^{-2 q xi} rounds to
+    # 1 unless 1 - x is formed as (1 - rbar) - rbar expm1(-u), though the
+    # integrals are finite
+    _meets_its_bar(engine, planar, pref, power, log_form,
+                   np.geomspace(1e-17, 1e4, 300))
 
 
 def test_roundtrip_cap_is_honest():
@@ -270,9 +294,24 @@ def test_strong_thermal_suppression_scale():
     assert res.value == pytest.approx(lead, rel=1e-10)
 
 
-def test_imag_axis_rejects_thermal_state():
+@pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
+def test_imag_axis_rejects_thermal_state(engine, planar, pref, power,
+                                         log_form):
     with pytest.raises(ValueError):
-        force_imag_axis(_pair(perfect_mirror, 1.0, T=0.5))
+        engine(_perfect_pair(planar, 1.0, T=0.5))
+
+
+@pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
+def test_imag_axis_rejects_a_loop_reflection_above_one(engine, planar, pref,
+                                                       power, log_form):
+    # |r| > 1 makes 1 - x reach 0 near xi = 0: a pole of x / (1 - x) and
+    # the log of a negative number
+    mirror = MirrorModel("gain", r_imag_fn=lambda xi: np.full(np.shape(xi),
+                                                              -1.01))
+    if planar:
+        mirror = casimir4d.PlanarMirrorModel(mirror)
+    with pytest.raises(ValueError, match="reaches 1"):
+        engine(CavityConfig(mirror, mirror, 1.0))
 
 
 def test_casimir_energy_perfect():
@@ -370,12 +409,16 @@ def test_internal_energy_matches_matsubara_sum(cutoff, tq):
     assert abs(res.value - ref) <= res.error_estimate + 4 * np.spacing(abs(ref))
 
 
-@given(st.floats(0.1, 10.0))
+@pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
+@given(q=st.floats(0.1, 10.0))
 @settings(max_examples=25, deadline=None)
-def test_perfect_force_scaling_is_exact(q):
-    res = force_imag_axis(_pair(perfect_mirror, q))
-    ref = force_imag_axis(_pair(perfect_mirror, 1.0))
-    assert res.value * q * q == pytest.approx(ref.value, rel=1e-12)
+def test_perfect_force_scaling_is_exact(engine, planar, pref, power,
+                                        log_form, q):
+    # a perfect pair's integrand in u = 2 q xi does not depend on q, so
+    # value * q^(p + 1) is one number
+    res = engine(_perfect_pair(planar, q))
+    ref = engine(_perfect_pair(planar, 1.0))
+    assert res.value * q ** (power + 1) == pytest.approx(ref.value, rel=1e-12)
 
 
 @given(st.one_of(st.just(0.0), st.floats(1e-6, 1.0),

@@ -149,21 +149,6 @@ def test_energy_pressure_consistency_lorentzian():
                                                               rel=1e-6)
 
 
-def test_imag_axis_rejects_thermal_state():
-    with pytest.raises(ValueError):
-        pressure_imag_axis(_plates(perfect_mirror, 1.0, T=0.5))
-    with pytest.raises(ValueError):
-        energy_4d(_plates(perfect_mirror, 1.0, T=0.5))
-
-
-@given(st.floats(0.2, 5.0))
-@settings(max_examples=25, deadline=None)
-def test_perfect_pressure_scaling_is_exact(q):
-    res = pressure_imag_axis(_plates(perfect_mirror, q))
-    ref = pressure_imag_axis(_plates(perfect_mirror, 1.0))
-    assert res.value * q ** 4 == pytest.approx(ref.value, rel=1e-12)
-
-
 @given(st.one_of(st.just(0.0), st.floats(1e-6, 0.99),
                  st.floats(-0.99, -1e-6)))
 @settings(max_examples=40, deadline=None)
