@@ -26,6 +26,8 @@ from .scattering import ModelCapabilityError
 # the node counts of the Gauss-Laguerre pair that integrates each term of
 # a roundtrip series
 _RULES = (16, 24)
+# the energies' panel edges in u, graded toward their ln u at u = 0
+_LOG_EDGES = 2.0 ** -np.arange(1, 41)
 
 
 @dataclass
@@ -184,7 +186,10 @@ def _imag_axis_integrand(cfg, coefficient, power, log_form):
     integrand does not depend on q), and the panel edges 2 q xi_k at the
     knots of a tabulated mirror.  1 - x is formed once, without
     cancellation, as e^{-u} (expm1(u) + 1 - rbar); the log takes
-    log1p(-x) instead where x < 1/2.
+    log1p(-x) instead where x < 1/2.  The log form, singular like ln u at
+    u = 0 when rbar(0) = 1, also gets the edges 2^-k, k = 1..40, graded
+    toward 0, so the march's first round already resolves the singularity
+    that bisection would reach one panel call at a time.
     """
     if cfg.temperature != 0.0:
         raise ValueError("the imaginary-axis integrals are zero-temperature "
@@ -205,7 +210,10 @@ def _imag_axis_integrand(cfg, coefficient, power, log_form):
             h = rbar / gap
         return c * u**power * h
 
-    return integrand, scale * np.asarray(cfg.knots)
+    edges = scale * np.asarray(cfg.knots)
+    if log_form:
+        edges = np.concatenate((edges, _LOG_EDGES))
+    return integrand, edges
 
 
 def force_imag_axis(cfg, spec=None):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.integrate import quad
 
-from casmat import casimir2d, casimir4d
+from casmat import casimir2d, casimir4d, quadrature
 from casmat.casimir2d import (casimir_energy, force_imag_axis,
                               force_large_distance, force_roundtrip_time,
                               free_energy, internal_energy_thermal,
@@ -120,29 +120,37 @@ def _perfect_pair(planar, q, T=0.0):
                         temperature=T)
 
 
-def _meets_its_bar(engine, planar, pref, power, log_form, xs):
-    # a single-pole table r = -1/(1 + xi) at q = 1.  The reference
-    # integrates the same interpolant knot to knot with QUADPACK, up to
-    # xi = 40 where x < e^-80, with 1 - x = (1 - r^2) - r^2 expm1(-2 xi)
-    tab = tabulated_mirror(xs, -1.0 / (1.0 + xs))
+def _meets_its_bar(engine, planar, pref, power, log_form, m1, m2, q=1.0,
+                   knots=np.array([])):
+    # the reference integrates the same loop reflection, knot to knot, with
+    # QUADPACK up to 2 q xi = 80 where x < e^-80, with
+    # 1 - x = (1 - rbar) - rbar expm1(-2 q xi)
+    end = 40.0 / q
 
     def h(xi):
-        r2 = tab.r_imag(xi) ** 2
-        x = r2 * math.exp(-2.0 * xi)
-        gap = (1.0 - r2) - r2 * math.expm1(-2.0 * xi)
+        rbar = float(m1.r_imag(xi) * m2.r_imag(xi))
+        x = rbar * math.exp(-2.0 * q * xi)
+        gap = (1.0 - rbar) - rbar * math.expm1(-2.0 * q * xi)
         if log_form:
             return xi**power * (math.log1p(-x) if x < 0.5 else math.log(gap))
         return xi**power * x / gap
 
-    pieces = np.concatenate(([0.0], xs[xs < 40.0], [40.0]))
+    pieces = np.concatenate(([0.0], knots[knots < end], [end]))
     parts = [quad(h, a, b, epsabs=1e-17, epsrel=1e-13)
              for a, b in zip(pieces[:-1], pieces[1:])]
     ref = pref * math.fsum(p[0] for p in parts)
     ref_err = pref * sum(p[1] for p in parts)
-    mirror = casimir4d.PlanarMirrorModel(tab) if planar else tab
-    res = engine(CavityConfig(mirror, mirror, 1.0))
+    wrap = casimir4d.PlanarMirrorModel if planar else (lambda m: m)
+    res = engine(CavityConfig(wrap(m1), wrap(m2), q))
     assert res.converged
     assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+
+def _meets_its_bar_tabulated(engine, planar, pref, power, log_form, xs):
+    # a single-pole table r = -1/(1 + xi) at q = 1
+    tab = tabulated_mirror(xs, -1.0 / (1.0 + xs))
+    _meets_its_bar(engine, planar, pref, power, log_form, tab, tab,
+                   knots=xs)
 
 
 @pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
@@ -151,8 +159,8 @@ def test_tabulated_observables_meet_their_bars(engine, planar, pref, power,
     # below the first knot, 1e-6, the held sample bends the integrand
     # within a layer no Gauss node saw before the knots became panel edges
     # (force2d was 7.5e-7 relative off against a bar of 4e-11)
-    _meets_its_bar(engine, planar, pref, power, log_form,
-                   np.geomspace(1e-6, 1e4, 400))
+    _meets_its_bar_tabulated(engine, planar, pref, power, log_form,
+                             np.geomspace(1e-6, 1e4, 400))
 
 
 @pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
@@ -161,8 +169,26 @@ def test_imag_axis_observables_reach_a_perfect_first_sample(
     # r = -1 at the first knot, 1e-17: there x = r^2 e^{-2 q xi} rounds to
     # 1 unless 1 - x is formed as (1 - rbar) - rbar expm1(-u), though the
     # integrals are finite
-    _meets_its_bar(engine, planar, pref, power, log_form,
-                   np.geomspace(1e-17, 1e4, 300))
+    _meets_its_bar_tabulated(engine, planar, pref, power, log_form,
+                             np.geomspace(1e-17, 1e4, 300))
+
+
+@pytest.mark.parametrize("mirrors", [
+    (perfect_mirror(), perfect_mirror()),
+    (lorentzian_mirror(0.7), lorentzian_mirror(2.3))])
+@pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
+def test_imag_axis_observables_take_few_panel_calls(
+        monkeypatch, engine, planar, pref, power, log_form, mirrors):
+    # ln(1 - x) is singular like ln u at u = 0 when rbar(0) = 1.  The
+    # energies' panel edges 2^-k graded toward 0 resolve it in the march's
+    # first round, where bisection would take one panel call per halving.
+    # The smooth force and pressure get no such edges and take as few calls
+    calls = []
+    panel = quadrature._panel
+    monkeypatch.setattr(quadrature, "_panel",
+                        lambda *args: calls.append(1) or panel(*args))
+    _meets_its_bar(engine, planar, pref, power, log_form, *mirrors, q=1.3)
+    assert len(calls) <= 4
 
 
 def test_roundtrip_cap_is_honest():

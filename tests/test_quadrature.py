@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gammaln
+from scipy.special import gammaln, zeta
 
 from casmat import quadrature
 from casmat.quadrature import (QuadratureSpec, _gauss_laguerre, _panel,
@@ -135,18 +135,32 @@ def test_knot_edges_cap_the_pieces_at_the_panel_budget():
 
 
 def test_empty_edges_change_nothing():
+    # no edges, or a table's knots all beyond the march's reach, which cut
+    # nothing: the result is exactly that of no edges at all
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-    for f, scale in ((lambda x: np.exp(-x) * np.sin(x) ** 2, 1.0),
-                     (lambda x: np.log1p(-np.exp(-2.0 * x)), 0.5)):
-        assert integrate_semi_infinite(f, scale, spec, edges=()) == \
-            integrate_semi_infinite(f, scale, spec)
     block = lambda i, x: np.exp(-x * (1.0 + i))
     scales = np.array([1.0, 0.5, 0.25])
-    a = integrate_semi_infinite(block, scales, spec, edges=())
     b = integrate_semi_infinite(block, scales, spec)
-    assert a.value.tolist() == b.value.tolist()
-    assert a.error_estimate.tolist() == b.error_estimate.tolist()
-    assert (a.evaluations, a.converged) == (b.evaluations, b.converged)
+    for edges in ((), np.geomspace(1e3, 1e5, 50)):
+        for f, scale in ((lambda x: np.exp(-x) * np.sin(x) ** 2, 1.0),
+                         (lambda x: np.log1p(-np.exp(-2.0 * x)), 0.5)):
+            assert integrate_semi_infinite(f, scale, spec, edges=edges) == \
+                integrate_semi_infinite(f, scale, spec)
+        a = integrate_semi_infinite(block, scales, spec, edges=edges)
+        assert a.value.tolist() == b.value.tolist()
+        assert a.error_estimate.tolist() == b.error_estimate.tolist()
+        assert (a.evaluations, a.converged) == (b.evaluations, b.converged)
+
+
+def test_cut_returns_a_round_with_no_edge_inside_it():
+    # edges at or beyond the round's span leave it whole, with no owners
+    # to re-sum; an edge strictly inside it cuts its panel
+    starts, ends = [0.0, 0.5, 1.2], [0.5, 1.2, 2.18]
+    for edges in ([], [0.0], [2.18, 7.0]):
+        assert quadrature._cut(starts, ends, edges, 100) == \
+            (starts, ends, None)
+    assert quadrature._cut(starts, ends, [0.0, 1.0, 7.0], 100) == \
+        ([0.0, 0.5, 1.0, 1.2], [0.5, 1.0, 1.2, 2.18], [0, 1, 1, 2])
 
 
 def test_non_finite_edges_are_rejected():
@@ -301,6 +315,82 @@ def test_nearly_zero_temperature_force_closes_through_polylog(monkeypatch):
     assert res.roundtrips_used == 64
     exact = force_large_distance(0.995, 1.0, 0.0).value
     assert abs(res.value - exact) <= res.error_estimate
+
+
+def _lstsq_tail(terms, L):
+    """The algebraic tail fit as a direct least-squares solve per call."""
+    los = np.unique(np.round(np.linspace(L // 2, L, 16)).astype(int))
+    t = np.asarray(terms)[los - 1]
+    y = L / los.astype(float)
+    tails = []
+    for ks in (np.arange(2, 8), np.arange(2, 6)):
+        coeff = np.linalg.lstsq(y[:, None] ** ks, t, rcond=None)[0]
+        tails.append(float(np.sum(coeff * float(L) ** ks
+                                  * zeta(ks, L + 1))))
+    return tails[0], abs(tails[0] - tails[1])
+
+
+@pytest.mark.parametrize("L", [64, 128, 1024, 300])
+@pytest.mark.parametrize("term", [
+    lambda l: 1 / l**2 + 0.5 / l**3 - 0.2 / l**4 + 0.3 / l**6 + 0.1 / l**7,
+    lambda l: -(1.0 + 0.1 / np.sqrt(l)) / l**2.5], ids=["mixture", "nearly"])
+def test_cached_tail_weights_match_a_direct_fit(L, term):
+    # the proxy is a difference of two tails, so it is compared on the
+    # scale of the tail
+    terms = term(np.arange(1.0, L + 1.0)).tolist()
+    tail, proxy = quadrature._fit_algebraic_tail(terms, L)
+    ref_tail, ref_proxy = _lstsq_tail(terms, L)
+    assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
+    assert abs(proxy - ref_proxy) <= 1e-12 * abs(ref_tail)
+
+
+def test_tail_weights_are_cached_read_only():
+    index, weights = quadrature._tail_weights(128)
+    assert quadrature._tail_weights(128)[1] is weights
+    assert weights.shape == (2, len(index)) == (2, 16)
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+    assert quadrature._tail_weights.cache_info().maxsize <= 256
+
+
+@pytest.mark.parametrize("x", [0.3, -0.3, 0.9, -0.9])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_detect_polylog_finds_each_order(p, x):
+    ells = np.arange(49, 65, dtype=float)
+    c, fitted, order = quadrature._detect_polylog(
+        (-2.5 * x**ells / ells**p).tolist(), 49)
+    assert order == p
+    assert fitted == pytest.approx(x, rel=1e-13)
+    assert c == pytest.approx(-2.5, rel=1e-11)
+
+
+@pytest.mark.parametrize("x", [1.0 - 1e-7, -(1.0 - 1e-7), 1.0, 1.5])
+def test_detect_polylog_refuses_a_ratio_near_or_past_one(x):
+    ells = np.arange(49, 65, dtype=float)
+    assert quadrature._detect_polylog((x**ells / ells**2).tolist(), 49) is None
+
+
+def test_detect_polylog_refuses_a_window_with_a_zero():
+    ells = np.arange(49, 65, dtype=float)
+    terms = 0.5**ells / ells**3
+    terms[7] = 0.0
+    assert quadrature._detect_polylog(terms.tolist(), 49) is None
+
+
+@pytest.mark.parametrize("T", [0.0, 0.01])
+def test_detect_polylog_refuses_lorentzian_terms(monkeypatch, T):
+    # the windows the series engine tests while summing a lorentzian
+    # pair's roundtrip force follow no c x^l / l^p
+    from casmat.casimir2d import force_roundtrip_time
+    from casmat.scattering import CavityConfig, lorentzian_mirror
+    detect = quadrature._detect_polylog
+    found = []
+    monkeypatch.setattr(quadrature, "_detect_polylog",
+                        lambda t, l: found.append(detect(t, l)) or found[-1])
+    res = force_roundtrip_time(CavityConfig(
+        lorentzian_mirror(0.7), lorentzian_mirror(2.3), 1.3, temperature=T))
+    assert res.converged
+    assert found and found == [None] * len(found)
 
 
 def _singles(f, scales, spec):
