@@ -276,6 +276,16 @@ def force_roundtrip_time(cfg, spec=None):
                        series.evaluations, ok)
 
 
+def _check_constant_loop(r0, q, temperature=0.0):
+    """Refuse r0 outside [-1, 1], q outside (0, inf) or T outside [0, inf)."""
+    if not -1.0 <= r0 <= 1.0:
+        raise ValueError("r0 must lie in [-1, 1]")
+    if not 0.0 < q < np.inf:
+        raise ValueError("separation must be positive and finite")
+    if not 0.0 <= temperature < np.inf:
+        raise ValueError("temperature must be finite and nonnegative")
+
+
 def force_large_distance(r0, q, temperature=0.0, spec=None):
     """Force for frequency-independent reflection (the large-distance regime).
 
@@ -287,12 +297,7 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
 
     Negative r0 gives a repulsive (negative) force.
     """
-    if not -1.0 <= r0 <= 1.0:
-        raise ValueError("r0 must lie in [-1, 1]")
-    if not 0.0 < q < np.inf:
-        raise ValueError("separation must be positive and finite")
-    if not 0.0 <= temperature < np.inf:
-        raise ValueError("temperature must be finite and nonnegative")
+    _check_constant_loop(r0, q, temperature)
     if r0 == 0.0:
         return ForceResult(0.0, 0.0, "large-distance", None, True)
     if temperature == 0.0:

@@ -21,42 +21,27 @@ from .quadrature import (QuadratureSpec, integrate_semi_infinite, _sum_series,
                          _tol_met)
 from .special_functions import polylog, bernoulli
 from .spectral import kernel_4d_thermal
-from .casimir2d import (ForceResult, EnergyResult, _imag_axis_integrand,
-                        _sum_integral_terms)
+from .casimir2d import (ForceResult, EnergyResult, _check_constant_loop,
+                        _imag_axis_integrand, _sum_integral_terms)
+from .scattering import MirrorModel
 
 
-class PlanarMirrorModel:
+class PlanarMirrorModel(MirrorModel):
     """A mirror of the plane geometry, factorized on the normal wavevector.
 
-    Wraps a one-dimensional `MirrorModel`: the plane mirror reflects both
-    polarizations with the base model's amplitude evaluated at the normal
-    wavevector.  This is exact at zero frequency and normal incidence and
-    is adopted here as the modeling choice for all kappa.
+    The `MirrorModel` of a one-dimensional model ``base``, with its
+    amplitudes on both axes: the plane mirror reflects both polarizations
+    with the base amplitude at the normal wavevector.  This is exact at
+    zero frequency and normal incidence and is adopted here as the
+    modeling choice for all kappa.
     """
 
     factorization = "normal-wavevector"
 
     def __init__(self, base):
+        super().__init__(base.kind, base._r_real, base._s_real, base._r_imag,
+                         base._dlog_r, base.cutoff, base.knots)
         self.base = base
-
-    @property
-    def kind(self):
-        return self.base.kind
-
-    @property
-    def cutoff(self):
-        return self.base.cutoff
-
-    @property
-    def has_time_kernel(self):
-        return self.base.has_time_kernel
-
-    @property
-    def knots(self):
-        return self.base.knots
-
-    def r_imag(self, kappa):
-        return self.base.r_imag(kappa)
 
 
 def pressure_imag_axis(cfg, spec=None):
@@ -123,10 +108,7 @@ def pressure_large_distance(r0, q, spec=None):
     Closed form 3 polylog(r0, 4) / (8 pi^2 q^4); reduces to pi^2/(240 q^4)
     at r0 = 1.
     """
-    if not -1.0 <= r0 <= 1.0:
-        raise ValueError("r0 must lie in [-1, 1]")
-    if not 0.0 < q < np.inf:
-        raise ValueError("separation must be positive and finite")
+    _check_constant_loop(r0, q)
     if r0 == 0.0:
         return ForceResult(0.0, 0.0, "large-distance", None, True)
     value = 3.0 * polylog(r0, 4, tol=1e-12) / (8.0 * np.pi**2 * q**4)
@@ -144,10 +126,7 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     roundtrip and is summed with that geometric bound.  The split makes
     both the T -> 0 and the Tq >> 1 limits exact by construction.
     """
-    if not 0.0 < q < np.inf:
-        raise ValueError("separation must be positive and finite")
-    if not 0.0 <= temperature < np.inf:
-        raise ValueError("temperature must be finite and nonnegative")
+    _check_constant_loop(r0, q, temperature)
     if not (abs(r0) <= 1.0 - 1e-6 or r0 in (1.0, -1.0)):
         raise ValueError("r0 must satisfy |r0| <= 1 - 1e-6 or be exactly "
                          "+-1")
@@ -180,12 +159,7 @@ def pressure_high_temperature(r0, q, temperature):
     The leading term of the thermal series for Tq >> 1; linear in T and
     independent of hbar (a purely classical expression).
     """
-    if not -1.0 <= r0 <= 1.0:
-        raise ValueError("r0 must lie in [-1, 1]")
-    if not 0.0 < q < np.inf:
-        raise ValueError("separation must be positive and finite")
-    if not 0.0 <= temperature < np.inf:
-        raise ValueError("temperature must be finite and nonnegative")
+    _check_constant_loop(r0, q, temperature)
     if r0 == 0.0 or temperature == 0.0:
         return ForceResult(0.0, 0.0, "closed-form", None, True)
     value = temperature * polylog(r0, 3, tol=1e-12) / (4.0 * np.pi * q**3)

@@ -81,16 +81,13 @@ def _build_parser():
                     "transmitting mirrors (natural units, hbar = c = k_B = 1).")
     sub = parser.add_subparsers(dest="command_name", required=True)
 
-    sub.add_parser("force2d", parents=[common],
-                   help="force between two mirrors on a line")
-    sub.add_parser("force4d", parents=[common],
-                   help="pressure between plane mirrors")
-    sub.add_parser("energy2d", parents=[common],
-                   help="cavity energy (internal energy at T > 0)")
-    sub.add_parser("energy4d", parents=[common],
-                   help="plane-cavity energy at T = 0")
-    sub.add_parser("free-energy2d", parents=[common],
-                   help="cavity free energy at T > 0")
+    for name, text in (
+            ("force2d", "force between two mirrors on a line"),
+            ("force4d", "pressure between plane mirrors"),
+            ("energy2d", "cavity energy (internal energy at T > 0)"),
+            ("energy4d", "plane-cavity energy at T = 0"),
+            ("free-energy2d", "cavity free energy at T > 0")):
+        sub.add_parser(name, parents=[common], help=text)
 
     sw = sub.add_parser("sweep", parents=[common],
                         help="evaluate a command over a parameter grid")
@@ -102,10 +99,9 @@ def _build_parser():
     sw.add_argument("--points", type=int, default=11)
     sw.add_argument("--spacing", choices=["linear", "log"], default="linear")
 
-    va = sub.add_parser("validate-model", parents=[common],
-                        help="run the mirror model through its physical "
-                             "consistency checks")
-    del va  # flags come from the common set
+    sub.add_parser("validate-model", parents=[common],
+                   help="run the mirror model through its physical "
+                        "consistency checks")
 
     orc = sub.add_parser("oracle", parents=[common],
                          help="exact perfect-mirror value from the "
@@ -323,9 +319,9 @@ def _cmd_oracle(args):
     return [_record(args, casimir4d.mode_sum_oracle_4d(args.q))]
 
 
-def emit_records(records, fmt, stream=None):
-    """Write records in the chosen format (csv, json or plain table)."""
-    stream = stream if stream is not None else sys.stdout
+def emit_records(records, fmt):
+    """Write records to stdout as csv, json or a plain table."""
+    stream = sys.stdout
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(FIELDS)

@@ -224,10 +224,6 @@ def _integral(scale, spec, tail_spec, edges):
         heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
         heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
         pops += 1
-        if pops % 512 == 0:
-            # resum to flush floating-point drift in the running totals
-            value = sum(item[4] for item in heap)
-            error = extra + sum(item[5] for item in heap)
 
     value = sum(item[4] for item in heap)
     error = extra + sum(item[5] for item in heap)

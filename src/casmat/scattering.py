@@ -181,13 +181,12 @@ def tabulated_mirror(xi, r, units="absolute", q=None):
         raise ValueError("units must be 'absolute' or 'q-relative'")
     interp = PchipInterpolator(xi, r, extrapolate=False)
     lo, hi = xi[0], xi[-1]
-    rlo, rhi = r[0], r[-1]
+    rhi = r[-1]
 
     def r_imag(x):
         x = np.asarray(x, dtype=float)
-        out = interp(np.clip(x, lo, hi))
-        out = np.where(x <= lo, rlo, out)
-        out = np.where(x >= hi, rhi, out)
+        # clipped to the first knot, PCHIP returns the first sample exactly
+        out = np.where(x >= hi, rhi, interp(np.clip(x, lo, hi)))
         return out if out.ndim else float(out)
 
     xi.flags.writeable = False
@@ -366,7 +365,7 @@ def phase_shift_derivative_decomposition(cfg, omega):
     return airy, delay, modulus
 
 
-def validate_model(m, sample_grid, transparency_threshold=0.1):
+def validate_model(m, sample_grid):
     """Check a mirror model against the admissibility conditions.
 
     Parameters
@@ -375,8 +374,6 @@ def validate_model(m, sample_grid, transparency_threshold=0.1):
     sample_grid : array_like
         Positive frequencies at which the real-axis conditions are probed;
         the same magnitudes are reused as imaginary-axis points.
-    transparency_threshold : float
-        Pass level for |r| at the largest grid frequency.
 
     Returns
     -------
@@ -385,7 +382,8 @@ def validate_model(m, sample_grid, transparency_threshold=0.1):
         None}}, 'warnings': [str], 'passed': bool}.  A check that cannot
         run on this model (e.g. real-axis conditions for a tabulated
         mirror) has passed None and is not counted against 'passed'.
-        Transparency failure is reported but carried as a warning, not a
+        Transparency passes at |r| <= 0.1 at the largest grid frequency;
+        its failure is reported but carried as a warning, not a
         failure: the perfect mirror and the marginal lorentzian are
         admitted limits whose force evaluations avoid the real axis.
     """
@@ -411,7 +409,7 @@ def validate_model(m, sample_grid, transparency_threshold=0.1):
                                "residual": float(unitarity)}
         r_top = abs(complex(np.asarray(m.r_real(grid.max())).reshape(-1)[0]))
         checks["transparency"] = {
-            "passed": bool(r_top <= transparency_threshold),
+            "passed": bool(r_top <= 0.1),
             "residual": float(r_top),
         }
         if not checks["transparency"]["passed"]:

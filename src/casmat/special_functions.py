@@ -160,16 +160,9 @@ def erlang_weight(ell, rate, s):
     if not 0.0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
     s_arr = _delays(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = (
-            ell * math.log(rate)
-            + (ell - 1) * np.log(s_arr)
-            - rate * s_arr
-            - gammaln(ell)
-        )
-        w = np.exp(logw)
-    # the s = 0 endpoint: rate for a single delay, zero for ell >= 2
-    w = np.where(s_arr == 0.0, np.where(ell == 1, rate, 0.0), w)
+    # xlogy is 0 at s = 0 for a single delay and -inf for ell >= 2
+    w = np.exp(ell * math.log(rate) + xlogy(ell - 1, s_arr) - rate * s_arr
+               - gammaln(ell))
     return float(w) if w.ndim == 0 else w
 
 

@@ -490,3 +490,21 @@ def test_result_round_trips_through_json(route):
 def test_non_finite_parameters_are_rejected(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: force_large_distance(1.5, 1.0), "r0 must lie in [-1, 1]"),
+    (lambda: force_large_distance(-1.5, 1.0, temperature=0.3),
+     "r0 must lie in [-1, 1]"),
+    (lambda: force_large_distance(0.5, 0.0), "separation must be positive "
+     "and finite"),
+    (lambda: force_large_distance(0.5, 1.0, temperature=-0.1),
+     "temperature must be finite and nonnegative"),
+    (lambda: internal_energy_thermal(_pair(perfect_mirror, 1.0)),
+     "internal_energy_thermal requires T > 0; at T = 0 use casimir_energy"),
+], ids=["r0-above-1", "r0-below-minus-1", "q-zero", "T-negative",
+        "internal-energy-T0"])
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casmat.casimir2d import ForceResult
 from casmat.casimir4d import (PlanarMirrorModel, energy_4d,
                               mode_sum_oracle_4d, pressure_high_temperature,
                               pressure_imag_axis, pressure_large_distance,
                               pressure_roundtrip,
                               pressure_thermal_large_distance)
 from casmat.quadrature import QuadratureSpec
-from casmat.scattering import CavityConfig, lorentzian_mirror, perfect_mirror
+from casmat.scattering import (CavityConfig, airy_factor, cavity_matrices,
+                               lorentzian_mirror, perfect_mirror, phase_shift,
+                               phase_shift_derivative_decomposition,
+                               tabulated_mirror, validate_model)
 
 ZETA3 = 1.2020569031595942854
 PERFECT_PRESSURE = math.pi ** 2 / 240.0
@@ -192,3 +196,65 @@ def test_result_round_trips_through_json(route):
 def test_non_finite_parameters_are_rejected(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("cutoff", [0.3, 1.0, 3.0])
+def test_planar_model_is_its_base_on_the_real_axis(cutoff):
+    # the scattering functions take a plate mirror as its base model
+    bare = lorentzian_mirror(cutoff)
+    plate = PlanarMirrorModel(bare)
+    grid = np.geomspace(1e-2, 1e2, 11)
+    assert validate_model(plate, grid) == validate_model(bare, grid)
+    plates = CavityConfig(plate, plate, 0.7)
+    bares = CavityConfig(bare, bare, 0.7)
+    for omega in (0.05, 0.9, 7.0):
+        for f in (airy_factor, phase_shift,
+                  phase_shift_derivative_decomposition):
+            assert f(plates, omega) == f(bares, omega)
+        got, want = (cavity_matrices(c, omega) for c in (plates, bares))
+        assert got.S.tolist() == want.S.tolist()
+        assert got.R.tolist() == want.R.tolist()
+        assert got.d == want.d
+
+
+@pytest.mark.parametrize("cutoff", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("q", [0.3, 1.0])
+def test_roundtrip_takes_a_tabulated_mirror(cutoff, q):
+    # the 4D roundtrip expands the imaginary-axis integrand, so r[i xi]
+    # is all it needs; at q = 10 it stops short of its tolerance
+    xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 200)))
+    m = PlanarMirrorModel(tabulated_mirror(xi, -cutoff / (cutoff + xi)))
+    cfg = CavityConfig(m, m, q)
+    a, b = pressure_imag_axis(cfg), pressure_roundtrip(cfg)
+    assert a.converged and b.converged
+    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pressure_large_distance(1.5, 1.0), "r0 must lie in [-1, 1]"),
+    (lambda: pressure_thermal_large_distance(-1.5, 1.0, 0.3),
+     "r0 must lie in [-1, 1]"),
+    (lambda: pressure_high_temperature(1.5, 1.0, 0.3),
+     "r0 must lie in [-1, 1]"),
+    (lambda: pressure_thermal_large_distance(0.5, -1.0, 0.3),
+     "separation must be positive and finite"),
+    (lambda: pressure_high_temperature(0.5, 1.0, -0.3),
+     "temperature must be finite and nonnegative"),
+    (lambda: pressure_roundtrip(_plates(perfect_mirror, 1.0, T=0.3)),
+     "pressure_roundtrip is a zero-temperature route; use "
+     "pressure_thermal_large_distance at T > 0"),
+], ids=["large-distance-r0", "thermal-r0", "high-T-r0", "thermal-q",
+        "high-T-T", "roundtrip-T"])
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, method", [
+    (lambda: pressure_thermal_large_distance(0.0, 1.0, 0.3),
+     "large-distance"),
+    (lambda: pressure_high_temperature(0.0, 1.0, 0.3), "closed-form"),
+], ids=["thermal", "high-T"])
+def test_a_zero_loop_reflection_gives_an_exact_zero(call, method):
+    assert call() == ForceResult(0.0, 0.0, method, None, True)

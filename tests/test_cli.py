@@ -417,3 +417,30 @@ def test_unsupported_method_exits_2(command, method, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: %s supports --method" % command)
+
+
+@pytest.mark.parametrize("argv, code, says", [
+    (["oracle", "--dimension", "2", "--output", "csv"], 0,
+     ",0.1308996938995747,0.0,mode-sum-oracle,True,"),
+    (["validate-model", "--output", "json"], 0, '"unitarity": {'),
+    (["validate-model", "--model", "tabulated", "--table", "{table}"], 0,
+     "skipped (model has no real-frequency axis)"),
+    (["sweep", "--command", "force2d", "--param", "q", "--from", "1",
+      "--to", "2", "--points", "0"], 2, "sweep needs at least one point"),
+    (["sweep", "--command", "force2d", "--param", "omega1", "--from", "1",
+      "--to", "2"], 2, "sweeping omega1 requires the lorentzian model"),
+    (["force2d", "--config", "{config}"], 2,
+     "config line 'omega1' is not key=value"),
+    (["force2d", "--model", "tabulated"], 2,
+     "--table is required for the tabulated model"),
+], ids=["oracle-2d", "validate-json", "validate-table", "sweep-no-points",
+        "sweep-cutoff-of-perfect", "config-without-equals",
+        "tabulated-without-table"])
+def test_less_used_paths_exit_and_report(argv, code, says, mirror_table,
+                                         tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("model=lorentzian\nomega1\n")
+    argv = [a.format(table=mirror_table, config=config) for a in argv]
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    assert says in (out if code == 0 else err)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casmat.casimir4d import PlanarMirrorModel
-from casmat.scattering import (CavityConfig, airy_factor, cavity_matrices,
-                               load_tabulated_mirror,
+from casmat.scattering import (CavityConfig, MirrorModel,
+                               ModelCapabilityError, airy_factor,
+                               cavity_matrices, load_tabulated_mirror,
                                lorentzian_mirror, perfect_mirror, phase_shift,
                                phase_shift_derivative_decomposition,
                                tabulated_mirror, validate_model)
@@ -224,3 +225,50 @@ def test_validate_model_flags_bad_table():
     m = tabulated_mirror(xi, np.full(xi.shape, -0.9))
     rep = validate_model(m, np.geomspace(1e-2, 5.0, 21))
     assert not rep["checks"]["transparency"]["passed"]
+
+
+def _table_file(tmp_path, text):
+    path = tmp_path / "mirror.tab"
+    path.write_text(text)
+    return str(path)
+
+
+_RESONANT = CavityConfig(perfect_mirror(), perfect_mirror(), 1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p: tabulated_mirror([1.0], [-0.5]), ValueError,
+     "need at least two samples"),
+    (lambda p: tabulated_mirror([1.0, 1.0], [-0.5, -0.4]), ValueError,
+     "sample abscissae must be strictly increasing"),
+    (lambda p: tabulated_mirror([1.0, 2.0], [-1.5, -0.4]), ValueError,
+     "|r[i xi]| <= 1 violated by the table"),
+    (lambda p: tabulated_mirror([1.0, 2.0], [-0.5, -0.4], units="furlongs"),
+     ValueError, "units must be 'absolute' or 'q-relative'"),
+    (lambda p: load_tabulated_mirror(_table_file(p, "1.0 -0.5\n2.0\n")),
+     ValueError, "expected two columns, got '2.0'"),
+    (lambda p: tabulated_mirror([1.0, 2.0], [-0.5, -0.4]).r_real(1.0),
+     ModelCapabilityError,
+     "tabulated mirror model does not provide real-axis amplitudes"),
+    (lambda p: cavity_matrices(_RESONANT, math.pi), ValueError,
+     "cavity on resonance: |d| < 1e-14"),
+    (lambda p: airy_factor(_RESONANT, math.pi), ValueError,
+     "cavity on resonance: |1 - r e^{2iwq}| ~ 0"),
+    (lambda p: phase_shift(_RESONANT, 0.3), ValueError,
+     "phase shift undefined at |r e^{2iwq}| >= 1"),
+    (lambda p: phase_shift_derivative_decomposition(_RESONANT, math.pi),
+     ValueError, "cavity on resonance"),
+], ids=["one-sample", "not-increasing", "above-one", "units", "one-column",
+        "table-real-axis", "matrices-resonance", "airy-resonance",
+        "phase-unit-loop", "decomposition-resonance"])
+def test_refusals_keep_their_messages(call, error, message, tmp_path):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message
+
+
+def test_decomposition_of_a_transparent_pair_is_zero():
+    clear = MirrorModel("transparent", r_real_fn=lambda w: 0j,
+                        s_real_fn=lambda w: 1 + 0j)
+    cfg = CavityConfig(clear, clear, 1.0)
+    assert phase_shift_derivative_decomposition(cfg, 0.7) == (0.0, 0.0, 0.0)

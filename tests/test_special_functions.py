@@ -257,3 +257,13 @@ def test_non_finite_delay_density_inputs_are_rejected(call, bad):
 def test_non_finite_polylog_inputs_are_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: polylog(0.5, 1), "polylog order must satisfy p >= 2"),
+    (lambda: bernoulli(3), "bernoulli is defined here for even k >= 2"),
+], ids=["polylog-order-1", "bernoulli-odd"])
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
