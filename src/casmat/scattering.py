@@ -186,7 +186,8 @@ def tabulated_mirror(xi, r, units="absolute", q=None):
     def r_imag(x):
         x = np.asarray(x, dtype=float)
         # clipped to the first knot, PCHIP returns the first sample exactly
-        out = np.where(x >= hi, rhi, interp(np.clip(x, lo, hi)))
+        out = interp(np.clip(x, lo, hi))
+        out = np.where(x >= hi, rhi, out)
         return out if out.ndim else float(out)
 
     xi.flags.writeable = False

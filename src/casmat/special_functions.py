@@ -161,8 +161,13 @@ def erlang_weight(ell, rate, s):
         raise ValueError("rate must be positive and finite")
     s_arr = _delays(s)
     # xlogy is 0 at s = 0 for a single delay and -inf for ell >= 2
-    w = np.exp(ell * math.log(rate) + xlogy(ell - 1, s_arr) - rate * s_arr
-               - gammaln(ell))
+    logw = (
+        ell * math.log(rate)
+        + xlogy(ell - 1, s_arr)
+        - rate * s_arr
+        - gammaln(ell)
+    )
+    w = np.exp(logw)
     return float(w) if w.ndim == 0 else w
 
 
