@@ -31,12 +31,12 @@ _LOG_EDGES = 2.0 ** -np.arange(1, 41)
 
 
 @dataclass
-class ForceResult:
-    """Force between the mirrors together with evaluation metadata.
+class Result:
+    """An engine's value, its error bar and how it was obtained.
 
     ``method`` records which representation produced the number, and
     ``roundtrips_used`` how many terms of the roundtrip series were
-    evaluated (None for methods that are not series).
+    evaluated (None for methods that are not series, and for the energies).
     """
     value: float
     error_estimate: float
@@ -45,14 +45,26 @@ class ForceResult:
     converged: bool = True
 
 
-@dataclass
-class EnergyResult:
-    """Cavity energy (or free energy) with evaluation metadata."""
-    value: float
-    error_estimate: float
-    method: str
-    kind: str
-    converged: bool = True
+def _result(res, method, spec=None, roundtrips=False):
+    """The Result of an engine's integral or series res: every engine's exit.
+
+    Converged only if res is and its error bar meets the tolerances of
+    spec (`_tol_met`); roundtrips_used is res.evaluations when roundtrips.
+    """
+    ok = res.converged and _tol_met(res.error_estimate, res.value,
+                                    spec or QuadratureSpec())
+    return Result(res.value, res.error_estimate, method,
+                  res.evaluations if roundtrips else None, ok)
+
+
+def _closed_form(r0, p, num, den, method):
+    """num polylog(r0, p) / den, a closed form of a constant loop r0.
+
+    Its bar is the relative tolerance 1e-12 that the polylogarithm is
+    summed to.  An exact zero at num = 0, not 0 times a negative sum.
+    """
+    value = num * polylog(r0, p, tol=1e-12) / den if num else 0.0
+    return Result(value, 1e-12 * abs(value), method)
 
 
 def _delay_profile(cfg):
@@ -119,6 +131,8 @@ def _sum_integral_terms(integrand, shape, spec):
     result adds those quadrature errors, summed in term order, to the
     series error and is converged only if every fallback integral is.
     """
+    if spec is None:
+        spec = QuadratureSpec()
     inner = replace(spec, rel_tol=0.5 * spec.rel_tol,
                     abs_tol=0.5 * spec.abs_tol)
     quad_errors = []
@@ -238,13 +252,12 @@ def force_imag_axis(cfg, spec=None):
 
     Returns
     -------
-    ForceResult
+    Result
         Positive value means attraction.
     """
     integrand, edges = _imag_axis_integrand(cfg, 1.0 / np.pi, 1, False)
-    res = integrate_semi_infinite(integrand, 1.0, spec, edges)
-    return ForceResult(res.value, res.error_estimate, "imag-axis",
-                       None, res.converged)
+    return _result(integrate_semi_infinite(integrand, 1.0, spec, edges),
+                   "imag-axis", spec)
 
 
 def force_roundtrip_time(cfg, spec=None):
@@ -265,15 +278,10 @@ def force_roundtrip_time(cfg, spec=None):
     T > 0 it is the Matsubara sum without its n = 0 term, which is
     T/(2q + sum_i 1/Omega_i) over the lorentzian cutoffs Omega_i.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     T = cfg.temperature
     series = _roundtrip_sum(
         cfg, lambda l, tau: -thermal_kernel_time(tau, T), spec)
-    ok = series.converged and _tol_met(series.error_estimate, series.value,
-                                       spec)
-    return ForceResult(series.value, series.error_estimate, "roundtrip-time",
-                       series.evaluations, ok)
+    return _result(series, "roundtrip-time", spec, roundtrips=True)
 
 
 def _check_constant_loop(r0, q, temperature=0.0):
@@ -298,24 +306,15 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
     Negative r0 gives a repulsive (negative) force.
     """
     _check_constant_loop(r0, q, temperature)
-    if r0 == 0.0:
-        return ForceResult(0.0, 0.0, "large-distance", None, True)
-    if temperature == 0.0:
-        value = polylog(r0, 2, tol=1e-12) / (4.0 * np.pi * q * q)
-        return ForceResult(value, 1e-12 * abs(value), "large-distance",
-                           None, True)
-    if spec is None:
-        spec = QuadratureSpec()
+    if temperature == 0.0 or r0 == 0.0:
+        return _closed_form(r0, 2, 1.0, 4.0 * np.pi * q * q, "large-distance")
     rb = abs(r0) * np.exp(-4.0 * np.pi * temperature * q)
 
     def term(l):
         return -(r0 ** l) * thermal_kernel_time(2.0 * l * q, temperature)
 
-    series = _sum_series(term, spec, ratio_bound=rb)
-    ok = series.converged and _tol_met(series.error_estimate, series.value,
-                                       spec)
-    return ForceResult(series.value, series.error_estimate, "large-distance",
-                       series.evaluations, ok)
+    return _result(_sum_series(term, spec, ratio_bound=rb), "large-distance",
+                   spec, roundtrips=True)
 
 
 def mode_sum_oracle_2d(q):
@@ -334,7 +333,7 @@ def mode_sum_oracle_2d(q):
         raise ValueError("separation must be positive and finite")
     coeff = bernoulli(2) / 2  # the only surviving Euler-Maclaurin term
     value = float(coeff) * np.pi / (2.0 * q * q)
-    return ForceResult(value, 0.0, "mode-sum-oracle", None, True)
+    return Result(value, 0.0, "mode-sum-oracle")
 
 
 def casimir_energy(cfg, spec=None):
@@ -350,9 +349,8 @@ def casimir_energy(cfg, spec=None):
     U < 0 for positive loop reflection.
     """
     integrand, edges = _imag_axis_integrand(cfg, 0.5 / np.pi, 0, True)
-    res = integrate_semi_infinite(integrand, 1.0, spec, edges)
-    return EnergyResult(res.value, res.error_estimate, "imag-axis",
-                        "casimir-energy", res.converged)
+    return _result(integrate_semi_infinite(integrand, 1.0, spec, edges),
+                   "imag-axis", spec)
 
 
 def free_energy(cfg, spec=None):
@@ -375,8 +373,6 @@ def free_energy(cfg, spec=None):
     force it omits the n = 0 Matsubara term, which diverges here because
     r1 r2 = 1 at zero frequency.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     T = cfg.temperature
     if T <= 0.0:
         raise ValueError("free energy requires T > 0; at T = 0 the free "
@@ -384,12 +380,11 @@ def free_energy(cfg, spec=None):
     alpha = np.pi * T
     series = _roundtrip_sum(
         cfg, lambda l, tau: free_energy_kernel_time(tau, T) / l, spec)
-    err = series.error_estimate
     lstar = 1.0 / (4.0 * alpha * cfg.q)
     if lstar > series.evaluations:
-        err += (alpha / (2.0 * np.pi)) * np.log(lstar / series.evaluations)
-    return EnergyResult(series.value, err, "roundtrip-time", "free-energy",
-                        series.converged and _tol_met(err, series.value, spec))
+        series.error_estimate += (alpha / (2.0 * np.pi)) * np.log(
+            lstar / series.evaluations)
+    return _result(series, "roundtrip-time", spec)
 
 
 def internal_energy_thermal(cfg, spec=None):
@@ -409,15 +404,10 @@ def internal_energy_thermal(cfg, spec=None):
     with no low-temperature plateau.  The n = 0 Matsubara term, -T/2, is
     omitted, as in the force.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     T = cfg.temperature
     if T <= 0.0:
         raise ValueError("internal_energy_thermal requires T > 0; "
                          "at T = 0 use casimir_energy")
     series = _roundtrip_sum(
         cfg, lambda l, tau: 0.5 * tau * thermal_kernel_time(tau, T) / l, spec)
-    ok = series.converged and _tol_met(series.error_estimate, series.value,
-                                       spec)
-    return EnergyResult(series.value, series.error_estimate, "roundtrip-time",
-                        "casimir-energy", ok)
+    return _result(series, "roundtrip-time", spec)

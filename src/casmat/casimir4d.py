@@ -17,12 +17,12 @@ energy.  Positive pressure means attraction; natural units throughout.
 
 import numpy as np
 
-from .quadrature import (QuadratureSpec, integrate_semi_infinite, _sum_series,
-                         _tol_met)
-from .special_functions import polylog, bernoulli
+from .quadrature import integrate_semi_infinite, _sum_series
+# perfbench's tracer wraps polylog on each engine module by name
+from .special_functions import polylog, bernoulli  # noqa: F401
 from .spectral import kernel_4d_thermal
-from .casimir2d import (ForceResult, EnergyResult, _check_constant_loop,
-                        _imag_axis_integrand, _sum_integral_terms)
+from .casimir2d import (Result, _check_constant_loop, _closed_form,
+                        _imag_axis_integrand, _result, _sum_integral_terms)
 from .scattering import MirrorModel
 
 
@@ -41,7 +41,6 @@ class PlanarMirrorModel(MirrorModel):
     def __init__(self, base):
         super().__init__(base.kind, base._r_real, base._s_real, base._r_imag,
                          base._dlog_r, base.cutoff, base.knots)
-        self.base = base
 
 
 def pressure_imag_axis(cfg, spec=None):
@@ -56,9 +55,8 @@ def pressure_imag_axis(cfg, spec=None):
     the pressure is half of this.
     """
     integrand, edges = _imag_axis_integrand(cfg, 1.0 / np.pi**2, 3, False)
-    res = integrate_semi_infinite(integrand, 1.0, spec, edges)
-    return ForceResult(res.value, res.error_estimate, "imag-axis",
-                       None, res.converged)
+    return _result(integrate_semi_infinite(integrand, 1.0, spec, edges),
+                   "imag-axis", spec)
 
 
 def pressure_roundtrip(cfg, spec=None):
@@ -79,8 +77,6 @@ def pressure_roundtrip(cfg, spec=None):
     if cfg.temperature != 0.0:
         raise ValueError("pressure_roundtrip is a zero-temperature route; "
                          "use pressure_thermal_large_distance at T > 0")
-    if spec is None:
-        spec = QuadratureSpec()
     q = cfg.q
 
     def integrand(l, kappa):
@@ -96,10 +92,7 @@ def pressure_roundtrip(cfg, spec=None):
                         if m.kind == "lorentzian")
     series = _sum_integral_terms(
         integrand, lambda l: (np.full(l.shape, 3), l * lam), spec)
-    ok = series.converged and _tol_met(series.error_estimate, series.value,
-                                       spec)
-    return ForceResult(series.value, series.error_estimate, "roundtrip-time",
-                       series.evaluations, ok)
+    return _result(series, "roundtrip-time", spec, roundtrips=True)
 
 
 def pressure_large_distance(r0, q, spec=None):
@@ -109,11 +102,7 @@ def pressure_large_distance(r0, q, spec=None):
     at r0 = 1.
     """
     _check_constant_loop(r0, q)
-    if r0 == 0.0:
-        return ForceResult(0.0, 0.0, "large-distance", None, True)
-    value = 3.0 * polylog(r0, 4, tol=1e-12) / (8.0 * np.pi**2 * q**4)
-    return ForceResult(value, 1e-12 * abs(value), "large-distance",
-                       None, True)
+    return _closed_form(r0, 4, 3.0, 8.0 * np.pi**2 * q**4, "large-distance")
 
 
 def pressure_thermal_large_distance(r0, q, temperature, spec=None):
@@ -130,14 +119,10 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     if not (abs(r0) <= 1.0 - 1e-6 or r0 in (1.0, -1.0)):
         raise ValueError("r0 must satisfy |r0| <= 1 - 1e-6 or be exactly "
                          "+-1")
-    if temperature == 0.0:
+    if temperature == 0.0 or r0 == 0.0:
         return pressure_large_distance(r0, q, spec)
-    if r0 == 0.0:
-        return ForceResult(0.0, 0.0, "large-distance", None, True)
-    if spec is None:
-        spec = QuadratureSpec()
     alpha = np.pi * temperature
-    classical = pressure_high_temperature(r0, q, temperature).value
+    classical = pressure_high_temperature(r0, q, temperature)
 
     def term(l):
         tau = 2.0 * l * q
@@ -146,11 +131,9 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
 
     rb = abs(r0) * np.exp(-4.0 * alpha * q)
     series = _sum_series(term, spec, ratio_bound=rb)
-    value = classical + series.value
-    err = series.error_estimate + 1e-12 * abs(classical)
-    ok = series.converged and _tol_met(err, value, spec)
-    return ForceResult(value, err, "large-distance",
-                       series.evaluations, ok)
+    series.value += classical.value
+    series.error_estimate += classical.error_estimate
+    return _result(series, "large-distance", spec, roundtrips=True)
 
 
 def pressure_high_temperature(r0, q, temperature):
@@ -160,13 +143,10 @@ def pressure_high_temperature(r0, q, temperature):
     independent of hbar (a purely classical expression).
     """
     _check_constant_loop(r0, q, temperature)
-    if r0 == 0.0 or temperature == 0.0:
-        return ForceResult(0.0, 0.0, "closed-form", None, True)
-    value = temperature * polylog(r0, 3, tol=1e-12) / (4.0 * np.pi * q**3)
-    return ForceResult(value, 1e-12 * abs(value), "closed-form", None, True)
+    return _closed_form(r0, 3, temperature, 4.0 * np.pi * q**3, "closed-form")
 
 
-def mode_sum_oracle_4d(q, per_polarization=False):
+def mode_sum_oracle_4d(q):
     """Exact perfect-mirror pressure from the boundary-mode sum.
 
     Euler-Maclaurin comparison of discrete cavity modes with the
@@ -182,11 +162,10 @@ def mode_sum_oracle_4d(q, per_polarization=False):
     """
     if not 0.0 < q < np.inf:
         raise ValueError("separation must be positive and finite")
-    coeff = bernoulli(4) * (-6) / 24 / 4  # exact Fraction arithmetic
+    # both polarizations, in exact Fraction arithmetic
+    coeff = bernoulli(4) * (-6) / 24 / 4 * 2
     value = float(coeff) * np.pi**2 / q**4
-    if not per_polarization:
-        value *= 2.0
-    return ForceResult(value, 0.0, "mode-sum-oracle", None, True)
+    return Result(value, 0.0, "mode-sum-oracle")
 
 
 def energy_4d(cfg, spec=None):
@@ -202,6 +181,5 @@ def energy_4d(cfg, spec=None):
     in the perfect-reflection limit.
     """
     integrand, edges = _imag_axis_integrand(cfg, 0.5 / np.pi**2, 2, True)
-    res = integrate_semi_infinite(integrand, 1.0, spec, edges)
-    return EnergyResult(res.value, res.error_estimate, "imag-axis",
-                        "casimir-energy", res.converged)
+    return _result(integrate_semi_infinite(integrand, 1.0, spec, edges),
+                   "imag-axis", spec)

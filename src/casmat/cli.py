@@ -164,7 +164,7 @@ def _cavity(args, planar=False):
 
 
 def _record(args, res):
-    rt = getattr(res, "roundtrips_used", None)
+    rt = res.roundtrips_used
     return {"param": "", "q": args.q, "T": args.T, "value": res.value,
             "error": res.error_estimate, "method": res.method,
             "converged": bool(res.converged),

@@ -428,7 +428,7 @@ def _fit_algebraic_tail(term_list, L):
     return tail, abs(tail - tail2)
 
 
-def _sum_series(terms, spec, ratio_bound=None):
+def _sum_series(terms, spec=None, ratio_bound=None):
     """Sum the roundtrip series sum_{l>=1} t_l: every engine's series.
 
     terms(ells) maps the integer array of l from one checkpoint + 1 to the
@@ -452,6 +452,8 @@ def _sum_series(terms, spec, ratio_bound=None):
     weights `_tail_weights` caches per checkpoint.  On a 2-vCPU Xeon they
     take about 40 and 10 microseconds a checkpoint.
     """
+    if spec is None:
+        spec = QuadratureSpec()
     cap = spec.max_roundtrips
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
     geometric = ratio_bound is not None and ratio_bound < 1.0

