@@ -415,7 +415,9 @@ def _fit_algebraic_tail(term_list, L):
     """Least-squares 1/l^k tail (k = 2..7) fitted on the window [L/2, L].
 
     Returns (tail, error_proxy), the proxy being the distance to the fit
-    with k = 2..5, or None when the window is unsuitable (sign changes or
+    with k = 2..5 plus the tail's own rounding, eps sum_l |w_l t_l| over
+    the weights w_l of the k = 2..7 fit (about 1,100 times the tail for
+    1/l^2 terms), or None when the window is unsuitable (sign changes or
     non-decreasing magnitudes, both of which signal a non-algebraic
     regime).  Both fits are dot products with `_tail_weights(L)`.
     """
@@ -425,7 +427,8 @@ def _fit_algebraic_tail(term_list, L):
     if not (mags[-1] > 0.0 and np.all(mags[:-1] >= mags[1:])):
         return None
     tail, tail2 = (weights @ t).tolist()
-    return tail, abs(tail - tail2)
+    rounding = np.finfo(float).eps * float(np.abs(weights[0]) @ mags)
+    return tail, abs(tail - tail2) + rounding
 
 
 def _sum_series(terms, spec=None, ratio_bound=None):

@@ -8,6 +8,7 @@ hypoexponential (two distinct rates) delay densities.  Everything here is a
 pure function.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -20,9 +21,6 @@ __all__ = [
     "erlang_weight",
     "hypoexp_weight",
 ]
-
-# partial sums are accumulated in blocks of this many terms (numpy-vectorized)
-_BLOCK = 4096
 
 
 def polylog(x, p, tol=1e-12):
@@ -44,10 +42,12 @@ def polylog(x, p, tol=1e-12):
 
     Notes
     -----
-    For |x| < 1 the summation stops once the geometric tail bound
-    |x|^(L+1) / ((L+1)^p (1-|x|)) drops below tolerance.  At x = 1 the
-    value is zeta(p) and at x = -1 it is -(1 - 2^(1-p)) zeta(p), with zeta
-    from scipy.  Just below 1 (1 - x < 1e-4) direct summation needs
+    For |x| < 1 it is one vectorised sum of the first L terms, the fewest
+    for which the geometric tail bound |x|^(L+1) / ((L+1)^p (1-|x|)) is
+    below tol times |x| (1 - |x|/2^p), a lower bound of |zeta_x(p)|; L
+    comes from a bisection on the bound's logarithm.  At x = 1 the value
+    is zeta(p) and at x = -1 it is -(1 - 2^(1-p)) zeta(p), with zeta from
+    scipy.  Just below 1 (1 - x < 1e-4) direct summation needs
     ~1/(1-x) terms, so the value is taken from the expansion about the unit
     point in mu = ln x,
 
@@ -78,18 +78,17 @@ def polylog(x, p, tol=1e-12):
         return (2.0 ** (1 - p) * polylog(x * x, p, 0.25 * tol)
                 - polylog(-x, p, 0.25 * tol))
 
-    total = 0.0
-    start = 1
     ax = abs(x)
-    while start < 10_000_000:
-        ell = np.arange(start, start + _BLOCK, dtype=float)
-        total += float(np.sum(x**ell / ell**p))
-        last = start + _BLOCK - 1
-        tail = ax ** (last + 1) / ((last + 1) ** p * (1.0 - ax))
-        if tail <= tol * max(abs(total), 1e-300):
-            return total
-        start += _BLOCK
-    raise RuntimeError("polylog summation failed to meet tolerance")
+    log_ax = math.log(ax)
+    need = (math.log(tol) + log_ax + math.log1p(-ax / 2**p)
+            + math.log1p(-ax))
+    # L + 1 by bisection: the bound falls with L, and meets need at the
+    # L + 1 that meets it without its (L+1)^p
+    top = max(2, math.ceil(need / log_ax))
+    m = bisect.bisect_left(range(top + 1), True, lo=2, key=lambda n: (
+        n * log_ax - p * math.log(n) <= need))
+    ell = np.arange(1.0, m)
+    return float(np.sum(x**ell / ell**p))
 
 
 def _polylog_near_unit(x, p):

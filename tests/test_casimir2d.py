@@ -479,6 +479,28 @@ def test_result_round_trips_through_json(route):
     assert json.loads(json.dumps(record)) == record
 
 
+@pytest.mark.parametrize("route", [
+    lambda s: force_roundtrip_time(_pair(perfect_mirror, 1.0), s),
+    lambda s: force_roundtrip_time(_pair(perfect_mirror, 1.0, T=0.2), s),
+    lambda s: free_energy(_pair(perfect_mirror, 1.0, T=0.2), s),
+    lambda s: internal_energy_thermal(_pair(perfect_mirror, 1.0, T=0.2), s),
+    lambda s: force_large_distance(0.6, 1.0, temperature=0.1, spec=s),
+    lambda s: casimir4d.pressure_thermal_large_distance(0.6, 1.0, 0.1, s),
+], ids=["roundtrip", "roundtrip-T", "free-energy", "internal-energy",
+        "large-distance-T", "pressure-large-distance-T"])
+def test_rel_tol_below_the_bar_only_clears_converged(route):
+    # these series exits read series_tail_tol and abs_tol, not rel_tol:
+    # one epilogue decides convergence from the finished value and bar
+    spec = QuadratureSpec(abs_tol=1e-300)
+    res = route(spec)
+    strict = route(dataclasses.replace(
+        spec, rel_tol=0.5 * res.error_estimate / abs(res.value)))
+    assert res.converged and strict.converged is False
+    assert dataclasses.replace(strict, converged=True) == res
+    record = dataclasses.asdict(strict)
+    assert json.loads(json.dumps(record)) == record
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda x: force_large_distance(0.5, x),

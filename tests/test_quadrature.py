@@ -300,7 +300,9 @@ def test_polylog_series_closes_exactly(monkeypatch):
     assert calls == [(0.99, 2)]
     assert res.converged
     assert res.evaluations == 64
-    assert res.value == polylog(0.99, 2)
+    # the tail is the polylogarithm summed to the series' tail tolerance
+    assert res.value == polylog(0.99, 2, tol=QuadratureSpec().series_tail_tol)
+    assert abs(res.value - polylog(0.99, 2, tol=1e-15)) <= res.error_estimate
 
 
 def test_nearly_zero_temperature_force_closes_through_polylog(monkeypatch):
@@ -342,6 +344,15 @@ def test_cached_tail_weights_match_a_direct_fit(L, term):
     ref_tail, ref_proxy = _lstsq_tail(terms, L)
     assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
     assert abs(proxy - ref_proxy) <= 1e-12 * abs(ref_tail)
+
+
+def test_tail_fit_bar_covers_the_tails_rounding():
+    # both fits are exact on 1/l^2 terms: the tail is off by the rounding
+    # of weights that sum to about 1,100 times it in absolute value
+    terms = (1.0 / np.arange(1.0, 1025.0) ** 2).tolist()
+    for L in range(64, 1025):
+        tail, proxy = quadrature._fit_algebraic_tail(terms[:L], L)
+        assert abs(tail - zeta(2.0, L + 1)) <= proxy
 
 
 def test_tail_weights_are_cached_read_only():

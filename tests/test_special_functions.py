@@ -23,6 +23,17 @@ def test_polylog_at_one_half():
     assert polylog(0.5, 4) == pytest.approx(0.51747906167389938633, rel=1e-13)
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("x", [0.3, -0.3, 0.5, -0.5, 0.9, -0.9, 1.0 - 2e-4,
+                               -(1.0 - 2e-4)])
+def test_polylog_meets_its_tolerance_against_mpmath(x, p):
+    # the sum stops at the fewest terms its tail bound allows
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(mpmath.polylog(p, x))
+    assert polylog(x, p, tol=1e-13) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 def test_polylog_unit_circle_edges():
     assert polylog(1.0, 2) == pytest.approx(ZETA2, rel=1e-13)
     assert polylog(1.0, 3) == pytest.approx(ZETA3, rel=1e-13)
