@@ -45,7 +45,7 @@ class Result:
     converged: bool = True
 
 
-def _result(res, method, spec=None, roundtrips=False):
+def _result(res, method, spec, roundtrips=False):
     """The Result of an engine's integral or series res: every engine's exit.
 
     Converged only if res is and its error bar meets the tolerances of
