@@ -60,10 +60,10 @@ def _result(res, method, spec, roundtrips=False):
 def _closed_form(r0, p, num, den, method):
     """num polylog(r0, p) / den, a closed form of a constant loop r0.
 
-    Its bar is the relative tolerance 1e-12 that the polylogarithm is
-    summed to.  An exact zero at num = 0, not 0 times a negative sum.
+    The polylogarithm is summed to rounding and the bar is 1e-12
+    relative.  An exact zero at num = 0, not 0 times a negative sum.
     """
-    value = num * polylog(r0, p, tol=1e-12) / den if num else 0.0
+    value = num * polylog(r0, p, tol=1e-16) / den if num else 0.0
     return Result(value, 1e-12 * abs(value), method)
 
 

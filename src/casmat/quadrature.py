@@ -505,7 +505,7 @@ def _sum_series(terms, spec=None, ratio_bound=None):
             c, x, p = hit
             ells = np.arange(1, ell + 1, dtype=float)
             covered = float(np.sum(c * x**ells / ells**p))
-            tail = c * polylog(x, p, tol=spec.series_tail_tol) - covered
+            tail = c * polylog(x, p, tol=1e-16) - covered
             return result(tail, spec.series_tail_tol * abs(partial + tail),
                           True)
 

@@ -47,7 +47,7 @@ def polylog(x, p, tol=1e-12):
     below tol times |x| (1 - |x|/2^p), a lower bound of |zeta_x(p)|; L
     comes from a bisection on the bound's logarithm.  At x = 1 the value
     is zeta(p) and at x = -1 it is -(1 - 2^(1-p)) zeta(p), with zeta from
-    scipy.  Just below 1 (1 - x < 1e-4) direct summation needs
+    scipy.  Just below 1 (1 - x < 0.1) direct summation needs
     ~1/(1-x) terms, so the value is taken from the expansion about the unit
     point in mu = ln x,
 
@@ -55,7 +55,8 @@ def polylog(x, p, tol=1e-12):
             + mu^(p-1)/(p-1)! (H_{p-1} - ln(-mu)),
 
     and near -1 the inversion  zeta_x(p) = 2^(1-p) zeta_{x^2}(p)
-    - zeta_{-x}(p)  routes both pieces to cheap regions.
+    - zeta_{-x}(p)  routes both pieces to cheap regions.  A direct sum
+    thus has |x| <= 0.9 and L < 7,100 terms, whatever tol.
     """
     p = int(p)
     if p < 2:
@@ -71,9 +72,9 @@ def polylog(x, p, tol=1e-12):
     if x == -1.0:
         # alternating sum of l^-p in terms of the x = 1 value
         return -(1.0 - 2.0 ** (1 - p)) * float(zeta(p))
-    if x > 1.0 - 1e-4:
+    if x > 0.9:
         return _polylog_near_unit(x, p)
-    if x < -(1.0 - 1e-4):
+    if x < -0.9:
         # square-argument inversion: both pieces land in fast regions
         return (2.0 ** (1 - p) * polylog(x * x, p, 0.25 * tol)
                 - polylog(-x, p, 0.25 * tol))
@@ -93,8 +94,8 @@ def polylog(x, p, tol=1e-12):
 
 def _polylog_near_unit(x, p):
     # Expansion of the bounded polylog about the unit point, in mu = ln x.
-    # Valid for |mu| < 2 pi; used only for 1 - x < 1e-4 where twelve terms
-    # leave a remainder far below double precision.
+    # Valid for |mu| < 2 pi; used only for 1 - x < 0.1, where |mu| < 0.106
+    # and its thirteen terms leave a remainder of order (|mu|/2 pi)^13.
     mu = math.log(x)
     harmonic = sum(1.0 / k for k in range(1, p))
     total = mu ** (p - 1) / math.factorial(p - 1) * (harmonic - math.log(-mu))

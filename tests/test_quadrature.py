@@ -300,9 +300,10 @@ def test_polylog_series_closes_exactly(monkeypatch):
     assert calls == [(0.99, 2)]
     assert res.converged
     assert res.evaluations == 64
-    # the tail is the polylogarithm summed to the series' tail tolerance
-    assert res.value == polylog(0.99, 2, tol=QuadratureSpec().series_tail_tol)
-    assert abs(res.value - polylog(0.99, 2, tol=1e-15)) <= res.error_estimate
+    assert res.value == polylog(0.99, 2)
+    # a direct sum at 0.85, to rounding and not to series_tail_tol
+    res = _sum_series(lambda l: 0.85 ** l / l ** 2, QuadratureSpec())
+    assert res.evaluations == 64 and res.value == polylog(0.85, 2, tol=1e-16)
 
 
 def test_nearly_zero_temperature_force_closes_through_polylog(monkeypatch):
