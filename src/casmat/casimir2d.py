@@ -75,20 +75,21 @@ def _delay_profile(cfg):
     the supported models the l-fold loop kernel is a nonnegative delay
     density: instantaneous mirrors contribute nothing, each exponential
     (single-resonance) mirror contributes one exponential stage per
-    bounce, so l roundtrips give an Erlang density (one lorentzian
-    mirror) or a two-rate hypoexponential (two, which at equal rates is
-    the Erlang density of 2 l stages).
+    bounce, so l roundtrips give an Erlang density of k l stages when the
+    k lorentzian mirrors share one cutoff (one, or two at equal cutoffs)
+    and a two-rate hypoexponential density for split cutoffs.
 
     Returns
     -------
-    weight, shape : callables or (None, None)
+    weight, shape, exact : callables and a bool, or (None, None, False)
         ``weight(l, s)`` is the delay density of l roundtrips at delay s,
         elementwise in l and s (None when both mirrors respond
         instantaneously and the density is a delta at zero delay);
         ``shape(ells)`` is the (alpha, beta) of the gamma law
         s^alpha e^{-beta s} that each density follows, as for
-        `_sum_integral_terms`: exact for one lorentzian mirror, the law
-        with the density's mean and (rounded) variance for two.
+        `_sum_integral_terms`: for split cutoffs the law with the
+        density's mean and (rounded) variance; ``exact`` when the density
+        is that law itself, the Erlang density of a shared cutoff.
     """
     rates = []
     for m in (cfg.mirror1, cfg.mirror2):
@@ -99,11 +100,11 @@ def _delay_profile(cfg):
         if m.kind == "lorentzian":
             rates.append(float(m.cutoff))
     if not rates:
-        return None, None
-    if len(rates) == 1:
-        rate = rates[0]
-        return ((lambda l, s: erlang_weight(l, rate, s)),
-                lambda l: (l - 1, np.full(l.shape, rate)))
+        return None, None, False
+    if len(set(rates)) == 1:
+        k, rate = len(rates), rates[0]
+        return ((lambda l, s: erlang_weight(k * l, rate, s)),
+                lambda l: (k * l - 1, np.full(l.shape, rate)), True)
     a, b = rates
 
     def shape(l):
@@ -111,10 +112,10 @@ def _delay_profile(cfg):
         k = np.rint(mean * mean / (l * (1.0 / a**2 + 1.0 / b**2)))
         return k.astype(int) - 1, k / mean
 
-    return (lambda l, s: hypoexp_weight(l, a, b, s)), shape
+    return (lambda l, s: hypoexp_weight(l, a, b, s)), shape, False
 
 
-def _sum_integral_terms(integrand, shape, spec):
+def _sum_integral_terms(integrand, shape, spec, density=None):
     """Sum a roundtrip series whose l-th term is an integral over (0, inf).
 
     ``integrand(l, x)`` is the l-th integrand at x, elementwise in an
@@ -123,18 +124,24 @@ def _sum_integral_terms(integrand, shape, spec):
     the terms ells follow.  Each term of a block is integrated by the
     Gauss-Laguerre pair `_RULES` for its weight, in one integrand call for
     the block: the larger rule gives its value, the difference of the two
-    its error.  The terms whose error misses the inner tolerance, or is
-    not finite, go to one lockstep block of `integrate_semi_infinite`,
-    with the weight's mean (alpha + 1) / beta as decay scale.  Each term
-    is integrated slightly tighter than the series budget so the
-    accumulated term errors stay inside the caller's tolerance; the
-    result adds those quadrature errors, summed in term order, to the
-    series error and is converged only if every fallback integral is.
+    its error.  A ``density(l, x)`` that is exactly the normalized weight
+    makes the term the integral of density times integrand, which the
+    rules take as the integrand alone against their normalized weights
+    v_0^2 (`_gauss_laguerre`), evaluating no density.  The terms whose
+    error misses the inner tolerance, or is not finite, go to one lockstep
+    block of `integrate_semi_infinite` (of density times integrand), with
+    the weight's mean (alpha + 1) / beta as decay scale.  Each term is
+    integrated slightly tighter than the series budget so the accumulated
+    term errors stay inside the caller's tolerance; the result adds those
+    quadrature errors, summed in term order, to the series error and is
+    converged only if every fallback integral is.
     """
     if spec is None:
         spec = QuadratureSpec()
     inner = replace(spec, rel_tol=0.5 * spec.rel_tol,
                     abs_tol=0.5 * spec.abs_tol)
+    weighted = integrand if density is None else (
+        lambda l, x: density(l, x) * integrand(l, x))
     quad_errors = []
     quad_ok = True
 
@@ -143,18 +150,19 @@ def _sum_integral_terms(integrand, shape, spec):
         alpha, beta = shape(ells)
         rules = [_gauss_laguerre(m, a) for a in alpha.tolist()
                  for m in _RULES]
-        t, log_w = (np.concatenate(x).reshape(ells.size, -1)
-                    for x in zip(*rules))
+        t, log_w, v0sq = (np.concatenate(x).reshape(ells.size, -1)
+                          for x in zip(*rules))
         beta = beta[:, None]
         y = integrand(np.repeat(ells, t.shape[1]), (t / beta).ravel())
-        y = y.reshape(t.shape) * np.exp(log_w) / beta
+        y = y.reshape(t.shape)
+        y = y * np.exp(log_w) / beta if density is None else y * v0sq
         value = y[:, _RULES[0]:].sum(axis=1)
         error = np.abs(value - y[:, :_RULES[0]].sum(axis=1))
         redo = np.flatnonzero(~_tol_met(error, value, inner))
         if redo.size:
             alpha, beta = alpha[redo], beta[redo, 0]
             res = integrate_semi_infinite(
-                lambda i, x: integrand(ells[redo][i], x),
+                lambda i, x: weighted(ells[redo][i], x),
                 (alpha + 1) / beta, inner)
             value[redo], error[redo] = res.value, res.error_estimate
             quad_ok = quad_ok and res.converged
@@ -178,12 +186,16 @@ def _roundtrip_sum(cfg, kernel, spec):
     kernel is elementwise in l and tau: it gets one l per term for a
     perfect pair, whose density is a delta at s = 0 and whose loop
     reflection is (-1)(-1) = 1, so the terms are kernel(l, 2 l q), and
-    one l per quadrature node otherwise.
+    one l per quadrature node otherwise.  Where w_l is exactly its gamma
+    law the kernel and the density go to `_sum_integral_terms` apart.
     """
     q = cfg.q
-    weight, shape = _delay_profile(cfg)
+    weight, shape, exact = _delay_profile(cfg)
     if weight is None:
         return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec)
+    if exact:
+        return _sum_integral_terms(
+            lambda l, s: kernel(l, 2.0 * l * q + s), shape, spec, weight)
     return _sum_integral_terms(
         lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), shape, spec)
 

@@ -327,21 +327,23 @@ def _gauss_laguerre(m, alpha):
     for an integer alpha >= 0.  Golub-Welsch: the nodes t are the
     eigenvalues of the Jacobi matrix of the Laguerre polynomials L^(alpha)
     and the weights Gamma(alpha + 1) v_0^2, with v_0 the first components
-    of its eigenvectors.  Returns (t, log_w) as read-only arrays, with
-    the weight function divided out of the weights,
+    of its eigenvectors.  Returns (t, log_w, v0sq) as read-only arrays,
+    with the weight function divided out of the weights,
 
         log_w = ln Gamma(alpha + 1) + ln v_0^2 + t - alpha ln t,
 
-    so int g ~ sum exp(log_w) g(t), and kept as logs: Gamma(alpha + 1)
-    alone overflows past alpha = 170.
+    so int g ~ sum exp(log_w) g(t), kept as logs (Gamma(alpha + 1) alone
+    overflows past alpha = 170), and v0sq = v_0^2, the weights of the
+    normalized law t^alpha e^{-t} / Gamma(alpha + 1).
     """
     i = np.arange(m, dtype=float)
     t, v = eigh_tridiagonal(2.0 * i + alpha + 1.0,
                             np.sqrt(i[1:] * (i[1:] + alpha)))
+    v0sq = v[0] * v[0]
     log_w = gammaln(alpha + 1.0) + 2.0 * np.log(np.abs(v[0])) + t \
         - alpha * np.log(t)
-    t.flags.writeable = log_w.flags.writeable = False
-    return t, log_w
+    t.flags.writeable = log_w.flags.writeable = v0sq.flags.writeable = False
+    return t, log_w, v0sq
 
 
 # the polylogarithm orders that occur in the closed-form limits

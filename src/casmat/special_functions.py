@@ -75,9 +75,11 @@ def polylog(x, p, tol=1e-12):
     if x > 0.9:
         return _polylog_near_unit(x, p)
     if x < -0.9:
-        # square-argument inversion: both pieces land in fast regions
-        return (2.0 ** (1 - p) * polylog(x * x, p, 0.25 * tol)
-                - polylog(-x, p, 0.25 * tol))
+        # square-argument inversion: both pieces land in fast regions, each
+        # to a quarter of tol, kept above 0 where a quarter underflows
+        inner = max(0.25 * tol, math.ulp(0.0))
+        return (2.0 ** (1 - p) * polylog(x * x, p, inner)
+                - polylog(-x, p, inner))
 
     ax = abs(x)
     log_ax = math.log(ax)

@@ -96,6 +96,89 @@ def test_roundtrip_mixed_pair(cutoff, q):
     assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
 
 
+# pairs whose l-roundtrip delay density is its own gamma law, an Erlang
+# density: two lorentzian mirrors of one cutoff, and one lorentzian mirror
+_EXACT_WEIGHT_PAIRS = [pytest.param((0.7, 0.7), id="equal-cutoffs"),
+                       pytest.param((None, 1.3), id="one-lorentzian")]
+
+
+def _exact_weight_pair(cutoffs, q, T=0.0):
+    return CavityConfig(*(perfect_mirror() if w is None
+                          else lorentzian_mirror(w) for w in cutoffs), q, T)
+
+
+@pytest.mark.parametrize("cutoffs", _EXACT_WEIGHT_PAIRS)
+def test_exact_weight_terms_evaluate_density_only_at_fallback_nodes(
+        monkeypatch, cutoffs):
+    # the fixed rules integrate the kernel alone against their normalized
+    # weights, so the only density points are the nodes of the adaptive
+    # fallback, one each; at q = 0.3 some low orders fall back
+    points, evaluations = [], []
+    integrate = casimir2d.integrate_semi_infinite
+    erlang, hypoexp = casimir2d.erlang_weight, casimir2d.hypoexp_weight
+
+    def counted_integrate(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    def counted_erlang(ell, rate, s):
+        points.append(np.size(s))
+        return erlang(ell, rate, s)
+
+    def counted_hypoexp(ell, rate1, rate2, s):
+        points.append(np.size(s))
+        return hypoexp(ell, rate1, rate2, s)
+
+    monkeypatch.setattr(casimir2d, "integrate_semi_infinite",
+                        counted_integrate)
+    monkeypatch.setattr(casimir2d, "erlang_weight", counted_erlang)
+    monkeypatch.setattr(casimir2d, "hypoexp_weight", counted_hypoexp)
+    q = 0.3
+    runs = [force_roundtrip_time(_exact_weight_pair(cutoffs, q))]
+    cfg = _exact_weight_pair(cutoffs, q, 0.1 / q)
+    runs += [engine(cfg) for engine in (force_roundtrip_time, free_energy,
+                                        internal_energy_thermal)]
+    assert all(res.converged for res in runs)
+    assert evaluations and sum(points) == sum(evaluations) > 0
+
+
+@pytest.mark.parametrize("cutoffs", _EXACT_WEIGHT_PAIRS)
+def test_exact_weight_force_meets_imag_axis(cutoffs):
+    cfg = _exact_weight_pair(cutoffs, 0.3)
+    res, ref = force_roundtrip_time(cfg), force_imag_axis(cfg)
+    assert res.converged and ref.converged
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
+# a known bar miss: at q = 0.3, T q = 1 the thermal kernel falls off within
+# 1/(2 pi T) = 0.05 of s = 0, inside the first nodes of the rules fitted to
+# the two-roundtrip weight s^3 e^{-0.7 s}; both rules miss that term (4e-17
+# for 1.9e-15), agree with each other and pass the absolute tolerance, so
+# the bar comes out 13-15 times short
+_NARROW_KERNEL = pytest.mark.xfail(strict=True, reason=(
+    "fixed-rule error estimate of a kernel narrower than the rule's nodes"))
+
+
+@pytest.mark.parametrize("cutoffs", _EXACT_WEIGHT_PAIRS)
+@pytest.mark.parametrize("q", [0.3, 1.0])
+@pytest.mark.parametrize("tq", [1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("engine, observable", [
+    pytest.param(force_roundtrip_time, "force", id="force"),
+    pytest.param(free_energy, "free energy", id="free-energy"),
+    pytest.param(internal_energy_thermal, "internal energy",
+                 id="internal-energy")])
+def test_exact_weight_thermal_routes_meet_matsubara_sums(
+        request, engine, observable, tq, q, cutoffs):
+    if (cutoffs, q, tq) == ((0.7, 0.7), 0.3, 1.0) and engine is not free_energy:
+        request.applymarker(_NARROW_KERNEL)
+    cfg = _exact_weight_pair(cutoffs, q, tq / q)
+    res = engine(cfg)
+    ref, bar = _matsubara(observable, cfg)
+    assert res.converged
+    assert abs(res.value - ref) <= res.error_estimate + bar
+
+
 def test_roundtrip_needs_time_kernel():
     xi = np.geomspace(1e-3, 1e3, 100)
     tab = tabulated_mirror(xi, -1.0 / (1.0 + xi))
@@ -404,21 +487,33 @@ def test_thermal_series_bars_cover_rounding():
     assert abs(fe.value - THERMAL_FREE_ENERGY) <= fe.error_estimate
 
 
-def _matsubara_internal_energy(q, T, cutoff=None):
-    """U = T sum_{n>=1} xi_n x'_n / (1 - x_n), xi_n = 2 pi n T.
+def _matsubara(observable, cfg):
+    """An observable's Matsubara sum at T > 0, and the bar of its rounding.
 
-    x = rbar(xi) e^{-2 q xi} and x' = x (d ln rbar/dxi - 2 q), for a
-    perfect pair (rbar = 1) or two lorentzian mirrors of one cutoff
-    (rbar = (cutoff/(cutoff + xi))^2).  The n = 0 term is excluded, as in
-    the roundtrip series.
+    With xi_n = 2 pi n T, x = rbar(xi) e^{-2 q xi} and
+    x' = x (d ln rbar/dxi - 2 q), where d ln rbar/dxi is
+    -sum_i 1/(cutoff_i + xi) over the lorentzian mirrors,
+
+        force            F = 2T sum_{n>=1} xi_n x_n / (1 - x_n)
+        free energy      A =  T sum_{n>=1} ln(1 - x_n)
+        internal energy  U =  T sum_{n>=1} xi_n x'_n / (1 - x_n).
+
+    The n = 0 term is excluded, as in the roundtrip series.  The terms
+    past n = 1999 are below e^{-8000 pi T q}; the bar allows 16 eps per
+    unit of sum_n |t_n| for their rounding.
     """
+    T, q = cfg.temperature, cfg.q
     xi = 2.0 * math.pi * T * np.arange(1, 2000)
-    if cutoff is None:
-        rbar, dlog = 1.0, 0.0
+    x = cfg.loop_r_imag(xi) * np.exp(-2.0 * q * xi)
+    if observable == "force":
+        terms = 2.0 * T * xi * x / (1.0 - x)
+    elif observable == "free energy":
+        terms = T * np.log1p(-x)
     else:
-        rbar, dlog = (cutoff / (cutoff + xi)) ** 2, -2.0 / (cutoff + xi)
-    x = rbar * np.exp(-2.0 * q * xi)
-    return T * math.fsum(xi * x * (dlog - 2.0 * q) / (1.0 - x))
+        dlog = -sum(1.0 / (m.cutoff + xi) for m in (cfg.mirror1, cfg.mirror2)
+                    if m.kind == "lorentzian")
+        terms = T * xi * x * (dlog - 2.0 * q) / (1.0 - x)
+    return math.fsum(terms), 16.0 * np.finfo(float).eps * np.abs(terms).sum()
 
 
 @pytest.mark.parametrize("cutoff, tq", [(None, 1.0), (None, 5.0),
@@ -427,8 +522,9 @@ def test_internal_energy_matches_matsubara_sum(cutoff, tq):
     q = 1.0
     maker = perfect_mirror if cutoff is None else (
         lambda: lorentzian_mirror(cutoff))
-    res = internal_energy_thermal(_pair(maker, q, T=tq / q))
-    ref = _matsubara_internal_energy(q, tq / q, cutoff)
+    cfg = _pair(maker, q, T=tq / q)
+    res = internal_energy_thermal(cfg)
+    ref, _ = _matsubara("internal energy", cfg)
     assert res.converged
     assert abs(res.value - ref) <= res.error_estimate + 4 * np.spacing(abs(ref))
 

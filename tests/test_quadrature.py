@@ -260,9 +260,11 @@ def test_gauss_laguerre_rule_is_exact(m, alpha):
     # the scaled rule integrates s^j s^alpha e^{-beta s} to
     # Gamma(alpha + j + 1) / beta^(alpha + j + 1); checked in logs, since
     # Gamma overflows past alpha = 170, to the rounding of the logs
-    # (ln Gamma(20001) is 1.8e5)
-    t, log_w = _gauss_laguerre(m, alpha)
-    assert t.shape == log_w.shape == (m,)
+    # (ln Gamma(20001) is 1.8e5); the normalized weights v0sq take the
+    # moments of t^alpha e^{-t} / Gamma(alpha + 1), Gamma(alpha + j + 1) /
+    # Gamma(alpha + 1), with no weight function to divide out
+    t, log_w, v0sq = _gauss_laguerre(m, alpha)
+    assert t.shape == log_w.shape == v0sq.shape == (m,)
     assert np.all(np.isfinite(log_w)) and np.all(t > 0.0)
     beta = 2.5
     s = t / beta
@@ -271,12 +273,16 @@ def test_gauss_laguerre_rule_is_exact(m, alpha):
         log_terms = log_w + (alpha + j) * np.log(s) - beta * s - math.log(beta)
         exact = gammaln(alpha + j + 1) - (alpha + j + 1) * math.log(beta)
         assert np.sum(np.exp(log_terms - exact)) == pytest.approx(1.0, rel=rel)
+        moment = gammaln(alpha + j + 1) - gammaln(alpha + 1)
+        assert np.sum(v0sq * np.exp(j * np.log(t) - moment)) == pytest.approx(
+            1.0, rel=rel)
 
 
 def test_gauss_laguerre_rules_are_cached_read_only():
     assert _gauss_laguerre(24, 7) is _gauss_laguerre(24, 7)
-    with pytest.raises(ValueError):
-        _gauss_laguerre(24, 7)[0][0] = 1.0
+    for part in _gauss_laguerre(24, 7):
+        with pytest.raises(ValueError):
+            part[0] = 1.0
 
 
 def _polylog_calls(monkeypatch):
@@ -437,7 +443,7 @@ def test_block_equals_one_integral_at_a_time(route):
     ells = np.arange(1, 65)
     if route == "force":
         q = 0.2
-        weight, shape = casimir2d._delay_profile(CavityConfig(m1, m2, q))
+        weight, shape, _ = casimir2d._delay_profile(CavityConfig(m1, m2, q))
 
         def integrand(l, s):
             return weight(l, s) * -thermal_kernel_time(2.0 * l * q + s, 0.0)

@@ -28,11 +28,12 @@ def test_polylog_at_one_half():
                                1.0 - 2e-4, -(1.0 - 2e-4)])
 def test_polylog_meets_its_tolerance_against_mpmath(x, p):
     # the sum stops at the fewest terms its tail bound allows; at tol =
-    # 1e-300 a direct sum (|x| <= 0.9) still takes under 7,100 terms
+    # 1e-300 a direct sum (|x| <= 0.9) still takes under 7,100 terms, and
+    # the smallest subnormal tol, whose quarter underflows, is still a tol
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         ref = float(mpmath.polylog(p, x))
-    for tol in (1e-13, 1e-300):
+    for tol in (1e-13, 1e-300, 5e-324):
         assert polylog(x, p, tol) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
