@@ -17,15 +17,25 @@ import numpy as np
 from dataclasses import dataclass, replace
 
 from .quadrature import (QuadratureSpec, IntegrationResult,
-                         integrate_semi_infinite, _gauss_laguerre,
-                         _sum_series, _tol_met)
+                         integrate_semi_infinite, _gauss_beta,
+                         _gauss_laguerre, _sum_series, _tol_met)
 from .special_functions import polylog, bernoulli, erlang_weight, hypoexp_weight
 from .spectral import thermal_kernel_time, free_energy_kernel_time
 from .scattering import ModelCapabilityError
 
 # the node counts of the Gauss-Laguerre pair that integrates each term of
-# a roundtrip series
+# a roundtrip series, and of the Beta rules that make them the product
+# rules 16 x 8 and 24 x 12 for a term of two rates
 _RULES = (16, 24)
+_BETA_RULES = (8, 12)
+# for each node of the two product rules, the coarser's first, the column
+# of its Laguerre node and of its Beta node in the arrays of `_stacked`
+_LAG = np.concatenate([np.tile(np.arange(m) + i, mb) for m, mb, i in
+                       zip(_RULES, _BETA_RULES, (0, _RULES[0]))])
+_MIX = np.concatenate([np.repeat(np.arange(mb) + j, m) for m, mb, j in
+                       zip(_RULES, _BETA_RULES, (0, _BETA_RULES[0]))])
+# the most terms whose fixed-rule nodes one integrand call takes
+_TERMS_PER_CALL = 64
 # the energies' panel edges in u, graded toward their ln u at u = 0
 _LOG_EDGES = 2.0 ** -np.arange(1, 41)
 
@@ -77,19 +87,20 @@ def _delay_profile(cfg):
     (single-resonance) mirror contributes one exponential stage per
     bounce, so l roundtrips give an Erlang density of k l stages when the
     k lorentzian mirrors share one cutoff (one, or two at equal cutoffs)
-    and a two-rate hypoexponential density for split cutoffs.
+    and a two-rate hypoexponential density for split cutoffs.  That is
+    the law of X / Omega_1 + Y / Omega_2 with X, Y ~ Gamma(l, 1), which is
+    R (T / Omega_1 + (1 - T) / Omega_2) with R ~ Gamma(2 l, 1) and
+    T ~ Beta(l, l) independent (Lukacs 1955).
 
     Returns
     -------
-    weight, shape, exact : callables and a bool, or (None, None, False)
+    weight, shape : callables, or (None, None)
         ``weight(l, s)`` is the delay density of l roundtrips at delay s,
         elementwise in l and s (None when both mirrors respond
         instantaneously and the density is a delta at zero delay);
-        ``shape(ells)`` is the (alpha, beta) of the gamma law
-        s^alpha e^{-beta s} that each density follows, as for
-        `_sum_integral_terms`: for split cutoffs the law with the
-        density's mean and (rounded) variance; ``exact`` when the density
-        is that law itself, the Erlang density of a shared cutoff.
+        ``shape(ells)`` is that density's exact law for
+        `_sum_integral_terms`: alpha = k l - 1 and the shared cutoff, or
+        alpha = 2 l - 1 and the two cutoffs.
     """
     rates = []
     for m in (cfg.mirror1, cfg.mirror2):
@@ -100,41 +111,73 @@ def _delay_profile(cfg):
         if m.kind == "lorentzian":
             rates.append(float(m.cutoff))
     if not rates:
-        return None, None, False
+        return None, None
     if len(set(rates)) == 1:
         k, rate = len(rates), rates[0]
         return ((lambda l, s: erlang_weight(k * l, rate, s)),
-                lambda l: (k * l - 1, np.full(l.shape, rate)), True)
+                lambda l: (k * l - 1, np.full(l.shape, rate)))
     a, b = rates
+    return ((lambda l, s: hypoexp_weight(l, a, b, s)),
+            lambda l: (2 * l - 1, np.tile(rates, (l.size, 1))))
 
-    def shape(l):
-        mean = l * (1.0 / a + 1.0 / b)
-        k = np.rint(mean * mean / (l * (1.0 / a**2 + 1.0 / b**2)))
-        return k.astype(int) - 1, k / mean
 
-    return (lambda l, s: hypoexp_weight(l, a, b, s)), shape, False
+def _stacked(rule, sizes, orders):
+    """The arrays of the cached rules rule(m, a) of every size m for each
+    order a, one row per order, the sizes side by side."""
+    rules = [rule(m, a) for a in orders for m in sizes]
+    return (np.concatenate(x).reshape(len(orders), -1) for x in zip(*rules))
+
+
+def _fixed_rule_terms(integrand, shape, ells, exact):
+    """The terms ells of `_sum_integral_terms` by its fixed rules.
+
+    Returns the finer rule's values and their distances to the coarser
+    one's.  A term of one rate beta takes the Gauss-Laguerre pair `_RULES`
+    for its alpha at the nodes t / beta: with the weights exp(log_w) /
+    beta, or with the normalized weights v_0^2 when exact.  A term of two
+    rates (exact only) takes the product rules of that pair with the Beta
+    pair `_BETA_RULES` at (alpha - 1) / 2: its delay R (T / beta_1 +
+    (1 - T) / beta_2) has the nodes t (u_j / beta_1 + (1 - u_j) / beta_2)
+    and the weights v_0^2 p_j, over the Beta rule's nodes u_j and weights
+    p_j.  One integrand call takes the nodes of all the terms.
+    """
+    alpha, beta = shape(ells)
+    alpha = alpha.tolist()
+    t, log_w, v0sq = _stacked(_gauss_laguerre, _RULES, alpha)
+    w = v0sq if exact else np.exp(log_w)
+    if beta.ndim == 1:
+        x, cut = t / beta[:, None], _RULES[0]
+    else:
+        u, p = _stacked(_gauss_beta, _BETA_RULES, [(a - 1) // 2 for a in alpha])
+        c = u / beta[:, :1] + (1.0 - u) / beta[:, 1:]
+        x, w = t[:, _LAG] * c[:, _MIX], w[:, _LAG] * p[:, _MIX]
+        cut = _RULES[0] * _BETA_RULES[0]
+    y = integrand(np.repeat(ells, x.shape[1]), x.ravel()).reshape(x.shape)
+    y = y * w if exact else y * w / beta[:, None]
+    value = y[:, cut:].sum(axis=1)
+    return value, np.abs(value - y[:, :cut].sum(axis=1))
 
 
 def _sum_integral_terms(integrand, shape, spec, density=None):
     """Sum a roundtrip series whose l-th term is an integral over (0, inf).
 
     ``integrand(l, x)`` is the l-th integrand at x, elementwise in an
-    integer array l and x, and ``shape(ells)`` the integer alpha >= 0 and
-    the beta > 0 of the weight x^alpha e^{-beta x} that the integrands of
-    the terms ells follow.  Each term of a block is integrated by the
-    Gauss-Laguerre pair `_RULES` for its weight, in one integrand call for
-    the block: the larger rule gives its value, the difference of the two
-    its error.  A ``density(l, x)`` that is exactly the normalized weight
-    makes the term the integral of density times integrand, which the
-    rules take as the integrand alone against their normalized weights
-    v_0^2 (`_gauss_laguerre`), evaluating no density.  The terms whose
-    error misses the inner tolerance, or is not finite, go to one lockstep
-    block of `integrate_semi_infinite` (of density times integrand), with
-    the weight's mean (alpha + 1) / beta as decay scale.  Each term is
-    integrated slightly tighter than the series budget so the accumulated
-    term errors stay inside the caller's tolerance; the result adds those
-    quadrature errors, summed in term order, to the series error and is
-    converged only if every fallback integral is.
+    integer array l and x; ``shape(ells)`` gives the integer alpha >= 0
+    and the rate beta > 0 of the weight x^alpha e^{-beta x} that the
+    integrands of the terms ells follow, or two rates per term.  The
+    fixed rules of `_fixed_rule_terms` integrate the terms, at most
+    `_TERMS_PER_CALL` of them in one integrand call.  A ``density(l, x)``
+    makes the term the integral of density times integrand; the density
+    is then exactly the law of shape, the gamma law or, for two rates, the
+    law of the sum of two independent Gamma((alpha + 1) / 2) delays at
+    those rates, and the rules never evaluate it.  The terms whose error
+    misses the inner tolerance, or is not finite, go to one lockstep block
+    of `integrate_semi_infinite` (of density times integrand), with the
+    law's mean as decay scale.  Each term is integrated slightly tighter
+    than the series budget so the accumulated term errors stay inside the
+    caller's tolerance; the result adds those quadrature errors, summed in
+    term order, to the series error and is converged only if every
+    fallback integral is.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -147,23 +190,17 @@ def _sum_integral_terms(integrand, shape, spec, density=None):
 
     def terms(ells):
         nonlocal quad_ok
-        alpha, beta = shape(ells)
-        rules = [_gauss_laguerre(m, a) for a in alpha.tolist()
-                 for m in _RULES]
-        t, log_w, v0sq = (np.concatenate(x).reshape(ells.size, -1)
-                          for x in zip(*rules))
-        beta = beta[:, None]
-        y = integrand(np.repeat(ells, t.shape[1]), (t / beta).ravel())
-        y = y.reshape(t.shape)
-        y = y * np.exp(log_w) / beta if density is None else y * v0sq
-        value = y[:, _RULES[0]:].sum(axis=1)
-        error = np.abs(value - y[:, :_RULES[0]].sum(axis=1))
+        value, error = map(np.concatenate, zip(*[
+            _fixed_rule_terms(integrand, shape, ells[k:k + _TERMS_PER_CALL],
+                              density is not None)
+            for k in range(0, ells.size, _TERMS_PER_CALL)]))
         redo = np.flatnonzero(~_tol_met(error, value, inner))
         if redo.size:
-            alpha, beta = alpha[redo], beta[redo, 0]
+            alpha, beta = shape(ells[redo])
+            mean = ((alpha + 1) / beta if beta.ndim == 1
+                    else 0.5 * (alpha + 1) * (1.0 / beta).sum(axis=1))
             res = integrate_semi_infinite(
-                lambda i, x: weighted(ells[redo][i], x),
-                (alpha + 1) / beta, inner)
+                lambda i, x: weighted(ells[redo][i], x), mean, inner)
             value[redo], error[redo] = res.value, res.error_estimate
             quad_ok = quad_ok and res.converged
         quad_errors.extend(error.tolist())
@@ -186,18 +223,17 @@ def _roundtrip_sum(cfg, kernel, spec):
     kernel is elementwise in l and tau: it gets one l per term for a
     perfect pair, whose density is a delta at s = 0 and whose loop
     reflection is (-1)(-1) = 1, so the terms are kernel(l, 2 l q), and
-    one l per quadrature node otherwise.  Where w_l is exactly its gamma
-    law the kernel and the density go to `_sum_integral_terms` apart.
+    one l per quadrature node otherwise.  w_l is exactly the law its
+    shape gives, so the kernel and the density go to
+    `_sum_integral_terms` apart, and only the fallback's nodes evaluate
+    the density.
     """
     q = cfg.q
-    weight, shape, exact = _delay_profile(cfg)
+    weight, shape = _delay_profile(cfg)
     if weight is None:
         return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec)
-    if exact:
-        return _sum_integral_terms(
-            lambda l, s: kernel(l, 2.0 * l * q + s), shape, spec, weight)
     return _sum_integral_terms(
-        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), shape, spec)
+        lambda l, s: kernel(l, 2.0 * l * q + s), shape, spec, weight)
 
 
 def _imag_axis_integrand(cfg, coefficient, power, log_form):

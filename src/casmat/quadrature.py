@@ -8,8 +8,9 @@ mirror), which the caller passes as panel edges.  The engine is an embedded
 Gauss pair (7/15 point) on panels, cut at any edges inside them (QUADPACK's
 qagp) and globally refined worst-panel-first; generalized Gauss-Laguerre rules
 (`_gauss_laguerre`, Golub-Welsch) for the roundtrip terms, whose
-integrands follow a known weight t^alpha e^{-t}, with the panel engine as
-their fallback; and one series summator, `_sum_series`, with a geometric
+integrands follow a known weight t^alpha e^{-t}, times symmetric Beta rules
+(`_gauss_beta`) where a term's delay splits between two rates, with the
+panel engine as their fallback; and one series summator, `_sum_series`, with a geometric
 or power-law tail bound and two escape hatches for slowly decaying term
 sequences: exact polylogarithm detection and an algebraic 1/l^k tail fit.
 Its exit tests cost a fixed few numpy calls per checkpoint, whatever the
@@ -344,6 +345,28 @@ def _gauss_laguerre(m, alpha):
         - alpha * np.log(t)
     t.flags.writeable = log_w.flags.writeable = v0sq.flags.writeable = False
     return t, log_w, v0sq
+
+
+@functools.lru_cache(maxsize=4096)
+def _gauss_beta(m, alpha):
+    """m-point Gauss rule of the Beta(alpha + 1, alpha + 1) law on (0, 1).
+
+    Exact for the mean of a polynomial of degree < 2m under the normalized
+    weight t^alpha (1 - t)^alpha / B(alpha + 1, alpha + 1), alpha >= 0.
+    Golub-Welsch, as `_gauss_laguerre`, on the symmetric Jacobi recurrence
+    moved to (0, 1): diagonal 1/2, off-diagonal
+    sqrt(n (n + 2 alpha) / ((2n + 2 alpha - 1)(2n + 2 alpha + 1))) / 2.
+    Returns the nodes t and the normalized weights p = v_0^2 as read-only
+    arrays.
+    """
+    n = np.arange(1, m, dtype=float)
+    k = 2.0 * (n + alpha)
+    t, v = eigh_tridiagonal(np.full(m, 0.5),
+                            0.5 * np.sqrt(n * (n + 2.0 * alpha)
+                                          / ((k - 1.0) * (k + 1.0))))
+    p = v[0] * v[0]
+    t.flags.writeable = p.flags.writeable = False
+    return t, p
 
 
 # the polylogarithm orders that occur in the closed-form limits

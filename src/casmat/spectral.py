@@ -39,7 +39,8 @@ def _sinh_ratios(x):
     With e = e^{-x} and m = 1 - e^{-2x} = -expm1(-2x): x/sinh x = 2 x e/m
     and x coth x = x (1 + e^2)/m.  x is floored at 1e-300 because alpha tau
     underflows to 0 at tiny T (and is 0 at T = 0); below 1e-8 all three
-    already round to 1, so the kernels need no T = 0 branch.
+    already round to 1, so a kernel's T = 0 branch, where it has one, only
+    skips their evaluation.
     """
     x = np.maximum(x, 1e-300)
     e = np.exp(-x)
@@ -60,11 +61,14 @@ def thermal_kernel_time(tau, T):
     Evaluated as the vacuum kernel times (x/sinh x)^2, x = alpha tau, so
     that alpha^2 never underflows out of the quotient at tiny T and the
     exponentially small tail -4 pi T^2 e^{-2x} at large x needs no
-    separate branch.  Equals the vacuum kernel bit for bit at T = 0.
+    separate branch.  At T = 0 it is the vacuum kernel, which the ratios
+    would give bit for bit.
     """
     tau = _check_tau(tau)
     if not 0 <= T < np.inf:
         raise ValueError("temperature must be finite and nonnegative")
+    if T == 0:
+        return vacuum_kernel_time(tau)
     r, _, _ = _sinh_ratios(np.pi * T * tau)
     out = -(r**2) / (np.pi * tau**2)
     return float(out) if out.ndim == 0 else out

@@ -1,6 +1,7 @@
 """Adaptive semi-infinite quadrature and roundtrip series summation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln, zeta
 
 from casmat import quadrature
-from casmat.quadrature import (QuadratureSpec, _gauss_laguerre, _panel,
-                               _sum_series, integrate_semi_infinite)
+from casmat.quadrature import (QuadratureSpec, _gauss_beta, _gauss_laguerre,
+                               _panel, _sum_series, integrate_semi_infinite)
 from casmat.special_functions import polylog
 
 ZETA2 = 1.6449340668482264365
@@ -285,6 +286,27 @@ def test_gauss_laguerre_rules_are_cached_read_only():
             part[0] = 1.0
 
 
+@pytest.mark.parametrize("alpha", [0, 3, 63, 999])
+@pytest.mark.parametrize("m", [8, 12])
+def test_gauss_beta_rule_is_exact(m, alpha):
+    # the moments of Beta(alpha + 1, alpha + 1), E[T^j] = prod_{i<j}
+    # (alpha + 1 + i) / (2 alpha + 2 + i), exact as fractions, for j < 2m
+    t, p = _gauss_beta(m, alpha)
+    assert t.shape == p.shape == (m,)
+    assert np.all((t > 0.0) & (t < 1.0)) and np.all(p > 0.0)
+    moment = Fraction(1)
+    for j in range(2 * m):
+        assert np.sum(p * t**j) == pytest.approx(float(moment), rel=1e-14)
+        moment *= Fraction(alpha + 1 + j, 2 * alpha + 2 + j)
+
+
+def test_gauss_beta_rules_are_cached_read_only():
+    assert _gauss_beta(12, 7) is _gauss_beta(12, 7)
+    for part in _gauss_beta(12, 7):
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+
+
 def _polylog_calls(monkeypatch):
     """Record the polylogarithm calls of the series engine's exact exit."""
     from casmat import quadrature
@@ -432,10 +454,11 @@ def _assert_block_matches(f, scales, spec=None):
 @pytest.mark.parametrize("route", ["force", "pressure"])
 def test_block_equals_one_integral_at_a_time(route):
     # a full 64-term block of a split-cutoff roundtrip force
-    # (hypoexponential delay densities) and of a roundtrip pressure, built
-    # from the series integrands with the fallback's decay scales and
-    # inner tolerances: in lockstep, each term gets bit for bit the value,
-    # error and evaluations it gets alone
+    # (hypoexponential delay densities, with their exact means as decay
+    # scales) and of a roundtrip pressure, built from the series integrands
+    # with the fallback's decay scales and inner tolerances: in lockstep,
+    # each term gets bit for bit the value, error and evaluations it gets
+    # alone
     from casmat import casimir2d
     from casmat.scattering import CavityConfig, lorentzian_mirror
     from casmat.spectral import thermal_kernel_time
@@ -443,12 +466,12 @@ def test_block_equals_one_integral_at_a_time(route):
     ells = np.arange(1, 65)
     if route == "force":
         q = 0.2
-        weight, shape, _ = casimir2d._delay_profile(CavityConfig(m1, m2, q))
+        weight, _ = casimir2d._delay_profile(CavityConfig(m1, m2, q))
 
         def integrand(l, s):
             return weight(l, s) * -thermal_kernel_time(2.0 * l * q + s, 0.0)
 
-        alpha, beta = shape(ells)
+        scales = ells * (1 / 0.3 + 1 / 3.0)
     else:
         cfg = CavityConfig(m1, m2, 0.7)
 
@@ -456,10 +479,10 @@ def test_block_equals_one_integral_at_a_time(route):
             return (kappa**3 * cfg.loop_r_imag(kappa) ** l
                     * np.exp(-2.0 * l * kappa * cfg.q) / np.pi**2)
 
-        alpha, beta = np.full(64, 3), ells * (2.0 * cfg.q + 1 / 0.3 + 1 / 3.0)
+        scales = 4 / (ells * (2.0 * cfg.q + 1 / 0.3 + 1 / 3.0))
     spec = QuadratureSpec(rel_tol=0.5e-9, abs_tol=0.5e-14)
     singles = _assert_block_matches(lambda i, x: integrand(ells[i], x),
-                                    (alpha + 1) / beta, spec)
+                                    scales, spec)
     assert len(singles) == 64 and all(r.converged for r in singles)
 
 

@@ -107,7 +107,9 @@ def test_free_energy_kernel_zero_temperature():
 
 
 def test_zero_temperature_kernels_equal_vacuum_forms_exactly():
-    # no T = 0 branch: the floored sinh ratios are exactly 1 at x = 0
+    # the thermal force and 4D kernels take the vacuum forms at T = 0, which
+    # the floored sinh ratios, exactly 1 at x = 0, also give; the
+    # free-energy kernel has no T = 0 branch
     tau = np.geomspace(1e-6, 1e6, 2001)
     assert np.array_equal(thermal_kernel_time(tau, 0.0),
                           vacuum_kernel_time(tau))
