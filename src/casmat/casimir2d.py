@@ -148,7 +148,8 @@ def _fixed_rule_terms(integrand, shape, ells, exact):
     if beta.ndim == 1:
         x, cut = t / beta[:, None], _RULES[0]
     else:
-        u, p = _stacked(_gauss_beta, _BETA_RULES, [(a - 1) // 2 for a in alpha])
+        u, p = _stacked(_gauss_beta, _BETA_RULES,
+                        [(a - 1) // 2 for a in alpha])
         c = u / beta[:, :1] + (1.0 - u) / beta[:, 1:]
         x, w = t[:, _LAG] * c[:, _MIX], w[:, _LAG] * p[:, _MIX]
         cut = _RULES[0] * _BETA_RULES[0]

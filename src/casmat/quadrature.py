@@ -10,9 +10,10 @@ qagp) and globally refined worst-panel-first; generalized Gauss-Laguerre rules
 (`_gauss_laguerre`, Golub-Welsch) for the roundtrip terms, whose
 integrands follow a known weight t^alpha e^{-t}, times symmetric Beta rules
 (`_gauss_beta`) where a term's delay splits between two rates, with the
-panel engine as their fallback; and one series summator, `_sum_series`, with a geometric
-or power-law tail bound and two escape hatches for slowly decaying term
-sequences: exact polylogarithm detection and an algebraic 1/l^k tail fit.
+panel engine as their fallback; and one series summator, `_sum_series`,
+with a geometric or power-law tail bound and two escape hatches for slowly
+decaying term sequences: exact polylogarithm detection and an algebraic
+1/l^k tail fit.
 Its exit tests cost a fixed few numpy calls per checkpoint, whatever the
 series length: the polylogarithm test takes its three orders in one pass
 over the last 16 terms, and the tail fits are two dot products of 16 terms
