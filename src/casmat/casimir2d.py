@@ -13,6 +13,7 @@ Sign convention: a positive force means attraction (the mirrors are
 pulled together).  Natural units, hbar = c = k_B = 1.
 """
 
+import functools
 import numpy as np
 from dataclasses import dataclass, replace
 
@@ -121,11 +122,18 @@ def _delay_profile(cfg):
             lambda l: (2 * l - 1, np.tile(rates, (l.size, 1))))
 
 
+@functools.lru_cache(maxsize=64)
 def _stacked(rule, sizes, orders):
-    """The arrays of the cached rules rule(m, a) of every size m for each
-    order a, one row per order, the sizes side by side."""
+    """The rules rule(m, a) of every size m for each order a of the tuple
+    orders, stacked: one read-only array per rule array, a row per order,
+    the sizes side by side.  They depend on the orders alone, never on the
+    mirrors or q; 64 entries of 64 orders hold at most about 4 MB."""
     rules = [rule(m, a) for a in orders for m in sizes]
-    return (np.concatenate(x).reshape(len(orders), -1) for x in zip(*rules))
+    stacked = tuple(np.concatenate(x).reshape(len(orders), -1)
+                    for x in zip(*rules))
+    for x in stacked:
+        x.flags.writeable = False
+    return stacked
 
 
 def _fixed_rule_terms(integrand, shape, ells, exact):
@@ -139,17 +147,19 @@ def _fixed_rule_terms(integrand, shape, ells, exact):
     pair `_BETA_RULES` at (alpha - 1) / 2: its delay R (T / beta_1 +
     (1 - T) / beta_2) has the nodes t (u_j / beta_1 + (1 - u_j) / beta_2)
     and the weights v_0^2 p_j, over the Beta rule's nodes u_j and weights
-    p_j.  One integrand call takes the nodes of all the terms.
+    p_j.  One integrand call takes the nodes of all the terms.  The rule
+    tables of a chunk come from `_stacked`, keyed on its orders as tuples,
+    so a repeated chunk builds and stacks no rule.
     """
     alpha, beta = shape(ells)
-    alpha = alpha.tolist()
+    alpha = tuple(alpha.tolist())
     t, log_w, v0sq = _stacked(_gauss_laguerre, _RULES, alpha)
     w = v0sq if exact else np.exp(log_w)
     if beta.ndim == 1:
         x, cut = t / beta[:, None], _RULES[0]
     else:
         u, p = _stacked(_gauss_beta, _BETA_RULES,
-                        [(a - 1) // 2 for a in alpha])
+                        tuple((a - 1) // 2 for a in alpha))
         c = u / beta[:, :1] + (1.0 - u) / beta[:, 1:]
         x, w = t[:, _LAG] * c[:, _MIX], w[:, _LAG] * p[:, _MIX]
         cut = _RULES[0] * _BETA_RULES[0]

@@ -157,9 +157,11 @@ def _mirror_pair(args):
 
 
 def _cavity(args, planar=False):
+    """The CavityConfig of args; planar wraps a shared mirror only once."""
     m1, m2 = _mirror_pair(args)
     if planar:
-        m1, m2 = PlanarMirrorModel(m1), PlanarMirrorModel(m2)
+        plane = PlanarMirrorModel(m1)
+        m1, m2 = plane, plane if m2 is m1 else PlanarMirrorModel(m2)
     return CavityConfig(m1, m2, args.q, temperature=args.T)
 
 

@@ -237,8 +237,11 @@ class CavityConfig:
         self.temperature = float(temperature)
 
     def loop_r_imag(self, xi):
-        """Loop reflectivity r1[i xi] r2[i xi] (real)."""
-        return self.mirror1.r_imag(xi) * self.mirror2.r_imag(xi)
+        """Loop reflectivity r1[i xi] r2[i xi] (real); r1 squared if shared"""
+        r1 = self.mirror1.r_imag(xi)
+        if self.mirror2 is self.mirror1:
+            return r1 * r1
+        return r1 * self.mirror2.r_imag(xi)
 
     @property
     def knots(self):

@@ -424,6 +424,39 @@ def test_split_pair_terms_meet_their_bars(a, b, q):
         assert not ok or abs(v - ref) <= e + 8 * np.finfo(float).eps * abs(ref)
 
 
+@pytest.mark.parametrize("rule, sizes, orders", [
+    (quadrature._gauss_laguerre, casimir2d._RULES, (3,) * 64),
+    (quadrature._gauss_laguerre, casimir2d._RULES, tuple(range(1, 128, 2))),
+    (quadrature._gauss_beta, casimir2d._BETA_RULES, tuple(range(5, 69))),
+], ids=["pressure", "split-pair", "beta"])
+def test_stacked_rule_tables_are_cached_read_only(rule, sizes, orders):
+    # a chunk's tables depend on its orders alone: the cached arrays are
+    # those of a fresh build, bit for bit, and cannot be written
+    cached = casimir2d._stacked(rule, sizes, orders)
+    assert casimir2d._stacked(rule, sizes, orders) is cached
+    fresh = [np.concatenate([rule(m, a)[i] for a in orders for m in sizes])
+             for i in range(len(cached))]
+    for x, y in zip(cached, fresh):
+        assert x.shape == (len(orders), sum(sizes))
+        assert x.tobytes() == y.tobytes()
+        with pytest.raises(ValueError):
+            x[0, 0] = 1.0
+
+
+def test_repeated_split_pair_builds_no_rule():
+    # the second call finds every chunk's tables in the cache of _stacked:
+    # no Gauss-Laguerre or Beta rule is looked up, and the value is the same
+    cfg = CavityConfig(lorentzian_mirror(0.7), lorentzian_mirror(2.3), 0.4)
+    first = force_roundtrip_time(cfg)
+    rules = (quadrature._gauss_laguerre, quadrature._gauss_beta)
+    before = [f.cache_info()[:2] for f in rules]
+    hits = casimir2d._stacked.cache_info().hits
+    again = force_roundtrip_time(cfg)
+    assert [f.cache_info()[:2] for f in rules] == before
+    assert casimir2d._stacked.cache_info().hits > hits
+    assert again == first
+
+
 def test_widely_split_force_at_large_separation_converges():
     # the fitted gamma law left seven fallback terms near the inner
     # tolerance here, which summed past abs_tol: converged=False with a bar

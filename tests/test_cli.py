@@ -13,7 +13,8 @@ import pytest
 from casmat import casimir2d, casimir4d, cli
 from casmat.casimir2d import force_imag_axis
 from casmat.casimir4d import PlanarMirrorModel
-from casmat.scattering import CavityConfig, lorentzian_mirror, perfect_mirror
+from casmat.scattering import (CavityConfig, MirrorModel, lorentzian_mirror,
+                               perfect_mirror)
 
 HEADER = "param,q,T,value,error,method,converged,roundtrips"
 
@@ -119,6 +120,31 @@ def test_tabulated_model(mirror_table, capsys):
     # a cutoff 1000 separations away costs a fraction of a percent
     assert float(rec["value"]) == pytest.approx(math.pi / 24.0, rel=5e-3)
     assert rec["method"] == "imag-axis"
+
+
+@pytest.mark.parametrize("command", ["force2d", "energy2d", "force4d",
+                                     "energy4d"])
+def test_tabulated_pair_evaluates_its_table_once_per_point(
+        mirror_table, capsys, monkeypatch, command):
+    # the tabulated model puts one mirror at both ends, wrapped once for the
+    # plane geometry: each loop reflection evaluates the interpolant once
+    # and squares it
+    counts = {"loop": 0, "mirror": 0}
+
+    def spy(name, method):
+        def counted(self, xi):
+            counts[name] += 1
+            return method(self, xi)
+        return counted
+
+    monkeypatch.setattr(CavityConfig, "loop_r_imag",
+                        spy("loop", CavityConfig.loop_r_imag))
+    monkeypatch.setattr(MirrorModel, "r_imag",
+                        spy("mirror", MirrorModel.r_imag))
+    code, _, _ = run_cli([command, "--model", "tabulated", "--table",
+                          mirror_table, "--method", "imag-axis"], capsys)
+    assert code == 0
+    assert counts["mirror"] == counts["loop"] > 0
 
 
 def test_tabulated_model_cannot_do_thermal_roundtrips(mirror_table, capsys):

@@ -119,6 +119,51 @@ def test_knot_edges_integrate_a_kinked_integrand_in_few_calls():
     assert len(blind) > 4 * len(calls)
 
 
+def _spied_rounds(monkeypatch):
+    """Record the panel values of every round of the panel rule."""
+    rounds = []
+
+    def spy(f, a, b, owner=None):
+        vals, errs = _panel(f, a, b, owner)
+        rounds.append(vals)
+        return vals, errs
+
+    monkeypatch.setattr(quadrature, "_panel", spy)
+    return rounds
+
+
+def test_march_that_meets_the_tolerance_sums_its_pieces_exactly(
+        monkeypatch):
+    # e^{-x^2} meets the tolerance on the march's first seven panels: no
+    # bisection, the same 154 evaluations as the heap-building march, and
+    # the value is the exactly rounded sum of those panels (a sum in heap
+    # order read 1 ulp higher)
+    rounds = _spied_rounds(monkeypatch)
+    res = integrate_semi_infinite(lambda x: np.exp(-x * x), 1.0)
+    assert res.converged
+    assert res.evaluations == 154 and [len(v) for v in rounds] == [7]
+    assert res.value == math.fsum(rounds[0])
+    assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("f, calls, value", [
+    (lambda x: np.sqrt(x) * np.exp(-x), [154, 44, 44, 22] + [44] * 11,
+     0.886226925558463),
+    (_kinked, [154] + [44] * 52, 0.6873485472961731),
+], ids=["sqrt", "kinked"])
+def test_refinement_keeps_its_panels(f, calls, value):
+    # the refinement's heap is built from the march's pieces, with ties in
+    # march order, so it bisects the same panels in the same order as the
+    # march that pushed each piece on arrival: the same integrand calls
+    # and evaluations, and the value within an ulp or so of the in-order
+    # heap sum
+    seen = []
+    res = integrate_semi_infinite(_counted(f, seen), 1.0)
+    assert res.converged
+    assert seen == calls and res.evaluations == sum(calls)
+    assert res.value == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
 def test_knot_edges_cap_the_pieces_at_the_panel_budget():
     # more knots than the total panel budget, on an integrand too rough for
     # the one piece that keeps the uncut edges: the march cuts no more

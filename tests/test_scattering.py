@@ -125,6 +125,20 @@ def test_loop_reflectivity():
     assert cfg.loop_r0() == pytest.approx(1.0)
 
 
+def test_shared_mirror_loop_is_its_square_bit_for_bit():
+    # a mirror at both ends is evaluated once and squared, which is the
+    # product of two evaluations of equal tables, bit for bit
+    xi = np.geomspace(1e-3, 1e3, 101)
+    r = -0.3 / (0.3 + xi)
+    shared = tabulated_mirror(xi, r)
+    xs = np.geomspace(1e-4, 1e4, 999)
+    once = CavityConfig(shared, shared, 0.7).loop_r_imag(xs)
+    twice = CavityConfig(tabulated_mirror(xi, r), tabulated_mirror(xi, r),
+                         0.7).loop_r_imag(xs)
+    assert once.tobytes() == twice.tobytes()
+    assert CavityConfig(shared, shared, 0.7).loop_r0() == r[0] * r[0]
+
+
 def test_composed_s_matrix_unitarity():
     cfg = CavityConfig(lorentzian_mirror(0.8), lorentzian_mirror(2.3), 1.3)
     for w in (0.017, 0.4, 3.1, 47.0):
