@@ -135,9 +135,8 @@ def _spied_rounds(monkeypatch):
 def test_march_that_meets_the_tolerance_sums_its_pieces_exactly(
         monkeypatch):
     # e^{-x^2} meets the tolerance on the march's first seven panels: no
-    # bisection, the same 154 evaluations as the heap-building march, and
-    # the value is the exactly rounded sum of those panels (a sum in heap
-    # order read 1 ulp higher)
+    # bisection, 154 evaluations, and the value is the exactly rounded sum
+    # of those panels (a sum in heap order reads 1 ulp higher here)
     rounds = _spied_rounds(monkeypatch)
     res = integrate_semi_infinite(lambda x: np.exp(-x * x), 1.0)
     assert res.converged
@@ -152,11 +151,10 @@ def test_march_that_meets_the_tolerance_sums_its_pieces_exactly(
     (_kinked, [154] + [44] * 52, 0.6873485472961731),
 ], ids=["sqrt", "kinked"])
 def test_refinement_keeps_its_panels(f, calls, value):
-    # the refinement's heap is built from the march's pieces, with ties in
-    # march order, so it bisects the same panels in the same order as the
-    # march that pushed each piece on arrival: the same integrand calls
-    # and evaluations, and the value within an ulp or so of the in-order
-    # heap sum
+    # the refinement heaps the march's pieces with ties broken in march
+    # order, so it bisects the panels in the order of a heap filled as the
+    # pieces arrive: that heap's integrand calls and evaluations, and its
+    # value to within 1e-15 relative
     seen = []
     res = integrate_semi_infinite(_counted(f, seen), 1.0)
     assert res.converged
