@@ -33,8 +33,8 @@ the results it gets on its own.  Integrands receive flat arrays of
 abscissae spanning many panels (with each node's integral index for a
 block), series terms integer arrays of l (a block between two
 checkpoints); both must be elementwise: a node's value may not depend on
-the other nodes.  An integral's march keeps its pieces in a list, heaped
-only if they need refinement; its value is their exactly rounded sum.
+the other nodes.  An integral's value is the exactly rounded sum of its
+panels.
 """
 
 import bisect
@@ -167,12 +167,12 @@ def _integral(scale, spec, tail_spec, edges):
     the edges inside it, into pieces the refinement treats as panels; the
     march's tail test and its panel cap still count whole march panels.
     There is one march path: a round with no edge inside it is left whole.
-    The march keeps its pieces in a list.  Only when its total misses spec
-    do they become a heap, in march order on ties, for the refinement.
     The value and the error are the exactly rounded sums (`math.fsum`) of
     the final pieces, plus the extrapolated tail in the error.
     """
-    pieces = []  # (a, b, value, err) of each piece, in march order
+    tick = itertools.count()  # heap tie-breaker: older panels first
+    heap = []  # (-err, tick, a, b, value, err, depth)
+    march_errs = []  # the errors of the march panels (pieces), in order
     value = edge = 0.0
     width, extent = 0.5 * scale, _MIN_EXTENT_SCALES * scale
     streak = marched = 0
@@ -191,9 +191,11 @@ def _integral(scale, spec, tail_spec, edges):
                 need -= 1
         marched += len(starts)
         lo, hi, owner = _cut(starts, ends, edges,
-                             _MAX_TOTAL_PANELS - len(pieces) - len(starts))
+                             _MAX_TOTAL_PANELS - len(heap) - len(starts))
         vals, errs = yield lo, hi
-        pieces += zip(lo, hi, vals, errs)
+        march_errs += errs
+        for a, b, val, err in zip(lo, hi, vals, errs):
+            heapq.heappush(heap, (-err, next(tick), a, b, val, err, 0))
         # the tail test takes whole march panels, the sums of their pieces
         if owner is not None:
             vals = np.bincount(owner, vals).tolist()
@@ -202,44 +204,36 @@ def _integral(scale, spec, tail_spec, edges):
             small = b >= extent and _tol_met(abs(val), value, tail_spec)
             streak = streak + 1 if small else 0
             prev, last = last, abs(val)
-        room = min(_MAX_MARCH_PANELS - marched,
-                   _MAX_TOTAL_PANELS - len(pieces))
+        room = min(_MAX_MARCH_PANELS - marched, _MAX_TOTAL_PANELS - len(heap))
 
     # the truncated tail: a geometric extrapolation of the last two panels
     # (the march makes >= 7), a fixed part of the error total
     ratio = min(0.9, last / prev) if prev > 0.0 else 0.0
     extra = error = last * ratio / (1.0 - ratio)
-    for _, _, _, err in pieces:
+    for err in march_errs:
         error += err
     pops = 0
     capped = False
-    if not _tol_met(error, value, spec):
-        # (-err, tick, a, b, value, err, depth): worst first, older on ties
-        heap = [(-err, k, a, b, val, err, 0)
-                for k, (a, b, val, err) in enumerate(pieces)]
-        heapq.heapify(heap)
-        tick = itertools.count(len(heap))
-        while not _tol_met(error, value, spec):
-            item = heapq.heappop(heap)
-            if item[6] >= spec.max_subdivisions or \
-                    len(heap) + 2 > _MAX_TOTAL_PANELS:
-                heapq.heappush(heap, (item[0], next(tick)) + item[2:])
-                capped = True
-                break
-            _, _, a, b, val, err, depth = item
-            mid = 0.5 * (a + b)
-            (vl, vr), (el, er) = yield (a, mid), (mid, b)
-            value += vl + vr - val
-            error += el + er - err
-            heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
-            heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
-            pops += 1
-        pieces = [item[2:6] for item in heap]
+    while not _tol_met(error, value, spec):
+        item = heapq.heappop(heap)
+        if item[6] >= spec.max_subdivisions or \
+                len(heap) + 2 > _MAX_TOTAL_PANELS:
+            heapq.heappush(heap, (item[0], next(tick)) + item[2:])
+            capped = True
+            break
+        _, _, a, b, val, err, depth = item
+        mid = 0.5 * (a + b)
+        (vl, vr), (el, er) = yield (a, mid), (mid, b)
+        value += vl + vr - val
+        error += el + er - err
+        heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
+        heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
+        pops += 1
 
-    value = math.fsum(piece[2] for piece in pieces)
-    error = extra + math.fsum(piece[3] for piece in pieces)
+    value = math.fsum(item[4] for item in heap)
+    error = extra + math.fsum(item[5] for item in heap)
     # a bisection replaces one panel by two and evaluates both
-    return (value, error, len(pieces) + pops,
+    return (value, error, len(heap) + pops,
             not capped and streak >= 2 and _tol_met(error, value, spec))
 
 

@@ -151,10 +151,9 @@ def test_march_that_meets_the_tolerance_sums_its_pieces_exactly(
     (_kinked, [154] + [44] * 52, 0.6873485472961731),
 ], ids=["sqrt", "kinked"])
 def test_refinement_keeps_its_panels(f, calls, value):
-    # the refinement heaps the march's pieces with ties broken in march
-    # order, so it bisects the panels in the order of a heap filled as the
-    # pieces arrive: that heap's integrand calls and evaluations, and its
-    # value to within 1e-15 relative
+    # the refinement bisects the panels worst first, older on ties: the
+    # integrand calls and evaluations of a sum in heap order, and its value
+    # to within 1e-15 relative
     seen = []
     res = integrate_semi_infinite(_counted(f, seen), 1.0)
     assert res.converged
