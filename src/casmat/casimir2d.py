@@ -136,25 +136,24 @@ def _stacked(rule, sizes, orders):
     return stacked
 
 
-def _fixed_rule_terms(integrand, shape, ells, exact):
+def _fixed_rule_terms(kernel, shape, ells):
     """The terms ells of `_sum_integral_terms` by its fixed rules.
 
     Returns the finer rule's values and their distances to the coarser
-    one's.  A term of one rate beta takes the Gauss-Laguerre pair `_RULES`
-    for its alpha at the nodes t / beta: with the weights exp(log_w) /
-    beta, or with the normalized weights v_0^2 when exact.  A term of two
-    rates (exact only) takes the product rules of that pair with the Beta
+    one's.  Each term is the kernel's mean under the normalized weights of
+    its law.  A term of one rate beta takes the Gauss-Laguerre pair
+    `_RULES` for its alpha, the nodes t / beta and the weights v_0^2.  A
+    term of two rates takes the product rules of that pair with the Beta
     pair `_BETA_RULES` at (alpha - 1) / 2: its delay R (T / beta_1 +
     (1 - T) / beta_2) has the nodes t (u_j / beta_1 + (1 - u_j) / beta_2)
     and the weights v_0^2 p_j, over the Beta rule's nodes u_j and weights
-    p_j.  One integrand call takes the nodes of all the terms.  The rule
+    p_j.  One kernel call takes the nodes of all the terms.  The rule
     tables of a chunk come from `_stacked`, keyed on its orders as tuples,
     so a repeated chunk builds and stacks no rule.
     """
     alpha, beta = shape(ells)
     alpha = tuple(alpha.tolist())
-    t, log_w, v0sq = _stacked(_gauss_laguerre, _RULES, alpha)
-    w = v0sq if exact else np.exp(log_w)
+    t, w = _stacked(_gauss_laguerre, _RULES, alpha)
     if beta.ndim == 1:
         x, cut = t / beta[:, None], _RULES[0]
     else:
@@ -163,29 +162,26 @@ def _fixed_rule_terms(integrand, shape, ells, exact):
         c = u / beta[:, :1] + (1.0 - u) / beta[:, 1:]
         x, w = t[:, _LAG] * c[:, _MIX], w[:, _LAG] * p[:, _MIX]
         cut = _RULES[0] * _BETA_RULES[0]
-    y = integrand(np.repeat(ells, x.shape[1]), x.ravel()).reshape(x.shape)
-    y = y * w if exact else y * w / beta[:, None]
+    y = kernel(np.repeat(ells, x.shape[1]), x.ravel()).reshape(x.shape) * w
     value = y[:, cut:].sum(axis=1)
     return value, np.abs(value - y[:, :cut].sum(axis=1))
 
 
-def _sum_integral_terms(integrand, shape, spec, density=None):
-    """Sum a roundtrip series whose l-th term is an integral over (0, inf).
+def _sum_integral_terms(kernel, shape, term, spec):
+    """Sum a roundtrip series whose l-th term is a kernel's mean over a law.
 
-    ``integrand(l, x)`` is the l-th integrand at x, elementwise in an
-    integer array l and x; ``shape(ells)`` gives the integer alpha >= 0
-    and the rate beta > 0 of the weight x^alpha e^{-beta x} that the
-    integrands of the terms ells follow, or two rates per term.  The
-    fixed rules of `_fixed_rule_terms` integrate the terms, at most
-    `_TERMS_PER_CALL` of them in one integrand call.  A ``density(l, x)``
-    makes the term the integral of density times integrand; the density
-    is then exactly the law of shape, the gamma law or, for two rates, the
-    law of the sum of two independent Gamma((alpha + 1) / 2) delays at
-    those rates, and the rules never evaluate it.  The terms whose error
-    misses the inner tolerance, or is not finite, go to one lockstep block
-    of `integrate_semi_infinite` (of density times integrand), with the
-    law's mean as decay scale.  Each term is integrated slightly tighter
-    than the series budget so the accumulated term errors stay inside the
+    ``shape(ells)`` gives the law of each term ells: the integer
+    alpha >= 0 and the rate beta > 0 of Gamma(alpha + 1, beta), or two
+    rates per term for the law of the sum of two independent
+    Gamma((alpha + 1) / 2) delays at those rates.  ``kernel(l, x)`` is the
+    l-th kernel at x and ``term(l, x)`` the law's density times it, both
+    elementwise in an integer array l and x.  The fixed rules of
+    `_fixed_rule_terms` average the kernel, at most `_TERMS_PER_CALL`
+    terms in one kernel call, and never evaluate the density.  The terms
+    whose error misses the inner tolerance, or is not finite, go to one
+    lockstep block of `integrate_semi_infinite` of term, with the law's
+    mean as decay scale.  Each term is integrated slightly tighter than
+    the series budget so the accumulated term errors stay inside the
     caller's tolerance; the result adds those quadrature errors, summed in
     term order, to the series error and is converged only if every
     fallback integral is.
@@ -194,16 +190,13 @@ def _sum_integral_terms(integrand, shape, spec, density=None):
         spec = QuadratureSpec()
     inner = replace(spec, rel_tol=0.5 * spec.rel_tol,
                     abs_tol=0.5 * spec.abs_tol)
-    weighted = integrand if density is None else (
-        lambda l, x: density(l, x) * integrand(l, x))
     quad_errors = []
     quad_ok = True
 
     def terms(ells):
         nonlocal quad_ok
         value, error = map(np.concatenate, zip(*[
-            _fixed_rule_terms(integrand, shape, ells[k:k + _TERMS_PER_CALL],
-                              density is not None)
+            _fixed_rule_terms(kernel, shape, ells[k:k + _TERMS_PER_CALL])
             for k in range(0, ells.size, _TERMS_PER_CALL)]))
         redo = np.flatnonzero(~_tol_met(error, value, inner))
         if redo.size:
@@ -211,7 +204,7 @@ def _sum_integral_terms(integrand, shape, spec, density=None):
             mean = ((alpha + 1) / beta if beta.ndim == 1
                     else 0.5 * (alpha + 1) * (1.0 / beta).sum(axis=1))
             res = integrate_semi_infinite(
-                lambda i, x: weighted(ells[redo][i], x), mean, inner)
+                lambda i, x: term(ells[redo][i], x), mean, inner)
             value[redo], error[redo] = res.value, res.error_estimate
             quad_ok = quad_ok and res.converged
         quad_errors.extend(error.tolist())
@@ -235,16 +228,17 @@ def _roundtrip_sum(cfg, kernel, spec):
     perfect pair, whose density is a delta at s = 0 and whose loop
     reflection is (-1)(-1) = 1, so the terms are kernel(l, 2 l q), and
     one l per quadrature node otherwise.  w_l is exactly the law its
-    shape gives, so the kernel and the density go to
-    `_sum_integral_terms` apart, and only the fallback's nodes evaluate
-    the density.
+    shape gives, so `_sum_integral_terms` takes the kernel for its rules
+    and w_l times it for its fallback, whose nodes alone evaluate the
+    density.
     """
     q = cfg.q
     weight, shape = _delay_profile(cfg)
     if weight is None:
         return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec)
     return _sum_integral_terms(
-        lambda l, s: kernel(l, 2.0 * l * q + s), shape, spec, weight)
+        lambda l, s: kernel(l, 2.0 * l * q + s), shape,
+        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec)
 
 
 def _imag_axis_integrand(cfg, coefficient, power, log_form):

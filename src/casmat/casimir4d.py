@@ -78,20 +78,23 @@ def pressure_roundtrip(cfg, spec=None):
         raise ValueError("pressure_roundtrip is a zero-temperature route; "
                          "use pressure_thermal_large_distance at T > 0")
     q = cfg.q
+    # r1 r2 ~ e^{-sigma kappa} at small kappa, sigma = sum_i 1/Omega_i over
+    # the lorentzian cutoffs Omega_i: the l-th integrand is the density of
+    # Gamma(4, l lam), lam = 2q + sigma, times C(l lam) rbar^l e^{l sigma k}
+    sigma = sum(1.0 / m.cutoff for m in (cfg.mirror1, cfg.mirror2)
+                if m.kind == "lorentzian")
+    lam = 2.0 * q + sigma
 
-    def integrand(l, kappa):
-        r = cfg.loop_r_imag(kappa)
-        # numpy squares r**2 for a scalar 2 but calls pow on an array of
-        # exponents, which can round differently
-        rl = np.where(l == 2, r * r, r**l)
-        return kappa**3 * rl * np.exp(-2.0 * l * kappa * q) / np.pi**2
+    def kernel(l, kappa):
+        return (6.0 / (np.pi**2 * (l * lam)**4) * cfg.loop_r_imag(kappa)**l
+                * np.exp(l * sigma * kappa))
 
-    # r1 r2 ~ e^{-kappa sum_i 1/Omega_i} at small kappa over the lorentzian
-    # cutoffs Omega_i: the l-th integrand follows kappa^3 e^{-l lam kappa}
-    lam = 2.0 * q + sum(1.0 / m.cutoff for m in (cfg.mirror1, cfg.mirror2)
-                        if m.kind == "lorentzian")
+    def term(l, kappa):
+        return (kappa**3 * cfg.loop_r_imag(kappa)**l
+                * np.exp(-2.0 * l * kappa * q) / np.pi**2)
+
     series = _sum_integral_terms(
-        integrand, lambda l: (np.full(l.shape, 3), l * lam), spec)
+        kernel, lambda l: (np.full(l.shape, 3), l * lam), term, spec)
     return _result(series, "roundtrip-time", spec, roundtrips=True)
 
 

@@ -6,14 +6,14 @@ reaching this module is smooth (at worst endpoint-log-singular) and decays
 exponentially, or is smooth between known kinks (the knots of a tabulated
 mirror), which the caller passes as panel edges.  The engine is an embedded
 Gauss pair (7/15 point) on panels, cut at any edges inside them (QUADPACK's
-qagp) and globally refined worst-panel-first; generalized Gauss-Laguerre rules
-(`_gauss_laguerre`, Golub-Welsch) for the roundtrip terms, whose
-integrands follow a known weight t^alpha e^{-t}, times symmetric Beta rules
-(`_gauss_beta`) where a term's delay splits between two rates, with the
-panel engine as their fallback; and one series summator, `_sum_series`,
-with a geometric or power-law tail bound and two escape hatches for slowly
-decaying term sequences: exact polylogarithm detection and an algebraic
-1/l^k tail fit.
+qagp) and globally refined worst-panel-first; Gauss rules of the gamma law
+(`_gauss_laguerre`) for the roundtrip terms, each the mean of a kernel over
+a known gamma law, times symmetric Beta rules (`_gauss_beta`) where a
+term's law splits between two rates, all with normalized weights from one
+Golub-Welsch step and the panel engine as their fallback; and one series
+summator, `_sum_series`, with a geometric or power-law tail bound and two
+escape hatches for slowly decaying term sequences: exact polylogarithm
+detection and an algebraic 1/l^k tail fit.
 Its exit tests cost a fixed few numpy calls per checkpoint, whatever the
 series length: the polylogarithm test takes its three orders in one pass
 over the last 16 terms, and the tail fits are two dot products of 16 terms
@@ -50,7 +50,7 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, zeta as _hurwitz
+from scipy.special import zeta as _hurwitz
 
 from .special_functions import polylog
 
@@ -324,53 +324,45 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
                              all(converged))
 
 
+def _golub_welsch(diagonal, off_diagonal):
+    """A Jacobi matrix's eigenvalues t and the squares v_0^2 of its
+    eigenvectors' first components, read-only: the nodes and normalized
+    weights of its Gauss rule (Golub and Welsch 1969)."""
+    t, v = eigh_tridiagonal(diagonal, off_diagonal)
+    v0sq = v[0] * v[0]
+    t.flags.writeable = v0sq.flags.writeable = False
+    return t, v0sq
+
+
 @functools.lru_cache(maxsize=4096)
 def _gauss_laguerre(m, alpha):
-    """m-point generalized Gauss-Laguerre rule for int_0^inf g(t) dt.
+    """m-point Gauss rule (t, v0sq) of the Gamma(alpha + 1, 1) law.
 
-    Exact when g(t) is t^alpha e^{-t} times a polynomial of degree < 2m,
-    for an integer alpha >= 0.  Golub-Welsch: the nodes t are the
-    eigenvalues of the Jacobi matrix of the Laguerre polynomials L^(alpha)
-    and the weights Gamma(alpha + 1) v_0^2, with v_0 the first components
-    of its eigenvectors.  Returns (t, log_w, v0sq) as read-only arrays,
-    with the weight function divided out of the weights,
-
-        log_w = ln Gamma(alpha + 1) + ln v_0^2 + t - alpha ln t,
-
-    so int g ~ sum exp(log_w) g(t), kept as logs (Gamma(alpha + 1) alone
-    overflows past alpha = 170), and v0sq = v_0^2, the weights of the
-    normalized law t^alpha e^{-t} / Gamma(alpha + 1).
+    Exact for the mean of a polynomial of degree < 2m under the normalized
+    weight t^alpha e^{-t} / Gamma(alpha + 1) on (0, inf), alpha >= 0:
+    `_golub_welsch` on the Laguerre recurrence, diagonal 2n + alpha + 1
+    and off-diagonal sqrt(n (n + alpha)).
     """
     i = np.arange(m, dtype=float)
-    t, v = eigh_tridiagonal(2.0 * i + alpha + 1.0,
-                            np.sqrt(i[1:] * (i[1:] + alpha)))
-    v0sq = v[0] * v[0]
-    log_w = gammaln(alpha + 1.0) + 2.0 * np.log(np.abs(v[0])) + t \
-        - alpha * np.log(t)
-    t.flags.writeable = log_w.flags.writeable = v0sq.flags.writeable = False
-    return t, log_w, v0sq
+    return _golub_welsch(2.0 * i + alpha + 1.0,
+                         np.sqrt(i[1:] * (i[1:] + alpha)))
 
 
 @functools.lru_cache(maxsize=4096)
 def _gauss_beta(m, alpha):
-    """m-point Gauss rule of the Beta(alpha + 1, alpha + 1) law on (0, 1).
+    """m-point Gauss rule (t, p) of the Beta(alpha + 1, alpha + 1) law.
 
     Exact for the mean of a polynomial of degree < 2m under the normalized
-    weight t^alpha (1 - t)^alpha / B(alpha + 1, alpha + 1), alpha >= 0.
-    Golub-Welsch, as `_gauss_laguerre`, on the symmetric Jacobi recurrence
-    moved to (0, 1): diagonal 1/2, off-diagonal
+    weight t^alpha (1 - t)^alpha / B(alpha + 1, alpha + 1) on (0, 1),
+    alpha >= 0: `_golub_welsch` on the symmetric Jacobi recurrence moved
+    to (0, 1), diagonal 1/2 and off-diagonal
     sqrt(n (n + 2 alpha) / ((2n + 2 alpha - 1)(2n + 2 alpha + 1))) / 2.
-    Returns the nodes t and the normalized weights p = v_0^2 as read-only
-    arrays.
     """
     n = np.arange(1, m, dtype=float)
     k = 2.0 * (n + alpha)
-    t, v = eigh_tridiagonal(np.full(m, 0.5),
-                            0.5 * np.sqrt(n * (n + 2.0 * alpha)
-                                          / ((k - 1.0) * (k + 1.0))))
-    p = v[0] * v[0]
-    t.flags.writeable = p.flags.writeable = False
-    return t, p
+    return _golub_welsch(np.full(m, 0.5),
+                         0.5 * np.sqrt(n * (n + 2.0 * alpha)
+                                       / ((k - 1.0) * (k + 1.0))))
 
 
 # the polylogarithm orders that occur in the closed-form limits

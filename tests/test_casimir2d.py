@@ -414,8 +414,7 @@ def test_split_pair_terms_meet_their_bars(a, b, q):
         CavityConfig(lorentzian_mirror(a), lorentzian_mirror(b), q))
     ells = np.array([1, 2, 8, 64])
     value, error = casimir2d._fixed_rule_terms(
-        lambda l, s: -thermal_kernel_time(2.0 * l * q + s, 0.0), shape, ells,
-        True)
+        lambda l, s: -thermal_kernel_time(2.0 * l * q + s, 0.0), shape, ells)
     inner = QuadratureSpec(rel_tol=0.5e-9, abs_tol=0.5e-14)
     accepted = quadrature._tol_met(error, value, inner)
     assert accepted[-1]
