@@ -55,6 +55,11 @@ class Result:
     roundtrips_used: int = None
     converged: bool = True
 
+    def __post_init__(self):
+        if not np.isfinite([self.value, self.error_estimate]).all():
+            raise ValueError("%s: the value or its error bar is not finite"
+                             % self.method)
+
 
 def _result(res, method, spec, roundtrips=False):
     """The Result of an engine's integral or series res: every engine's exit.
@@ -74,7 +79,8 @@ def _closed_form(r0, p, num, den, method):
     The polylogarithm is summed to rounding and the bar is 1e-12
     relative.  An exact zero at num = 0, not 0 times a negative sum.
     """
-    value = num * polylog(r0, p, tol=1e-16) / den if num else 0.0
+    value = (num * polylog(r0, p, tol=1e-16) / den if den else np.inf
+             ) if num else 0.0
     return Result(value, 1e-12 * abs(value), method)
 
 
@@ -140,16 +146,16 @@ def _fixed_rule_terms(kernel, shape, ells):
     """The terms ells of `_sum_integral_terms` by its fixed rules.
 
     Returns the finer rule's values and their distances to the coarser
-    one's.  Each term is the kernel's mean under the normalized weights of
-    its law.  A term of one rate beta takes the Gauss-Laguerre pair
-    `_RULES` for its alpha, the nodes t / beta and the weights v_0^2.  A
-    term of two rates takes the product rules of that pair with the Beta
-    pair `_BETA_RULES` at (alpha - 1) / 2: its delay R (T / beta_1 +
-    (1 - T) / beta_2) has the nodes t (u_j / beta_1 + (1 - u_j) / beta_2)
-    and the weights v_0^2 p_j, over the Beta rule's nodes u_j and weights
-    p_j.  One kernel call takes the nodes of all the terms.  The rule
-    tables of a chunk come from `_stacked`, keyed on its orders as tuples,
-    so a repeated chunk builds and stacks no rule.
+    one's, the kernel's means under its law's normalized weights.  A term
+    of one rate beta takes the Gauss-Laguerre pair `_RULES` for its alpha:
+    the nodes t / beta and the weights v_0^2.  A term of two rates takes
+    the product rules of that pair with the Beta pair `_BETA_RULES` at
+    (alpha - 1) / 2: its delay R (T / beta_1 + (1 - T) / beta_2) has the
+    nodes t (u_j / beta_1 + (1 - u_j) / beta_2) and the weights v_0^2 p_j,
+    over the Beta rule's nodes u_j and weights p_j.  One kernel call takes
+    the nodes of all the terms.  The rule tables of a chunk come from
+    `_stacked`, keyed on its orders as tuples, so a repeated chunk builds
+    and stacks no rule.
     """
     alpha, beta = shape(ells)
     alpha = tuple(alpha.tolist())
@@ -262,7 +268,9 @@ def _imag_axis_integrand(cfg, coefficient, power, log_form):
         raise ValueError("the imaginary-axis integrals are zero-temperature "
                          "representations")
     scale = 2.0 * cfg.q
-    c = coefficient / scale ** (power + 1)
+    c = coefficient / scale**(power + 1) if scale**(power + 1) else np.inf
+    if c == np.inf:
+        raise ValueError("imag-axis: the prefactor overflows at q = %g" % cfg.q)
 
     def integrand(u):
         rbar = cfg.loop_r_imag(u / scale)
@@ -382,10 +390,9 @@ def mode_sum_oracle_2d(q):
 
     is exact, and is returned with zero error estimate.
     """
-    if not 0.0 < q < np.inf:
-        raise ValueError("separation must be positive and finite")
+    _check_constant_loop(0.0, q)
     coeff = bernoulli(2) / 2  # the only surviving Euler-Maclaurin term
-    value = float(coeff) * np.pi / (2.0 * q * q)
+    value = float(coeff) * np.pi / (2.0 * q * q) if q * q else np.inf
     return Result(value, 0.0, "mode-sum-oracle")
 
 

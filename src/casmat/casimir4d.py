@@ -163,11 +163,10 @@ def mode_sum_oracle_4d(q):
     never enter the correction series, so the cutoff drops out exactly.
     The polarization-summed value is pi^2/(240 q^4).
     """
-    if not 0.0 < q < np.inf:
-        raise ValueError("separation must be positive and finite")
+    _check_constant_loop(0.0, q)
     # both polarizations, in exact Fraction arithmetic
     coeff = bernoulli(4) * (-6) / 24 / 4 * 2
-    value = float(coeff) * np.pi**2 / q**4
+    value = float(coeff) * np.pi**2 / q**4 if q**4 else np.inf
     return Result(value, 0.0, "mode-sum-oracle")
 
 

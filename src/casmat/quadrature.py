@@ -325,9 +325,8 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
 
 
 def _golub_welsch(diagonal, off_diagonal):
-    """A Jacobi matrix's eigenvalues t and the squares v_0^2 of its
-    eigenvectors' first components, read-only: the nodes and normalized
-    weights of its Gauss rule (Golub and Welsch 1969)."""
+    """Golub-Welsch: a Jacobi matrix's eigenvalues t and its eigenvectors'
+    squared first components v_0^2 (the Gauss weights), read-only."""
     t, v = eigh_tridiagonal(diagonal, off_diagonal)
     v0sq = v[0] * v[0]
     t.flags.writeable = v0sq.flags.writeable = False
@@ -469,6 +468,8 @@ def _sum_series(terms, spec=None, ratio_bound=None):
     the exact `math.fsum` of the terms used plus any fitted tail, and the
     error bar adds the rounding allowance 2 eps sum_l |t_l| to the
     truncation bound.  evaluations counts the terms used, not the calls.
+    Terms that overflow raise no numpy warning: a block with a term that is
+    not finite ends the series with a NaN value, which `Result` refuses.
 
     The exit tests of a checkpoint read at most its last 16 terms and cost
     a fixed few numpy calls, whatever l: the polylogarithm test is one pass
@@ -493,7 +494,10 @@ def _sum_series(terms, spec=None, ratio_bound=None):
     checkpoints = sorted({min(c, cap) for c in (64, 128, 256, 512, 1024, cap)})
     for ell in checkpoints:
         ells = np.arange(len(kept) + 1, ell + 1)
-        block = np.asarray(terms(ells), dtype=float).reshape(ells.shape)
+        with np.errstate(all="ignore"):
+            block = np.asarray(terms(ells), dtype=float).reshape(ells.shape)
+        if not np.isfinite(block).all():
+            return IntegrationResult(math.nan, math.nan, ell, False)
         sums = np.cumsum(np.concatenate(([partial], block)))[1:]
         if geometric:
             bounds = np.abs(block) * ratio_bound / (1.0 - ratio_bound)

@@ -713,6 +713,27 @@ def test_non_finite_parameters_are_rejected(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: force_large_distance(0.5, 1e-170, 0.1),
+    lambda: force_large_distance(1e-6, 1e-170, 0.1),
+    lambda: casimir4d.pressure_thermal_large_distance(0.5, 1e-100, 0.1),
+    lambda: casimir4d.mode_sum_oracle_4d(1e-80),
+    lambda: force_imag_axis(_pair(perfect_mirror, 1e-200)),
+    lambda: mode_sum_oracle_2d(1e-200),
+    lambda: casimir4d.pressure_high_temperature(0.5, 1e-110, 0.1),
+    lambda: force_roundtrip_time(_pair(perfect_mirror, 1e-170, 0.1)),
+    lambda: casimir2d.Result(math.nan, 0.0, "imag-axis"),
+    lambda: casimir2d.Result(1.0, math.inf, "imag-axis"),
+], ids=["large-distance-T", "large-distance-T-small-r0", "pressure-T",
+        "oracle-4d", "imag-axis", "oracle-2d", "high-T", "perfect-roundtrip",
+        "nan-value", "inf-bar"])
+def test_results_that_are_not_finite_are_refused(call):
+    # q so small that a power of it underflows or the value overflows: a
+    # ValueError, never an infinity marked converged or a ZeroDivisionError
+    with pytest.raises(ValueError, match="is not finite|overflows"):
+        call()
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: force_large_distance(1.5, 1.0), "r0 must lie in [-1, 1]"),
     (lambda: force_large_distance(-1.5, 1.0, temperature=0.3),

@@ -214,6 +214,22 @@ def test_nonconverged_run_exits_4_but_reports(capsys):
     assert rec["roundtrips"] == "4"
 
 
+@pytest.mark.parametrize("argv", [
+    ["force2d", "--q", "1e-200"],
+    ["oracle", "--q", "1e-200"],
+    ["force4d", "--q", "1e-100"],
+    ["force2d", "--r0", "0.5", "--q", "1e-200"],
+    ["force2d", "--model", "lorentzian", "--omega1", "1", "--q", "1e-200"],
+    ["force4d", "--r0", "0.5", "--q", "1e-100", "--T", "0.1"],
+])
+def test_results_that_are_not_finite_exit_2(argv, capsys):
+    # a value that overflows at a tiny q is a parameter error: one error
+    # line and no record, not a traceback or an infinity marked converged
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_sweep_param_column_and_values(capsys):
     code, out, _ = run_cli(["sweep", "--command", "force2d", "--param", "q",
                             "--from", "0.5", "--to", "2", "--points", "3",
