@@ -79,8 +79,8 @@ def _closed_form(r0, p, num, den, method):
     The polylogarithm is summed to rounding and the bar is 1e-12
     relative.  An exact zero at num = 0, not 0 times a negative sum.
     """
-    value = (num * polylog(r0, p, tol=1e-16) / den if den else np.inf
-             ) if num else 0.0
+    value = 0.0 if not num else (
+        num * polylog(r0, p, tol=1e-16) / den if den else np.inf)
     return Result(value, 1e-12 * abs(value), method)
 
 

@@ -78,9 +78,9 @@ def pressure_roundtrip(cfg, spec=None):
         raise ValueError("pressure_roundtrip is a zero-temperature route; "
                          "use pressure_thermal_large_distance at T > 0")
     q = cfg.q
-    # r1 r2 ~ e^{-sigma kappa} at small kappa, sigma = sum_i 1/Omega_i over
-    # the lorentzian cutoffs Omega_i: the l-th integrand is the density of
-    # Gamma(4, l lam), lam = 2q + sigma, times C(l lam) rbar^l e^{l sigma k}
+    # r1 r2 ~ e^{-sigma kappa} at small kappa (sigma = sum_i 1/Omega_i, the
+    # lorentzian cutoffs): the l-th integrand is the Gamma(4, l lam) density,
+    # lam = 2q + sigma, times C(l lam) rbar^l e^{l sigma kappa}
     sigma = sum(1.0 / m.cutoff for m in (cfg.mirror1, cfg.mirror2)
                 if m.kind == "lorentzian")
     lam = 2.0 * q + sigma
