@@ -373,7 +373,7 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 5
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
