@@ -25,16 +25,11 @@ from .spectral import thermal_kernel_time, free_energy_kernel_time
 from .scattering import ModelCapabilityError
 
 # the node counts of the Gauss-Laguerre pair that integrates each term of
-# a roundtrip series, and of the Beta rules that make them the product
-# rules 16 x 8 and 24 x 12 for a term of two rates
+# a roundtrip series, and, for a law of one rate or of two, those of the
+# Beta rules beside them: one node u = 1/2 for one rate, so 40 nodes a
+# term, and the product rules 16 x 8 and 24 x 12 for two
 _RULES = (16, 24)
-_BETA_RULES = (8, 12)
-# for each node of the two product rules, the coarser's first, the column
-# of its Laguerre node and of its Beta node in the arrays of `_stacked`
-_LAG = np.concatenate([np.tile(np.arange(m) + i, mb) for m, mb, i in
-                       zip(_RULES, _BETA_RULES, (0, _RULES[0]))])
-_MIX = np.concatenate([np.repeat(np.arange(mb) + j, m) for m, mb, j in
-                       zip(_RULES, _BETA_RULES, (0, _BETA_RULES[0]))])
+_BETA_RULES = {1: (1, 1), 2: (8, 12)}
 # the most terms whose fixed-rule nodes one integrand call takes
 _TERMS_PER_CALL = 64
 # the energies' panel edges in u, graded toward their ln u at u = 0
@@ -106,8 +101,8 @@ def _delay_profile(cfg):
         elementwise in l and s (None when both mirrors respond
         instantaneously and the density is a delta at zero delay);
         ``shape(ells)`` is that density's exact law for
-        `_sum_integral_terms`: alpha = k l - 1 and the shared cutoff, or
-        alpha = 2 l - 1 and the two cutoffs.
+        `_sum_integral_terms`: alpha = k l - 1 and the shared cutoff as
+        one rate column, or alpha = 2 l - 1 and the two cutoffs as two.
     """
     rates = []
     for m in (cfg.mirror1, cfg.mirror2):
@@ -122,24 +117,31 @@ def _delay_profile(cfg):
     if len(set(rates)) == 1:
         k, rate = len(rates), rates[0]
         return ((lambda l, s: erlang_weight(k * l, rate, s)),
-                lambda l: (k * l - 1, np.full(l.shape, rate)))
+                lambda l: (k * l - 1, np.full((l.size, 1), rate)))
     a, b = rates
     return ((lambda l, s: hypoexp_weight(l, a, b, s)),
             lambda l: (2 * l - 1, np.tile(rates, (l.size, 1))))
 
 
 @functools.lru_cache(maxsize=64)
-def _stacked(rule, sizes, orders):
-    """The rules rule(m, a) of every size m for each order a of the tuple
-    orders, stacked: one read-only array per rule array, a row per order,
-    the sizes side by side.  They depend on the orders alone, never on the
-    mirrors or q; 64 entries of 64 orders hold at most about 4 MB."""
-    rules = [rule(m, a) for a in orders for m in sizes]
-    stacked = tuple(np.concatenate(x).reshape(len(orders), -1)
-                    for x in zip(*rules))
-    for x in stacked:
+def _rule_table(orders, beta_sizes):
+    """The product rules of `_fixed_rule_terms` for a tuple of orders a:
+    Gauss-Laguerre rules `_RULES` of Gamma(a + 1, 1), the coarser first,
+    times Beta rules beta_sizes of Beta((a + 1) / 2, (a + 1) / 2), as
+    read-only arrays t, u and w, a row per order and a column per node: its
+    Laguerre node, Beta node and weight v_0^2 p.  Each distinct order is
+    built once.  64 two-rate tables of 64 orders take about 41 MB."""
+    rows = {}
+    for a in set(orders):
+        rules = [(_gauss_laguerre(m, a), _gauss_beta(mb, (a - 1) // 2))
+                 for m, mb in zip(_RULES, beta_sizes)]
+        rows[a] = [np.concatenate(x) for x in zip(*[
+            (np.tile(t, u.size), np.repeat(u, t.size), np.kron(p, v))
+            for (t, v), (u, p) in rules])]
+    table = tuple(np.array([rows[a][i] for a in orders]) for i in range(3))
+    for x in table:
         x.flags.writeable = False
-    return stacked
+    return table
 
 
 def _fixed_rule_terms(kernel, shape, ells):
@@ -147,28 +149,20 @@ def _fixed_rule_terms(kernel, shape, ells):
 
     Returns the finer rule's values and their distances to the coarser
     one's, the kernel's means under its law's normalized weights.  A term
-    of one rate beta takes the Gauss-Laguerre pair `_RULES` for its alpha:
-    the nodes t / beta and the weights v_0^2.  A term of two rates takes
-    the product rules of that pair with the Beta pair `_BETA_RULES` at
-    (alpha - 1) / 2: its delay R (T / beta_1 + (1 - T) / beta_2) has the
-    nodes t (u_j / beta_1 + (1 - u_j) / beta_2) and the weights v_0^2 p_j,
-    over the Beta rule's nodes u_j and weights p_j.  One kernel call takes
-    the nodes of all the terms.  The rule tables of a chunk come from
-    `_stacked`, keyed on its orders as tuples, so a repeated chunk builds
-    and stacks no rule.
+    whose delay is R (T / beta_1 + (1 - T) / beta_2) takes the product of
+    the Gauss-Laguerre pair `_RULES` for R and the Beta pair of its number
+    of rates in `_BETA_RULES` for T: the nodes t (u / beta_1 + (1 - u) /
+    beta_2) and the weights v_0^2 p.  A law of one rate is the law of two
+    equal ones, whose T drops out: one Beta node u = 1/2 of weight 1.  One
+    kernel call takes the nodes of all the terms, and a repeated chunk
+    builds no rule (`_rule_table`).
     """
     alpha, beta = shape(ells)
-    alpha = tuple(alpha.tolist())
-    t, w = _stacked(_gauss_laguerre, _RULES, alpha)
-    if beta.ndim == 1:
-        x, cut = t / beta[:, None], _RULES[0]
-    else:
-        u, p = _stacked(_gauss_beta, _BETA_RULES,
-                        tuple((a - 1) // 2 for a in alpha))
-        c = u / beta[:, :1] + (1.0 - u) / beta[:, 1:]
-        x, w = t[:, _LAG] * c[:, _MIX], w[:, _LAG] * p[:, _MIX]
-        cut = _RULES[0] * _BETA_RULES[0]
+    sizes = _BETA_RULES[beta.shape[1]]
+    t, u, w = _rule_table(tuple(alpha.tolist()), sizes)
+    x = t * (u / beta[:, :1] + (1.0 - u) / beta[:, -1:])
     y = kernel(np.repeat(ells, x.shape[1]), x.ravel()).reshape(x.shape) * w
+    cut = _RULES[0] * sizes[0]
     value = y[:, cut:].sum(axis=1)
     return value, np.abs(value - y[:, :cut].sum(axis=1))
 
@@ -177,8 +171,8 @@ def _sum_integral_terms(kernel, shape, term, spec):
     """Sum a roundtrip series whose l-th term is a kernel's mean over a law.
 
     ``shape(ells)`` gives the law of each term ells: the integer
-    alpha >= 0 and the rate beta > 0 of Gamma(alpha + 1, beta), or two
-    rates per term for the law of the sum of two independent
+    alpha >= 0 and a column of rates beta > 0, one for Gamma(alpha + 1,
+    beta), two for the law of the sum of two independent
     Gamma((alpha + 1) / 2) delays at those rates.  ``kernel(l, x)`` is the
     l-th kernel at x and ``term(l, x)`` the law's density times it, both
     elementwise in an integer array l and x.  The fixed rules of
@@ -207,8 +201,7 @@ def _sum_integral_terms(kernel, shape, term, spec):
         redo = np.flatnonzero(~_tol_met(error, value, inner))
         if redo.size:
             alpha, beta = shape(ells[redo])
-            mean = ((alpha + 1) / beta if beta.ndim == 1
-                    else 0.5 * (alpha + 1) * (1.0 / beta).sum(axis=1))
+            mean = (alpha + 1) * (1.0 / beta).mean(axis=1)
             res = integrate_semi_infinite(
                 lambda i, x: term(ells[redo][i], x), mean, inner)
             value[redo], error[redo] = res.value, res.error_estimate

@@ -94,7 +94,7 @@ def pressure_roundtrip(cfg, spec=None):
                 * np.exp(-2.0 * l * kappa * q) / np.pi**2)
 
     series = _sum_integral_terms(
-        kernel, lambda l: (np.full(l.shape, 3), l * lam), term, spec)
+        kernel, lambda l: (np.full_like(l, 3), l[:, None] * lam), term, spec)
     return _result(series, "roundtrip-time", spec, roundtrips=True)
 
 

@@ -6,14 +6,14 @@ reaching this module is smooth (at worst endpoint-log-singular) and decays
 exponentially, or is smooth between known kinks (the knots of a tabulated
 mirror), which the caller passes as panel edges.  The engine is an embedded
 Gauss pair (7/15 point) on panels, cut at any edges inside them (QUADPACK's
-qagp) and globally refined worst-panel-first; Gauss rules of the gamma law
-(`_gauss_laguerre`) for the roundtrip terms, each the mean of a kernel over
-a known gamma law, times symmetric Beta rules (`_gauss_beta`) where a
-term's law splits between two rates, all with normalized weights from one
-Golub-Welsch step and the panel engine as their fallback; and one series
-summator, `_sum_series`, with a geometric or power-law tail bound and two
-escape hatches for slowly decaying term sequences: exact polylogarithm
-detection and an algebraic 1/l^k tail fit.
+qagp) and globally refined worst-panel-first; Gauss rules for the
+roundtrip terms, each the mean of a kernel over a law R (T / beta_1 +
+(1 - T) / beta_2): R's gamma law (`_gauss_laguerre`) times T's symmetric
+Beta law (`_gauss_beta`), one node if beta_1 = beta_2, with normalized
+weights from one Golub-Welsch step and the panel engine as fallback; and
+one series summator, `_sum_series`, with a geometric or power-law tail
+bound and two escape hatches for slowly decaying term sequences: exact
+polylogarithm detection and an algebraic 1/l^k tail fit.
 Its exit tests cost a fixed few numpy calls per checkpoint, whatever the
 series length: the polylogarithm test takes its three orders in one pass
 over the last 16 terms, and the tail fits are two dot products of 16 terms
@@ -22,7 +22,9 @@ A series value is the exactly rounded sum (`math.fsum`) of its computed
 terms plus the tail, and its error bar adds a rounding allowance of
 2 eps sum_l |t_l| to the truncation bound, so the bar stays honest when
 the truncation error is far below the terms' own rounding.  One rule,
-`_tol_met`, decides whether an error meets a spec's tolerances.
+`_tol_met`, decides whether an error meets a spec's tolerances.  Numpy's
+floating-point warnings are off in an integral's rounds and a series'
+checkpoints: what overflows ends as a value or bar that is not finite.
 
 `integrate_semi_infinite` takes one integral or a block of them.  Each
 integral is a coroutine (`_integral`) that asks for the panels its march
@@ -168,7 +170,9 @@ def _integral(scale, spec, tail_spec, edges):
     march's tail test and its panel cap still count whole march panels.
     There is one march path: a round with no edge inside it is left whole.
     The value and the error are the exactly rounded sums (`math.fsum`) of
-    the final pieces, plus the extrapolated tail in the error.
+    the final pieces, plus the extrapolated tail in the error (NaN past
+    the float range).  A running error that is not finite ends the
+    refinement: no bisection makes it finite again.
     """
     tick = itertools.count()  # heap tie-breaker: older panels first
     heap = []  # (-err, tick, a, b, value, err, depth)
@@ -214,7 +218,7 @@ def _integral(scale, spec, tail_spec, edges):
         error += err
     pops = 0
     capped = False
-    while not _tol_met(error, value, spec):
+    while error < math.inf and not _tol_met(error, value, spec):
         item = heapq.heappop(heap)
         if item[6] >= spec.max_subdivisions or \
                 len(heap) + 2 > _MAX_TOTAL_PANELS:
@@ -230,8 +234,11 @@ def _integral(scale, spec, tail_spec, edges):
         heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
         pops += 1
 
-    value = math.fsum(item[4] for item in heap)
-    error = extra + math.fsum(item[5] for item in heap)
+    try:
+        value = math.fsum(item[4] for item in heap)
+        error = extra + math.fsum(item[5] for item in heap)
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
+        value = error = math.nan
     # a bisection replaces one panel by two and evaluates both
     return (value, error, len(heap) + pops,
             not capped and streak >= 2 and _tol_met(error, value, spec))
@@ -299,22 +306,23 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
     # (index, coroutine, its request) of each unfinished integral
     live = [(k, run, next(run)) for k, run in enumerate(runs)]
     results = [None] * len(runs)
-    while live:
-        starts, ends, owner = [], [], []
-        for k, _, (a, b) in live:
-            starts += a
-            ends += b
-            owner += [k] * len(a)
-        vals, errs = _panel(f, starts, ends, owner if block else None)
-        i, still = 0, []
-        for k, run, (a, _) in live:
-            j = i + len(a)
-            try:
-                still.append((k, run, run.send((vals[i:j], errs[i:j]))))
-            except StopIteration as done:
-                results[k] = done.value
-            i = j
-        live = still
+    with np.errstate(all="ignore"):
+        while live:
+            starts, ends, owner = [], [], []
+            for k, _, (a, b) in live:
+                starts += a
+                ends += b
+                owner += [k] * len(a)
+            vals, errs = _panel(f, starts, ends, owner if block else None)
+            i, still = 0, []
+            for k, run, (a, _) in live:
+                j = i + len(a)
+                try:
+                    still.append((k, run, run.send((vals[i:j], errs[i:j]))))
+                except StopIteration as done:
+                    results[k] = done.value
+                i = j
+            live = still
     value, error, panels, converged = zip(*results) if results else [()] * 4
     evaluations = 22 * sum(panels)
     if not block:
@@ -326,14 +334,11 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
 
 def _golub_welsch(diagonal, off_diagonal):
     """Golub-Welsch: a Jacobi matrix's eigenvalues t and its eigenvectors'
-    squared first components v_0^2 (the Gauss weights), read-only."""
+    squared first components v_0^2 (the Gauss weights)."""
     t, v = eigh_tridiagonal(diagonal, off_diagonal)
-    v0sq = v[0] * v[0]
-    t.flags.writeable = v0sq.flags.writeable = False
-    return t, v0sq
+    return t, v[0] * v[0]
 
 
-@functools.lru_cache(maxsize=4096)
 def _gauss_laguerre(m, alpha):
     """m-point Gauss rule (t, v0sq) of the Gamma(alpha + 1, 1) law.
 
@@ -347,7 +352,6 @@ def _gauss_laguerre(m, alpha):
                          np.sqrt(i[1:] * (i[1:] + alpha)))
 
 
-@functools.lru_cache(maxsize=4096)
 def _gauss_beta(m, alpha):
     """m-point Gauss rule (t, p) of the Beta(alpha + 1, alpha + 1) law.
 
@@ -468,8 +472,9 @@ def _sum_series(terms, spec=None, ratio_bound=None):
     the exact `math.fsum` of the terms used plus any fitted tail, and the
     error bar adds the rounding allowance 2 eps sum_l |t_l| to the
     truncation bound.  evaluations counts the terms used, not the calls.
-    Terms that overflow raise no numpy warning: a block with a term that is
-    not finite ends the series with a NaN value, which `Result` refuses.
+    No checkpoint raises a numpy warning: a block with a term, or a running
+    sum, that is not finite ends the series with a NaN value, which
+    `Result` refuses.
 
     The exit tests of a checkpoint read at most its last 16 terms and cost
     a fixed few numpy calls, whatever l: the polylogarithm test is one pass
@@ -492,56 +497,57 @@ def _sum_series(terms, spec=None, ratio_bound=None):
                                  len(kept), converged)
 
     checkpoints = sorted({min(c, cap) for c in (64, 128, 256, 512, 1024, cap)})
-    for ell in checkpoints:
-        ells = np.arange(len(kept) + 1, ell + 1)
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for ell in checkpoints:
+            ells = np.arange(len(kept) + 1, ell + 1)
             block = np.asarray(terms(ells), dtype=float).reshape(ells.shape)
-        if not np.isfinite(block).all():
-            return IntegrationResult(math.nan, math.nan, ell, False)
-        sums = np.cumsum(np.concatenate(([partial], block)))[1:]
-        if geometric:
-            bounds = np.abs(block) * ratio_bound / (1.0 - ratio_bound)
-            hit = np.flatnonzero(_tol_met(bounds, sums, tail_spec))
-            if hit.size:
-                kept += block[:hit[0] + 1].tolist()
-                return result(0.0, float(bounds[hit[0]]), True)
-        kept += block.tolist()
-        partial = float(sums[-1])
+            sums = np.cumsum(np.concatenate(([partial], block)))[1:]
+            if not np.isfinite(sums[-1]):
+                return IntegrationResult(math.nan, math.nan, ell, False)
+            if geometric:
+                bounds = np.abs(block) * ratio_bound / (1.0 - ratio_bound)
+                hit = np.flatnonzero(_tol_met(bounds, sums, tail_spec))
+                if hit.size:
+                    kept += block[:hit[0] + 1].tolist()
+                    return result(0.0, float(bounds[hit[0]]), True)
+            kept += block.tolist()
+            partial = float(sums[-1])
 
-        window = np.abs(kept[-9:])
-        if np.max(window) == 0.0:
-            # all terms, or the last 9, are exact zeros (underflow): done
-            return result(0.0, 0.0, True)
-        if len(kept) >= 9 and np.all(window[:-1] > 0.0):
-            r = float(np.max(window[1:] / window[:-1]))
-            # the exponent of a power law through the last two terms: terms
-            # that fall algebraically have ratios rising toward 1, and only
-            # t_L L / (p - 1) bounds their tail
-            p = (math.log(window[-2] / window[-1]) / math.log(ell / (ell - 1))
-                 if window[-1] > 0.0 else math.inf)
-            if r < 0.98 and p > 1.0:
-                tail = window[-1] * max(r / (1.0 - r), ell / (p - 1.0))
-                if _tol_met(tail, partial, tail_spec):
-                    return result(0.0, tail, True)
+            window = np.abs(kept[-9:])
+            if np.max(window) == 0.0:
+                # all terms, or the last 9, are exact zeros (underflow): done
+                return result(0.0, 0.0, True)
+            if len(kept) >= 9 and np.all(window[:-1] > 0.0):
+                r = float(np.max(window[1:] / window[:-1]))
+                # the exponent of a power law through the last two terms:
+                # terms that fall algebraically have ratios rising toward 1,
+                # and only t_L L / (p - 1) bounds their tail
+                p = (math.log(window[-2] / window[-1])
+                     / math.log(ell / (ell - 1))
+                     if window[-1] > 0.0 else math.inf)
+                if r < 0.98 and p > 1.0:
+                    tail = window[-1] * max(r / (1.0 - r), ell / (p - 1.0))
+                    if _tol_met(tail, partial, tail_spec):
+                        return result(0.0, tail, True)
 
-        nwin = min(16, ell)
-        hit = _detect_polylog(kept[-nwin:], ell - nwin + 1)
-        if hit is not None:
-            c, x, p = hit
-            ells = np.arange(1, ell + 1, dtype=float)
-            covered = float(np.sum(c * x**ells / ells**p))
-            tail = c * polylog(x, p, tol=1e-16) - covered
-            return result(tail, spec.series_tail_tol * abs(partial + tail),
-                          True)
+            nwin = min(16, ell)
+            hit = _detect_polylog(kept[-nwin:], ell - nwin + 1)
+            if hit is not None:
+                c, x, p = hit
+                ells = np.arange(1, ell + 1, dtype=float)
+                covered = float(np.sum(c * x**ells / ells**p))
+                tail = c * polylog(x, p, tol=1e-16) - covered
+                return result(tail, spec.series_tail_tol * abs(partial + tail),
+                              True)
 
-        if ell >= 64:
-            fit = _fit_algebraic_tail(kept, ell)
-            if fit is not None:
-                tail, proxy = fit
-                if _tol_met(proxy, partial + tail, tail_spec):
-                    return result(tail, proxy, True)
-                if best is None or proxy < best[0]:
-                    best = (proxy, result(tail, proxy, False))
+            if ell >= 64:
+                fit = _fit_algebraic_tail(kept, ell)
+                if fit is not None:
+                    tail, proxy = fit
+                    if _tol_met(proxy, partial + tail, tail_spec):
+                        return result(tail, proxy, True)
+                    if best is None or proxy < best[0]:
+                        best = (proxy, result(tail, proxy, False))
 
     if best is not None:
         return replace(best[1], evaluations=len(kept))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -423,36 +424,73 @@ def test_split_pair_terms_meet_their_bars(a, b, q):
         assert not ok or abs(v - ref) <= e + 8 * np.finfo(float).eps * abs(ref)
 
 
-@pytest.mark.parametrize("rule, sizes, orders", [
-    (quadrature._gauss_laguerre, casimir2d._RULES, (3,) * 64),
-    (quadrature._gauss_laguerre, casimir2d._RULES, tuple(range(1, 128, 2))),
-    (quadrature._gauss_beta, casimir2d._BETA_RULES, tuple(range(5, 69))),
+@pytest.mark.parametrize("orders, rates", [
+    ((3,) * 64, 1),
+    (tuple(range(1, 128, 2)), 2),
+    (tuple(range(129, 256, 2)), 2),
 ], ids=["pressure", "split-pair", "beta"])
-def test_stacked_rule_tables_are_cached_read_only(rule, sizes, orders):
-    # a chunk's tables depend on its orders alone: the cached arrays are
-    # those of a fresh build, bit for bit, and cannot be written
-    cached = casimir2d._stacked(rule, sizes, orders)
-    assert casimir2d._stacked(rule, sizes, orders) is cached
-    fresh = [np.concatenate([rule(m, a)[i] for a in orders for m in sizes])
-             for i in range(len(cached))]
+def test_stacked_rule_tables_are_cached_read_only(orders, rates):
+    # a chunk's table depends on its orders and number of rates alone: the
+    # cached arrays are a fresh build's, bit for bit, and cannot be
+    # written; each block of a product rule holds the Laguerre nodes t_i,
+    # the Beta nodes u_j and the weights p_j v_i, and a one-rate row has
+    # one Beta node, u = 1/2 of weight 1, beside each Laguerre node
+    sizes = casimir2d._BETA_RULES[rates]
+    cached = casimir2d._rule_table(orders, sizes)
+    assert casimir2d._rule_table(orders, sizes) is cached
+    fresh = casimir2d._rule_table.__wrapped__(orders, sizes)
+    nodes = sum(m * mb for m, mb in zip(casimir2d._RULES, sizes))
     for x, y in zip(cached, fresh):
-        assert x.shape == (len(orders), sum(sizes))
+        assert x.shape == (len(orders), nodes)
         assert x.tobytes() == y.tobytes()
         with pytest.raises(ValueError):
             x[0, 0] = 1.0
+    t, u, w = cached
+    for row, a in enumerate(orders):
+        start = 0
+        for m, mb in zip(casimir2d._RULES, sizes):
+            lag, v = quadrature._gauss_laguerre(m, a)
+            beta, p = quadrature._gauss_beta(mb, (a - 1) // 2)
+            block = slice(start, start + m * mb)
+            assert (t[row, block].reshape(mb, m) == lag).all()
+            assert (u[row, block].reshape(mb, m) == beta[:, None]).all()
+            assert (w[row, block].reshape(mb, m) == np.outer(p, v)).all()
+            start += m * mb
+    if rates == 1:
+        assert nodes == sum(casimir2d._RULES) and (u == 0.5).all()
+        one = quadrature._gauss_beta(1, (orders[0] - 1) // 2)
+        assert [x.tolist() for x in one] == [[0.5], [1.0]]
+
+
+@pytest.mark.parametrize("q", [0.01, 0.4, 5.0, 300.0])
+@pytest.mark.parametrize("k, rate", [(1, 0.05), (1, 0.7), (2, 0.7), (2, 23.0)])
+def test_one_rate_terms_are_the_equal_rate_product_rule(k, rate, q):
+    # a law of one rate takes one Beta node, u = 1/2, beside its Laguerre
+    # nodes; the force's terms and bars by that rule lie within 8 ulp of
+    # those of the full 16 x 8 and 24 x 12 product rules at beta_1 =
+    # beta_2 (4-7 ulp seen), whose Beta weights sum to 1 only to a few ulp
+    def kernel(l, s):
+        return -thermal_kernel_time(2.0 * l * q + s, 0.0)
+
+    ells = np.arange(1, 65)
+    value, error = casimir2d._fixed_rule_terms(
+        kernel, lambda l: (k * l - 1, np.full((l.size, 1), rate)), ells)
+    full, full_error = casimir2d._fixed_rule_terms(
+        kernel, lambda l: (k * l - 1, np.full((l.size, 2), rate)), ells)
+    ulps = 8 * np.finfo(float).eps * np.abs(full)
+    assert (np.abs(value - full) <= ulps).all()
+    assert (np.abs(error - full_error) <= ulps).all()
 
 
 def test_repeated_split_pair_builds_no_rule():
-    # the second call finds every chunk's tables in the cache of _stacked:
-    # no Gauss-Laguerre or Beta rule is looked up, and the value is the same
+    # the second call finds every chunk's table in the cache of
+    # _rule_table: no table misses, and the value is the same
     cfg = CavityConfig(lorentzian_mirror(0.7), lorentzian_mirror(2.3), 0.4)
     first = force_roundtrip_time(cfg)
-    rules = (quadrature._gauss_laguerre, quadrature._gauss_beta)
-    before = [f.cache_info()[:2] for f in rules]
-    hits = casimir2d._stacked.cache_info().hits
+    before = casimir2d._rule_table.cache_info()
     again = force_roundtrip_time(cfg)
-    assert [f.cache_info()[:2] for f in rules] == before
-    assert casimir2d._stacked.cache_info().hits > hits
+    after = casimir2d._rule_table.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
     assert again == first
 
 
@@ -732,6 +770,33 @@ def test_results_that_are_not_finite_are_refused(call):
     # ValueError, never an infinity marked converged or a ZeroDivisionError
     with pytest.raises(ValueError, match="is not finite|overflows"):
         call()
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: force_imag_axis(_pair(perfect_mirror, 1e-154)), None),
+    (lambda: casimir4d.energy_4d(_pair(perfect_mirror, 1e-103)), None),
+    (lambda: casimir_energy(_pair(perfect_mirror, 1e-307)),
+     -math.pi / 24e-307),
+    (lambda: force_roundtrip_time(_pair(perfect_mirror, 1e-154, 0.1)),
+     math.pi / 24e-308),
+    (lambda: free_energy(_pair(perfect_mirror, 5.6e-310, 0.1)), None),
+], ids=["imag-axis", "energy-4d", "energy", "perfect-roundtrip",
+        "free-energy"])
+def test_overflow_on_the_way_raises_no_warning(call, value):
+    # numpy overflows inside an integral or a series, whatever the warning
+    # filter: a refusal (value None) or the perfect pair's closed form,
+    # -pi / (24 q) or pi / (24 q^2), never a RuntimeWarning; the free
+    # energy's finite terms sum past the float range, which the series'
+    # exact sum met with an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if value is None:
+            with pytest.raises(ValueError, match="is not finite"):
+                call()
+        else:
+            res = call()
+            assert res.converged
+            assert res.value == pytest.approx(value, rel=1e-9)
 
 
 @pytest.mark.parametrize("call, message", [

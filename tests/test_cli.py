@@ -221,7 +221,7 @@ def test_nonconverged_run_exits_4_but_reports(capsys):
     ["force2d", "--r0", "0.5", "--q", "1e-200"],
     ["force2d", "--model", "lorentzian", "--omega1", "1", "--q", "1e-200"],
     ["force4d", "--r0", "0.5", "--q", "1e-100", "--T", "0.1"],
-    # the adaptive fallback's exact panel sum overflows: an OverflowError
+    # the adaptive fallback's exact panel sum overflows: a ValueError
     ["force4d", "--method", "roundtrip", "--q", "1e-80"],
 ])
 def test_results_that_are_not_finite_exit_2(argv, capsys):
