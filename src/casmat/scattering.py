@@ -15,6 +15,9 @@ frequency integral carries the Casimir energy.  The coordinate convention
 places mirror 1 at the origin and mirror 2 at q.
 """
 
+import functools
+import itertools
+
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
@@ -194,29 +197,41 @@ def tabulated_mirror(xi, r, units="absolute", q=None):
     return MirrorModel("tabulated", r_imag_fn=r_imag, knots=xi)
 
 
+@functools.lru_cache(maxsize=4)
+def _parse_table(text):
+    """(units, xi, r) of a table file's text; xi and r are read-only."""
+    lines = [ln.partition("#")[0].strip() for ln in text.split("\n")]
+    rows = [ln for ln in lines if ln and ln[:6].lower() != "units:"]
+    cols = [ln.split() for ln in rows]
+    bad = [ln for ln, c in zip(rows, cols) if len(c) != 2]
+    if bad:
+        raise ValueError("expected two columns, got %r" % bad[0])
+    xr = np.array([*map(float, itertools.chain.from_iterable(cols))])
+    xr.flags.writeable = False
+    units = [ln[6:] for ln in lines if ln[:6].lower() == "units:"]
+    return (units or ["absolute"])[-1].strip().lower(), xr[0::2], xr[1::2]
+
+
+@functools.lru_cache(maxsize=4)
+def _table_model(text, q):
+    units, xi, r = _parse_table(text)
+    return tabulated_mirror(xi, r, units=units, q=q)
+
+
 def load_tabulated_mirror(path, q=None):
     """Read a tabulated mirror from a two-column text file.
 
-    Lines of "xi r" pairs; '#' starts a comment; an optional header line
-    "units: absolute" or "units: q-relative" selects the abscissa
-    convention (default absolute).
+    Lines of "xi r" pairs; '#' starts a comment, also after the data on a
+    line; an optional header line "units: absolute" or "units: q-relative"
+    selects the abscissa convention (default absolute).  The file is read
+    on every call, but each distinct content is parsed once and its model
+    built once (per q, if q-relative): calls on one content share one
+    `MirrorModel`, which must be treated as immutable.
     """
-    units = "absolute"
-    xs, rs = [], []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().startswith("units:"):
-                units = line.split(":", 1)[1].strip().lower()
-                continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise ValueError("expected two columns, got %r" % line)
-            xs.append(float(cols[0]))
-            rs.append(float(cols[1]))
-    return tabulated_mirror(xs, rs, units=units, q=q)
+        text = fh.read()
+    relative = _parse_table(text)[0] != "absolute"
+    return _table_model(text, q if relative else None)
 
 
 class CavityConfig:

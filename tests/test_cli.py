@@ -14,7 +14,7 @@ from casmat import casimir2d, casimir4d, cli
 from casmat.casimir2d import force_imag_axis
 from casmat.casimir4d import PlanarMirrorModel
 from casmat.scattering import (CavityConfig, MirrorModel, lorentzian_mirror,
-                               perfect_mirror)
+                               perfect_mirror, tabulated_mirror)
 
 HEADER = "param,q,T,value,error,method,converged,roundtrips"
 
@@ -145,6 +145,46 @@ def test_tabulated_pair_evaluates_its_table_once_per_point(
                           mirror_table, "--method", "imag-axis"], capsys)
     assert code == 0
     assert counts["mirror"] == counts["loop"] > 0
+
+
+@pytest.mark.parametrize("units", ["absolute", "q-relative"])
+def test_tabulated_sweep_records_equal_single_calls(units, mirror_table,
+                                                    capsys):
+    if units == "q-relative":
+        with open(mirror_table) as fh:
+            text = fh.read()
+        with open(mirror_table, "w") as fh:
+            fh.write("units: q-relative  # column 1 holds xi*q\n" + text)
+    code, out, _ = run_cli(["sweep", "--command", "force2d", "--param", "q",
+                            "--from", "0.5", "--to", "2", "--points", "4",
+                            "--spacing", "log", "--model", "tabulated",
+                            "--table", mirror_table, "--output", "csv"],
+                           capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    assert len({r["value"] for r in rows}) == 4
+    for row in rows:
+        code, one, _ = run_cli(["force2d", "--model", "tabulated", "--table",
+                                mirror_table, "--q", row["q"], "--output",
+                                "csv"], capsys)
+        assert code == 0
+        assert {**parse_csv(one)[0], "param": row["param"]} == row
+
+
+def test_a_rewritten_table_is_read_again(tmp_path, capsys):
+    # fixed-width rows, so the rewrite keeps the file's size
+    path = tmp_path / "mirror.tab"
+    xi = np.geomspace(1e-4, 4e4, 400)
+    for cutoff in (1.0, 3.0):
+        r = -cutoff / (cutoff + xi)
+        path.write_text("".join("%.9e %.9e\n" % row for row in zip(xi, r)))
+        code, out, _ = run_cli(["force2d", "--model", "tabulated", "--table",
+                                str(path), "--q", "0.7", "--output", "json"],
+                               capsys)
+        assert code == 0
+        mirror = tabulated_mirror(*np.loadtxt(path, unpack=True))
+        want = force_imag_axis(CavityConfig(mirror, mirror, 0.7)).value
+        assert json.loads(out)[0]["value"] == want
 
 
 def test_tabulated_model_cannot_do_thermal_roundtrips(mirror_table, capsys):

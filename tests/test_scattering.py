@@ -1,6 +1,7 @@
 """Mirror models, cavity composition and scattering identities."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from casmat.casimir4d import PlanarMirrorModel
 from casmat.scattering import (CavityConfig, MirrorModel,
-                               ModelCapabilityError, airy_factor,
+                               ModelCapabilityError, _parse_table, airy_factor,
                                cavity_matrices, load_tabulated_mirror,
                                lorentzian_mirror, perfect_mirror, phase_shift,
                                phase_shift_derivative_decomposition,
@@ -77,6 +78,129 @@ def test_tabulated_mirror_q_relative_units(tmp_path):
     assert m.r_imag(0.5) == pytest.approx(-0.5, abs=1e-7)
     with pytest.raises(ValueError):
         load_tabulated_mirror(str(path))
+
+
+def _loop_parse(path):
+    """The reader's former line-by-line loop: the reference for the parse."""
+    units, xs, rs = "absolute", [], []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.lower().startswith("units:"):
+                units = line.split(":", 1)[1].strip().lower()
+                continue
+            cols = line.split()
+            if len(cols) != 2:
+                raise ValueError("expected two columns, got %r" % line)
+            xs.append(float(cols[0]))
+            rs.append(float(cols[1]))
+    return units, xs, rs
+
+
+_ROWS = ["%r %r" % (float(a), float(-1.0 / (1.0 + a)))
+         for a in np.geomspace(1e-3, 1e3, 60)]
+
+
+# (table text, text the loop reads to the same samples)
+_LAYOUTS = {
+    "crlf": ("# samples\r\n" + "\r\n".join(_ROWS) + "\r\n", None),
+    "blank-and-indented-comments": (
+        "\n".join(_ROWS[:20] + ["", "   # indented", "\t", "  "] + _ROWS[20:]
+                  + ["", "  # last"]), None),
+    "header-after-data": ("\n".join(_ROWS + ["  Units: Q-Relative  "]), None),
+    "inline-comments": (
+        "\n".join(["%s  # knot %d" % (row, i) for i, row in enumerate(_ROWS)]
+                  + ["units: q-relative # after the data", "#"]),
+        "\n".join(_ROWS + ["units: q-relative"])),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_table_parse_matches_the_line_loop(layout, tmp_path):
+    text, reference = _LAYOUTS[layout]
+    path, ref = tmp_path / "mirror.tab", tmp_path / "reference.tab"
+    path.write_bytes(text.encode())
+    ref.write_bytes((reference or text).encode())
+    with open(path) as fh:
+        units, xi, r = _parse_table(fh.read())
+    assert (units, xi.tolist(), r.tolist()) == _loop_parse(ref)
+    assert not xi.flags.writeable and not r.flags.writeable
+    want = tabulated_mirror(*_loop_parse(ref)[1:], units=units, q=2.0)
+    got = load_tabulated_mirror(str(path), q=2.0)
+    probe = np.geomspace(1e-4, 1e4, 97)
+    assert got.knots.tolist() == want.knots.tolist()
+    assert got.r_imag(probe).tolist() == want.r_imag(probe).tolist()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0 -0.5\n2.0 -0.4 0.1\n3.0\n",
+     "expected two columns, got '2.0 -0.4 0.1'"),
+    ("0.001 -0.5  # first knot\n2.0  # r went missing\n3.0\n",
+     "expected two columns, got '2.0'"),
+    ("units: absolute\nunits -0.5\n", "could not convert string to float: "
+     "'units'"),
+    ("1.0 -0.5\n2.0 abc\n", "could not convert string to float: 'abc'"),
+    ("# no samples\n\n", "need at least two samples"),
+    ("units: furlongs\n1.0 -0.5\n2.0 -0.4\n",
+     "units must be 'absolute' or 'q-relative'"),
+], ids=["three-columns", "one-column-before-comment", "units-without-colon",
+        "not-a-number", "no-samples", "unknown-units"])
+def test_malformed_tables_name_the_first_bad_line(text, message, tmp_path):
+    path = tmp_path / "mirror.tab"
+    path.write_text(text)
+    for _ in range(2):  # a refused table is not remembered as a good one
+        with pytest.raises(ValueError) as info:
+            load_tabulated_mirror(str(path), q=1.0)
+        assert str(info.value) == message
+
+
+def _write_samples(path, r0, header=""):
+    # fixed-width rows: tables of different r0 have the same size
+    xi = np.geomspace(1e-3, 1e3, 50)
+    path.write_text(header + "".join("%.6e %.6e\n" % (a, r0 / (1.0 + a))
+                                     for a in xi))
+    return np.loadtxt(path, comments=("#", "units:"), unpack=True)
+
+
+def test_a_table_is_parsed_once_per_content(tmp_path):
+    path = tmp_path / "mirror.tab"
+    xi, r = _write_samples(path, -0.5)
+    first = load_tabulated_mirror(str(path))
+    assert load_tabulated_mirror(str(path)) is first
+    want = tabulated_mirror(xi, r)
+    probe = np.geomspace(1e-4, 1e4, 97)
+    assert first.knots.tolist() == want.knots.tolist()
+    assert first.r_imag(probe).tolist() == want.r_imag(probe).tolist()
+    # an absolute table's model does not depend on q
+    assert load_tabulated_mirror(str(path), q=0.3) is first
+    assert load_tabulated_mirror(str(path), q=3.0) is first
+    # rewritten in place to the same size, then replaced: new values
+    size = path.stat().st_size
+    _, r = _write_samples(path, -0.7)
+    assert path.stat().st_size == size
+    assert load_tabulated_mirror(str(path)).r_imag(xi).tolist() == r.tolist()
+    _, r = _write_samples(tmp_path / "next.tab", -0.9)
+    os.replace(tmp_path / "next.tab", path)
+    assert load_tabulated_mirror(str(path)).r_imag(xi).tolist() == r.tolist()
+    # back to the first content: the first model again
+    _write_samples(path, -0.5)
+    assert load_tabulated_mirror(str(path)) is first
+
+
+def test_a_q_relative_table_has_one_model_per_q(tmp_path):
+    path = tmp_path / "mirror.tab"
+    xi, r = _write_samples(path, -0.5, header="units: q-relative\n")
+    with pytest.raises(ValueError, match="needs a positive separation"):
+        load_tabulated_mirror(str(path))
+    near = load_tabulated_mirror(str(path), q=2.0)
+    assert load_tabulated_mirror(str(path), q=2.0) is near
+    far = load_tabulated_mirror(str(path), q=4.0)
+    assert far is not near
+    assert near.knots.tolist() == (xi / 2.0).tolist()
+    assert far.knots.tolist() == (xi / 4.0).tolist()
+    assert far.r_imag(xi / 4.0).tolist() == r.tolist()
 
 
 def test_knots_are_the_table_abscissae_after_conversion():
