@@ -147,7 +147,7 @@ def test_table_parse_matches_the_line_loop(layout, tmp_path):
      "units must be 'absolute' or 'q-relative'"),
 ], ids=["three-columns", "one-column-before-comment", "units-without-colon",
         "not-a-number", "no-samples", "unknown-units"])
-def test_malformed_tables_name_the_first_bad_line(text, message, tmp_path):
+def test_malformed_table_files_are_refused(text, message, tmp_path):
     path = tmp_path / "mirror.tab"
     path.write_text(text)
     for _ in range(2):  # a refused table is not remembered as a good one
