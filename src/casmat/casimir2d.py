@@ -14,6 +14,8 @@ pulled together).  Natural units, hbar = c = k_B = 1.
 """
 
 import functools
+import math
+
 import numpy as np
 from dataclasses import dataclass, replace
 
@@ -215,6 +217,17 @@ def _sum_integral_terms(kernel, shape, term, spec):
                              series.evaluations, series.converged and quad_ok)
 
 
+def _efold_length(r0, q, temperature):
+    """The e-folding length in l, 1/(2 pi T q - ln r0), of the thermal
+    terms r0^l K(2 l q) of a constant loop 0 < r0 <= 1, for
+    `_sum_series`; None at T = 0 or r0 <= 0, whose terms keep its other
+    exits (for r0 < 0 they alternate and take no real l)."""
+    if temperature == 0.0 or r0 <= 0.0:
+        return None
+    rate = 2.0 * math.pi * temperature * q - math.log(r0)
+    return 1.0 / rate if rate > 0.0 else math.inf  # 0 if T q underflows
+
+
 def _roundtrip_sum(cfg, kernel, spec):
     """Sum the roundtrip series whose l-th term averages kernel(l, tau).
 
@@ -234,7 +247,8 @@ def _roundtrip_sum(cfg, kernel, spec):
     q = cfg.q
     weight, shape = _delay_profile(cfg)
     if weight is None:
-        return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec)
+        return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec,
+                           efold_length=_efold_length(1.0, q, cfg.temperature))
     return _sum_integral_terms(
         lambda l, s: kernel(l, 2.0 * l * q + s), shape,
         lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec)
@@ -367,8 +381,9 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
     def term(l):
         return -(r0 ** l) * thermal_kernel_time(2.0 * l * q, temperature)
 
-    return _result(_sum_series(term, spec, ratio_bound=rb), "large-distance",
-                   spec, roundtrips=True)
+    series = _sum_series(term, spec, ratio_bound=rb,
+                         efold_length=_efold_length(r0, q, temperature))
+    return _result(series, "large-distance", spec, roundtrips=True)
 
 
 def mode_sum_oracle_2d(q):
@@ -420,11 +435,13 @@ def free_energy(cfg, spec=None):
     mirrors decouple.  d(Fcal)/dq reproduces the roundtrip force.
 
     At very low temperature the terms develop a long 1/l plateau of
-    height alpha/(2 pi) that is cut off only near l* ~ 1/(4 alpha q);
-    when the series is truncated before l* the uncollected plateau,
-    (alpha/2 pi) ln(l*/L), is added to the error estimate.  Like the
-    force it omits the n = 0 Matsubara term, which diverges here because
-    r1 r2 = 1 at zero frequency.
+    height alpha/(2 pi) that is cut off only near l* ~ 1/(4 alpha q).  A
+    perfect pair's series closes by Gregory's formula, whose tail integral
+    collects the plateau.  A lorentzian pair's series can stop before l*
+    without it, and then the uncollected plateau, (alpha/2 pi) ln(l*/L),
+    is added to its error estimate.  Like the force it omits the n = 0
+    Matsubara term, which diverges here because r1 r2 = 1 at zero
+    frequency.
     """
     T = cfg.temperature
     if T <= 0.0:
@@ -434,7 +451,8 @@ def free_energy(cfg, spec=None):
     series = _roundtrip_sum(
         cfg, lambda l, tau: free_energy_kernel_time(tau, T) / l, spec)
     lstar = 1.0 / (4.0 * alpha * cfg.q)
-    if lstar > series.evaluations:
+    lorentzian = "lorentzian" in (cfg.mirror1.kind, cfg.mirror2.kind)
+    if lorentzian and lstar > series.evaluations:
         series.error_estimate += (alpha / (2.0 * np.pi)) * np.log(
             lstar / series.evaluations)
     return _result(series, "roundtrip-time", spec)

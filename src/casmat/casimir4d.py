@@ -22,7 +22,8 @@ from .quadrature import integrate_semi_infinite, _sum_series
 from .special_functions import polylog, bernoulli  # noqa: F401
 from .spectral import kernel_4d_thermal
 from .casimir2d import (Result, _check_constant_loop, _closed_form,
-                        _imag_axis_integrand, _result, _sum_integral_terms)
+                        _efold_length, _imag_axis_integrand, _result,
+                        _sum_integral_terms)
 from .scattering import MirrorModel
 
 
@@ -133,7 +134,8 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
         return (r0 ** l) * rem
 
     rb = abs(r0) * np.exp(-4.0 * alpha * q)
-    series = _sum_series(term, spec, ratio_bound=rb)
+    series = _sum_series(term, spec, ratio_bound=rb,
+                         efold_length=_efold_length(r0, q, temperature))
     series.value += classical.value
     series.error_estimate += classical.error_estimate
     return _result(series, "large-distance", spec, roundtrips=True)

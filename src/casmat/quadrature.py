@@ -12,12 +12,18 @@ roundtrip terms, each the mean of a kernel over a law R (T / beta_1 +
 Beta law (`_gauss_beta`), one node if beta_1 = beta_2, with normalized
 weights from one Golub-Welsch step and the panel engine as fallback; and
 one series summator, `_sum_series`, with a geometric or power-law tail
-bound and two escape hatches for slowly decaying term sequences: exact
-polylogarithm detection and an algebraic 1/l^k tail fit.
-Its exit tests cost a fixed few numpy calls per checkpoint, whatever the
-series length: the polylogarithm test takes its three orders in one pass
-over the last 16 terms, and the tail fits are two dot products of 16 terms
-with weights cached per checkpoint (`_tail_weights`).
+bound and escape hatches for slowly decaying term sequences.  Terms that
+take real l and carry a cutoff, such as the thermal terms of perfect
+pairs and constant loops (1/l^2 up to l ~ 1/(2 pi T q), then
+exponential), close by Gregory's formula (Euler-Maclaurin with forward
+differences, DLMF 2.10(i)): the tail past a checkpoint L is an integral
+over real l plus differences of terms already computed, and the change
+from the closure at L/2 is its bar.  Other sequences take exact
+polylogarithm detection or an algebraic 1/l^k tail fit.  These exit tests
+cost a fixed few numpy calls per checkpoint, whatever the series length:
+the polylogarithm test takes its three orders in one pass over the last
+16 terms, and the tail fits are two dot products of 16 terms with weights
+cached per checkpoint (`_tail_weights`).
 A series value is the exactly rounded sum (`math.fsum`) of its computed
 terms plus the tail, and its error bar adds a rounding allowance of
 2 eps sum_l |t_l| to the truncation bound, so the bar stays honest when
@@ -455,23 +461,66 @@ def _fit_algebraic_tail(term_list, L):
     return tail, abs(tail - tail2) + rounding
 
 
-def _sum_series(terms, spec=None, ratio_bound=None):
+# Gregory's coefficients g_j: sum_{l>L} t_l = int_L^inf t dl - t_L / 2
+# - sum_j g_j Delta^j t_L, with forward differences over t_L..t_{L+5}
+_GREGORY = (1 / 12, -1 / 24, 19 / 720, -3 / 160, 863 / 60480)
+# the closure's weights on t_L..t_{L+5}: row 0 of the j-th difference of
+# the identity holds the coefficients of Delta^j t_L
+_GREGORY_WEIGHTS = -0.5 * np.eye(6)[0] - sum(
+    g * np.diff(np.eye(6), j, axis=0)[0] for j, g in enumerate(_GREGORY, 1))
+
+
+def _gregory_tails(terms, kept, L, spec):
+    """The series closed at L // 2 and at L by Gregory's formula.
+
+    terms takes real l.  The two tail integrals int_{L_i}^inf t dl run as
+    one lockstep block of `integrate_semi_infinite` in l = L_i e^s, where
+    terms that fall like 1/l^2 decay like e^{-s}, and t_{L+1}..t_{L+5}
+    take one more call of terms.  kept holds t_1..t_L.  Returns the tail
+    past L, the bar |S_L - S_{L/2}| of the two closed sums plus both
+    integrals' bars, and whether both integrals converged.
+    """
+    starts = np.array([L // 2, L], dtype=float)
+
+    def integrand(i, s):
+        ells = starts[i] * np.exp(s)
+        return np.asarray(terms(ells), dtype=float) * ells
+
+    tails = integrate_semi_infinite(integrand, np.ones(2), spec)
+    ahead = np.asarray(terms(np.arange(L + 1, L + 6)), dtype=float)
+    window = np.array([kept[L // 2 - 1:L // 2 + 5],
+                       np.concatenate((kept[L - 1:], ahead))])
+    closed = (tails.value + window @ _GREGORY_WEIGHTS).tolist()
+    change = abs(math.fsum(kept[L // 2:] + [closed[1], -closed[0]]))
+    return (closed[1], change + float(np.sum(tails.error_estimate)),
+            tails.converged)
+
+
+def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
     """Sum the roundtrip series sum_{l>=1} t_l: every engine's series.
 
     terms(ells) maps the integer array of l from one checkpoint + 1 to the
     next (1..64, 65..128, ..., 1025..cap) to its terms in one call,
     elementwise.  ratio_bound bounds |t_{l+1} / t_l| a priori; at or above
-    1 (perfectly reflecting pairs) it says nothing.  Exits, in order: a
-    priori geometric bound (ratio_bound < 1) at the first l that meets it,
-    later terms of its block discarded; then at checkpoints an
-    observed-ratio bound (the larger of the geometric tail and the
-    power-law tail through the last two terms), exact polylogarithm
-    detection of a ratio |x| <= 1 - 1e-6, and an algebraic 1/l^k tail fit
-    (from 64 terms on), which closes critical sequences such as 1/l^2.
-    Exit decisions use the sequential running partial sum; the value is
-    the exact `math.fsum` of the terms used plus any fitted tail, and the
-    error bar adds the rounding allowance 2 eps sum_l |t_l| to the
-    truncation bound.  evaluations counts the terms used, not the calls.
+    1 (perfectly reflecting pairs) it says nothing.  efold_length, when
+    given, says that terms(l) takes real l, smooth in l, and that the terms
+    e-fold over about that many l past their algebraic range, as thermal
+    terms do.  Exits, in order: a priori geometric bound (ratio_bound < 1)
+    at the first l that meets it, later terms of its block discarded; then
+    at checkpoints an observed-ratio bound (the larger of the geometric
+    tail and the power-law tail through the last two terms), and then
+    either, with efold_length, Gregory's closure at checkpoints L from 64
+    up to efold_length (`_gregory_tails`), whose bar is |S_L - S_{L/2}|
+    plus both tail integrals' bars, or else exact polylogarithm detection
+    of a ratio |x| <= 1 - 1e-6 and an algebraic 1/l^k tail fit (from 64
+    terms on), which closes critical sequences such as 1/l^2.  Neither of
+    the last two sees a cutoff past its window, so a series with
+    efold_length takes neither.  Exit decisions use the sequential running
+    partial sum; the value is the exact `math.fsum` of the terms used plus
+    any closed or fitted tail, and the error bar adds the rounding
+    allowance 2 eps sum_l |t_l| to the truncation bound.  evaluations
+    counts the terms summed, not the calls, nor the five terms past L or
+    the tail integrals' real l that a closure takes.
     No checkpoint raises a numpy warning: a block with a term, or a running
     sum, that is not finite ends the series with a NaN value, which
     `Result` refuses.
@@ -480,7 +529,9 @@ def _sum_series(terms, spec=None, ratio_bound=None):
     a fixed few numpy calls, whatever l: the polylogarithm test is one pass
     over a 3 x 16 array, and the tail fit two dot products with the
     weights `_tail_weights` caches per checkpoint.  On a 2-vCPU Xeon they
-    take about 40 and 10 microseconds a checkpoint.
+    take about 40 and 10 microseconds a checkpoint.  A Gregory closure
+    costs one block of two tail integrals, usually one to four panel
+    calls, about 0.2-0.4 ms.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -489,7 +540,7 @@ def _sum_series(terms, spec=None, ratio_bound=None):
     geometric = ratio_bound is not None and ratio_bound < 1.0
     kept = []
     partial = 0.0
-    best = None  # (proxy, result) of the tail fit closest to tolerance
+    best = None  # (bar, result) of the closed tail nearest to tolerance
 
     def result(tail, error, converged):
         rounding = _SUM_ROUNDING * sum(map(abs, kept))
@@ -529,6 +580,23 @@ def _sum_series(terms, spec=None, ratio_bound=None):
                     tail = window[-1] * max(r / (1.0 - r), ell / (p - 1.0))
                     if _tol_met(tail, partial, tail_spec):
                         return result(0.0, tail, True)
+
+            if efold_length is not None:
+                # terms with a cutoff follow no c x^l / l^p past the window:
+                # neither the polylogarithm nor the fit sees it
+                if 64 <= ell < efold_length:
+                    # each tail integral gets a quarter of the sum's budget
+                    budget = max(spec.abs_tol,
+                                 spec.series_tail_tol * abs(partial))
+                    tail, error, quad_ok = _gregory_tails(
+                        terms, kept, ell, replace(
+                            spec, rel_tol=0.25 * spec.series_tail_tol,
+                            abs_tol=0.25 * budget))
+                    if quad_ok and _tol_met(error, partial + tail, tail_spec):
+                        return result(tail, error, True)
+                    if best is None or error < best[0]:
+                        best = (error, result(tail, error, False))
+                continue
 
             nwin = min(16, ell)
             hit = _detect_polylog(kept[-nwin:], ell - nwin + 1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scipy.special
 from scipy.integrate import quad
 
 from casmat import casimir2d, casimir4d, quadrature
@@ -294,8 +295,11 @@ def test_roundtrip_cap_is_honest():
 
 
 @pytest.mark.parametrize("tq, used, converged", [
-    (1e-4, 10000, False), (0.0036, 512, True), (0.2, 64, True)])
+    (1e-4, 64, True), (0.0036, 512, True), (0.2, 64, True)])
 def test_perfect_thermal_series_term_counts(tq, used, converged):
+    # T q = 1e-4: Gregory's closure at l = 64 (an e-folding length of
+    # 1/(2 pi T q) = 1592 terms); T q = 0.0036: past that length, by the
+    # observed ratio
     res = force_roundtrip_time(_pair(perfect_mirror, 1.0, T=tq))
     assert res.roundtrips_used == used
     assert res.converged is converged
@@ -309,19 +313,23 @@ def test_large_distance_series_term_count():
 
 
 def test_perfect_series_calls_kernel_once_per_block(monkeypatch):
-    sizes = []
-    kernel = casimir2d.thermal_kernel_time
+    sizes, panels = [], []
+    kernel, panel = casimir2d.thermal_kernel_time, quadrature._panel
 
     def counted(tau, T):
         sizes.append(np.size(tau))
         return kernel(tau, T)
 
     monkeypatch.setattr(casimir2d, "thermal_kernel_time", counted)
+    monkeypatch.setattr(quadrature, "_panel",
+                        lambda *args: panels.append(len(args[1]))
+                        or panel(*args))
     res = force_roundtrip_time(_pair(perfect_mirror, 1.0, T=1e-4))
-    assert res.roundtrips_used == 10000
-    # blocks end at the checkpoints 64, 128, 256, 512, 1024 and the cap
-    assert len(sizes) <= 6
-    assert sum(sizes) == 10000
+    assert res.converged and res.roundtrips_used == 64
+    # one call for the block 1..64, one per round of the lockstep block of
+    # both tail integrals (22 nodes a panel), one for t_65..t_69
+    assert sizes == [64] + [22 * n for n in panels] + [5]
+    assert len(panels) <= 8
 
 
 def _spy_blocks_and_densities(monkeypatch):
@@ -595,12 +603,15 @@ def test_free_energy_frozen_value():
 
 
 def test_free_energy_zero_temperature_limit():
-    # the T -> 0 plateau of the free energy is the casimir energy; the
-    # engine flags the slow spectral cutoff honestly
-    res = free_energy(_pair(perfect_mirror, 1.0, T=1e-8))
+    # the T -> 0 plateau of the free energy is the casimir energy, which
+    # it misses by the -(T/2) ln(2 T q) of its low-T form (8.9e-8 here);
+    # the tail integral collects that plateau within the bar
+    T, q = 1e-8, 1.0
+    res = free_energy(_pair(perfect_mirror, q, T=T))
+    ref, bar = _bernoulli_matsubara("free energy", 1.0, q, T)
     assert abs(res.value - (-math.pi / 24.0)) < 1e-6
-    assert abs(res.value - (-math.pi / 24.0)) <= max(
-        3.0 * res.error_estimate, 1e-9)
+    assert res.converged
+    assert abs(res.value - ref) <= res.error_estimate + bar
 
 
 def test_free_energy_rejects_zero_temperature():
@@ -643,12 +654,13 @@ def _matsubara(observable, cfg):
         free energy      A =  T sum_{n>=1} ln(1 - x_n)
         internal energy  U =  T sum_{n>=1} xi_n x'_n / (1 - x_n).
 
-    The n = 0 term is excluded, as in the roundtrip series.  The terms
-    past n = 1999 are below e^{-8000 pi T q}; the bar allows 16 eps per
-    unit of sum_n |t_n| for their rounding.
+    The n = 0 term is excluded, as in the roundtrip series.  The sum runs
+    to n = max(2000, 4 / T q), past which the terms are below
+    e^{-min(8000 pi T q, 16 pi)}, under 1e-21 relative; the bar allows
+    16 eps per unit of sum_n |t_n| for their rounding.
     """
     T, q = cfg.temperature, cfg.q
-    xi = 2.0 * math.pi * T * np.arange(1, 2000)
+    xi = 2.0 * math.pi * T * np.arange(1, max(2000, math.ceil(4.0 / (T * q))))
     x = cfg.loop_r_imag(xi) * np.exp(-2.0 * q * xi)
     if observable == "force":
         terms = 2.0 * T * xi * x / (1.0 - x)
@@ -659,6 +671,176 @@ def _matsubara(observable, cfg):
                     if m.kind == "lorentzian")
         terms = T * xi * x * (dlog - 2.0 * q) / (1.0 - x)
     return math.fsum(terms), 16.0 * np.finfo(float).eps * np.abs(terms).sum()
+
+
+_BERNOULLI = scipy.special.bernoulli(60)  # B_0..B_60, with B_1 = -1/2
+
+
+def _zeta(n):
+    """zeta(n) at an integer n != 1: zeta(-m) = (-1)^m B_{m+1} / (m + 1)."""
+    if n >= 2:
+        return float(scipy.special.zeta(n))
+    return (-1) ** -n * _BERNOULLI[1 - n] / (1 - n)
+
+
+def _eulerian(m):
+    """The coefficients A(m, k), k < m, of the Eulerian polynomial A_m."""
+    a = [1]
+    for n in range(1, m + 1):
+        a = [(k + 1) * (a[k] if k < len(a) else 0)
+             + (n - k) * (a[k - 1] if k else 0) for k in range(n)]
+    return a
+
+
+def _li(s, mu):
+    """The polylogarithm Li_s(e^mu) for an integer s <= 4 and mu < 0.
+
+    s <= 0: w A_{-s}(w) / (1 - w)^{1-s}, w = e^mu, with the Eulerian
+    polynomial; s = 1: -ln(1 - w); s = 2..4: the expansion in mu about
+    w = 1 for mu >= -1,
+        sum_{k != s-1} zeta(s - k) mu^k / k!
+        + mu^{s-1} / (s-1)! (H_{s-1} - ln(-mu)),
+    and the direct sum of w^l / l^s, l <= 60, below.
+    """
+    w, gap = math.exp(mu), -math.expm1(mu)  # w and 1 - w
+    if s <= 0:
+        return w * np.polyval(_eulerian(-s)[::-1], w) / gap ** (1 - s)
+    if s == 1:
+        return -math.log1p(-w) if w < 0.5 else -math.log(gap)
+    if mu < -1.0:
+        return math.fsum(w ** l / l ** s for l in range(1, 61))
+    return math.fsum([_zeta(s - k) * mu ** k / math.factorial(k)
+                      for k in range(40) if k != s - 1]
+                     + [mu ** (s - 1) / math.factorial(s - 1)
+                        * (sum(1.0 / j for j in range(1, s))
+                           - math.log(-mu))])
+
+
+def _bernoulli_matsubara(observable, r0, q, T, head=20, orders=8):
+    """A Matsubara sum of a constant loop 0 < r0 <= 1, and its bar.
+
+    The Euler-Maclaurin (Bernoulli) form: with h = 2 pi T and
+    xi_N = N h, N = head, the terms n < N are summed and the rest closes
+    as h sum_{n>=N} f(n h) = int_{xi_N}^inf f + h f(xi_N) / 2
+    - sum_{k<=orders} B_2k h^2k f^(2k-1)(xi_N) / (2k)!.  f is analytic
+    within xi_N of xi_N, so the closure is good to about
+    (2 orders + 1)! / (2 pi N)^(2 orders + 1) < 1e-20 relative, at any
+    T q.  Every piece is a polylogarithm of w = r0 e^{-c xi}, c = 2 q,
+    with d/dxi Li_s(w) = -c Li_{s-1}(w):
+        force        F = (h / pi) sum_{n>=1} xi Li_0(w)
+        free energy  A = (h / 2 pi) sum_{n>=1} -Li_1(w)
+        pressure     P = (h / pi^2) sum'_{n>=0} G(xi_n), the n = 0 term
+                     halved, G = int_xi^inf kappa^2 Li_0 dkappa
+                     = xi^2 Li_1 / c + 2 xi Li_2 / c^2 + 2 Li_3 / c^3.
+    The bar is 16 eps per unit of the summed |pieces| plus the last
+    Bernoulli term.
+    """
+    h, c, a = 2.0 * math.pi * T, 2.0 * q, 2.0 * math.pi * T * head
+
+    def li(s, xi, m=0):  # d^m/dxi^m Li_s(r0 e^{-c xi})
+        return (-c) ** m * _li(s - m, math.log(r0) - c * xi)
+
+    if observable == "force":
+        pref, f = 1.0 / math.pi, (lambda xi: xi * li(0, xi))
+        integral = a * li(1, a) / c + li(2, a) / c**2
+        deriv = lambda j: a * li(0, a, j) + j * li(0, a, j - 1)
+        zero = []
+    elif observable == "free energy":
+        pref, f = 0.5 / math.pi, (lambda xi: -li(1, xi))
+        integral = -li(2, a) / c
+        deriv = lambda j: -li(1, a, j)
+        zero = []
+    else:
+        pref = 1.0 / math.pi**2
+        f = lambda xi: (xi**2 * li(1, xi) / c + 2.0 * xi * li(2, xi) / c**2
+                        + 2.0 * li(3, xi) / c**3)
+        integral = (a**2 * li(2, a) / c**2 + 4.0 * a * li(3, a) / c**3
+                    + 6.0 * li(4, a) / c**4)
+        # G' = -xi^2 Li_0(w), differentiated by Leibniz's rule
+        deriv = lambda j: -(a * a * li(0, a, j - 1)
+                            + 2.0 * (j - 1) * a * li(0, a, j - 2)
+                            + (j - 1) * (j - 2) * li(0, a, j - 3))
+        # half the n = 0 term, h G(0) / 2 = h Li_3(r0) / c^3
+        zero = [h * (_zeta(3) if r0 == 1.0 else _li(3, math.log(r0)))
+                / c**3]
+    closure = [integral, 0.5 * h * f(a)] + [
+        -_BERNOULLI[2 * k] * h ** (2 * k) / math.factorial(2 * k)
+        * deriv(2 * k - 1) for k in range(1, orders + 1)]
+    pieces = zero + [h * f(n * h) for n in range(1, head)] + closure
+    bar = 16.0 * np.finfo(float).eps * sum(map(abs, pieces))
+    return pref * math.fsum(pieces), pref * (bar + abs(closure[-1]))
+
+
+def _constant_loop(r0, q, T):
+    """A pair of frequency-independent mirrors of loop reflection r0."""
+    mirror = MirrorModel("constant", r_imag_fn=lambda xi: np.full(
+        np.shape(xi), math.sqrt(r0)))
+    return CavityConfig(mirror, mirror, q, temperature=T)
+
+
+_LOW_TQ = (1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 2.5e-3, 4e-3, 1e-2,
+           0.1, 1.0)
+_LOW_TQ_R0 = (1.0, 0.999999, 0.9999, 0.99, 0.9, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("tq", _LOW_TQ)
+def test_perfect_and_constant_loop_thermal_results_meet_matsubara_sums(tq):
+    # every converged, within the summed bars: the perfect pair's force,
+    # free energy and internal energy, and the constant loops' force and
+    # pressure (r0 = 1 is the perfect pair), on the routes whose terms take
+    # real l; below T q = 1e-5 the 1D references are the Bernoulli form,
+    # whose n sum would need 4 / T q terms; the pressure's always is
+    misses = []
+    for q in (0.1, 0.37, 1.0, 4.2, 30.0):
+        T = tq / q
+        perfect = _pair(perfect_mirror, q, T=T)
+        cases = [("force", force_roundtrip_time(perfect), 1.0, 1.0),
+                 ("free energy", free_energy(perfect), 1.0, 1.0),
+                 ("internal energy", internal_energy_thermal(perfect), 1.0,
+                  -q)]
+        cases += [(obs, engine(r0, q, T), r0, 1.0)
+                  for r0 in _LOW_TQ_R0
+                  for obs, engine in (
+                      ("force", force_large_distance),
+                      ("pressure", casimir4d.pressure_thermal_large_distance))]
+        for observable, res, r0, factor in cases:
+            if observable == "pressure" or tq < 1e-5:
+                ref, bar = _bernoulli_matsubara(
+                    "free energy" if observable == "free energy" else
+                    "pressure" if observable == "pressure" else "force",
+                    r0, q, T)
+            else:
+                ref, bar = _matsubara(
+                    "force" if observable == "internal energy" else
+                    observable, _constant_loop(r0, q, T))
+            ref, bar = factor * ref, abs(factor) * bar
+            if not (res.converged and abs(res.value - ref)
+                    <= res.error_estimate + bar):
+                misses.append((observable, r0, q, res, ref))
+    assert misses == []
+
+
+def test_bernoulli_matsubara_meets_the_perfect_closed_forms():
+    # perfect pairs at T q << 1: F = pi/24q^2 - T/2q + pi T^2/6,
+    # A = -pi/24q - (T/2) ln(2 T q) + pi T^2 q/6, P = pi^2/240q^4 +
+    # pi^2 T^4/45, up to e^{-pi/T q}; and the direct n sums at T q = 0.01
+    for q, tq in ((0.1, 1e-8), (1.0, 1e-3), (30.0, 1e-5)):
+        T = tq / q
+        closed = {"force": math.pi / (24 * q * q) - T / (2 * q)
+                  + math.pi * T * T / 6,
+                  "free energy": -math.pi / (24 * q)
+                  - 0.5 * T * math.log(2 * T * q) + math.pi * T * T * q / 6,
+                  "pressure": math.pi**2 / (240 * q**4)
+                  + math.pi**2 * T**4 / 45}
+        for observable, value in closed.items():
+            ref, bar = _bernoulli_matsubara(observable, 1.0, q, T)
+            assert abs(ref - value) <= bar + 4 * np.spacing(abs(value))
+    for r0 in (1.0, 0.999999, 0.5):
+        for observable in ("force", "free energy"):
+            ref, bar = _bernoulli_matsubara(observable, r0, 1.0, 0.01)
+            direct, direct_bar = _matsubara(observable,
+                                            _constant_loop(r0, 1.0, 0.01))
+            assert abs(ref - direct) <= bar + direct_bar
 
 
 @pytest.mark.parametrize("cutoff, tq", [(None, 1.0), (None, 5.0),

@@ -354,17 +354,28 @@ def test_polylog_series_closes_exactly(monkeypatch):
     assert res.evaluations == 64 and res.value == polylog(0.85, 2, tol=1e-16)
 
 
-def test_nearly_zero_temperature_force_closes_through_polylog(monkeypatch):
+def test_nearly_zero_temperature_force_closes_by_its_tail(monkeypatch):
     # at T = 1e-10 the thermal kernel is the vacuum one to double
     # precision, so the series is r0^l / l^2 up to a constant and must meet
-    # the T = 0 closed form within its own bar
+    # the T = 0 closed form within its own bar.  Its terms take real l, so
+    # Gregory's closure ends it at l = 64, below its e-folding length of
+    # 200; the polylogarithm, which cannot see a thermal cutoff, is not
+    # called.  An alternating series (r0 < 0) takes no real l and still
+    # closes through the polylogarithm.
     from casmat.casimir2d import force_large_distance
     calls = _polylog_calls(monkeypatch)
     res = force_large_distance(0.995, 1.0, 1e-10)
-    assert [p for _, p in calls] == [2]
+    assert calls == []
     assert res.converged
     assert res.roundtrips_used == 64
     exact = force_large_distance(0.995, 1.0, 0.0).value
+    assert abs(res.value - exact) <= res.error_estimate
+    calls.clear()
+    res = force_large_distance(-0.995, 1.0, 1e-10)
+    assert [p for _, p in calls] == [2]
+    assert res.converged
+    assert res.roundtrips_used == 64
+    exact = force_large_distance(-0.995, 1.0, 0.0).value
     assert abs(res.value - exact) <= res.error_estimate
 
 
