@@ -369,7 +369,8 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
     matter (separation much larger than the mirror response time), the
     roundtrip series closes: at T = 0 it is polylog(r0, 2)/(4 pi q^2), and
     at T > 0 it is summed from the thermal kernel with the rigorous
-    geometric ratio bound |r0| e^{-4 pi T q}.
+    geometric ratio bound |r0| e^{-4 pi T q}, and for 0 < r0 <= 1 closed
+    by Gregory's tail where that bound is weak (`_efold_length`).
 
     Negative r0 gives a repulsive (negative) force.
     """

@@ -116,8 +116,9 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     part of the thermal kernel, 2 alpha/(pi^2 tau^3) with alpha = pi T,
     whose sum closes to the high-temperature form T polylog(r0, 3)/(4 pi
     q^3), plus a remainder kernel that decays like e^{-4 pi T q} per
-    roundtrip and is summed with that geometric bound.  The split makes
-    both the T -> 0 and the Tq >> 1 limits exact by construction.
+    roundtrip and is summed with that geometric bound, or for 0 < r0 <= 1
+    closed by Gregory's tail where it is weak.  The split makes both the
+    T -> 0 and the Tq >> 1 limits exact by construction.
     """
     _check_constant_loop(r0, q, temperature)
     if not (abs(r0) <= 1.0 - 1e-6 or r0 in (1.0, -1.0)):

@@ -794,25 +794,21 @@ def test_perfect_and_constant_loop_thermal_results_meet_matsubara_sums(tq):
     for q in (0.1, 0.37, 1.0, 4.2, 30.0):
         T = tq / q
         perfect = _pair(perfect_mirror, q, T=T)
-        cases = [("force", force_roundtrip_time(perfect), 1.0, 1.0),
-                 ("free energy", free_energy(perfect), 1.0, 1.0),
-                 ("internal energy", internal_energy_thermal(perfect), 1.0,
-                  -q)]
-        cases += [(obs, engine(r0, q, T), r0, 1.0)
+        # (reference, its factor, result, r0): a perfect pair's internal
+        # energy is -q times its force
+        cases = [("force", 1.0, force_roundtrip_time(perfect), 1.0),
+                 ("free energy", 1.0, free_energy(perfect), 1.0),
+                 ("force", -q, internal_energy_thermal(perfect), 1.0)]
+        cases += [(observable, 1.0, engine(r0, q, T), r0)
                   for r0 in _LOW_TQ_R0
-                  for obs, engine in (
+                  for observable, engine in (
                       ("force", force_large_distance),
                       ("pressure", casimir4d.pressure_thermal_large_distance))]
-        for observable, res, r0, factor in cases:
+        for observable, factor, res, r0 in cases:
             if observable == "pressure" or tq < 1e-5:
-                ref, bar = _bernoulli_matsubara(
-                    "free energy" if observable == "free energy" else
-                    "pressure" if observable == "pressure" else "force",
-                    r0, q, T)
+                ref, bar = _bernoulli_matsubara(observable, r0, q, T)
             else:
-                ref, bar = _matsubara(
-                    "force" if observable == "internal energy" else
-                    observable, _constant_loop(r0, q, T))
+                ref, bar = _matsubara(observable, _constant_loop(r0, q, T))
             ref, bar = factor * ref, abs(factor) * bar
             if not (res.converged and abs(res.value - ref)
                     <= res.error_estimate + bar):
