@@ -77,7 +77,7 @@ def _closed_form(r0, p, num, den, method):
     relative.  An exact zero at num = 0, not 0 times a negative sum.
     """
     value = 0.0 if not num else (
-        num * polylog(r0, p, tol=1e-16) / den if den else np.inf)
+        num * polylog(r0, p) / den if den else np.inf)
     return Result(value, 1e-12 * abs(value), method)
 
 
@@ -435,12 +435,7 @@ def free_energy(cfg, spec=None):
     The additive constant is fixed by Fcal -> 0 as q -> inf, i.e. the
     mirrors decouple.  d(Fcal)/dq reproduces the roundtrip force.
 
-    At very low temperature the terms develop a long 1/l plateau of
-    height alpha/(2 pi) that is cut off only near l* ~ 1/(4 alpha q).  A
-    perfect pair's series closes by Gregory's formula, whose tail integral
-    collects the plateau.  A lorentzian pair's series can stop before l*
-    without it, and then the uncollected plateau, (alpha/2 pi) ln(l*/L),
-    is added to its error estimate.  Like the force it omits the n = 0
+    Its error bar is the series' own.  Like the force it omits the n = 0
     Matsubara term, which diverges here because r1 r2 = 1 at zero
     frequency.
     """
@@ -448,14 +443,8 @@ def free_energy(cfg, spec=None):
     if T <= 0.0:
         raise ValueError("free energy requires T > 0; at T = 0 the free "
                          "energy is the Casimir energy")
-    alpha = np.pi * T
     series = _roundtrip_sum(
         cfg, lambda l, tau: free_energy_kernel_time(tau, T) / l, spec)
-    lstar = 1.0 / (4.0 * alpha * cfg.q)
-    lorentzian = "lorentzian" in (cfg.mirror1.kind, cfg.mirror2.kind)
-    if lorentzian and lstar > series.evaluations:
-        series.error_estimate += (alpha / (2.0 * np.pi)) * np.log(
-            lstar / series.evaluations)
     return _result(series, "roundtrip-time", spec)
 
 

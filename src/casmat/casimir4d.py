@@ -118,12 +118,10 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     q^3), plus a remainder kernel that decays like e^{-4 pi T q} per
     roundtrip and is summed with that geometric bound, or for 0 < r0 <= 1
     closed by Gregory's tail where it is weak.  The split makes both the
-    T -> 0 and the Tq >> 1 limits exact by construction.
+    T -> 0 and the Tq >> 1 limits exact by construction.  Every
+    |r0| <= 1 is accepted; the series engine alone bounds the result.
     """
     _check_constant_loop(r0, q, temperature)
-    if not (abs(r0) <= 1.0 - 1e-6 or r0 in (1.0, -1.0)):
-        raise ValueError("r0 must satisfy |r0| <= 1 - 1e-6 or be exactly "
-                         "+-1")
     if temperature == 0.0 or r0 == 0.0:
         return pressure_large_distance(r0, q, spec)
     alpha = np.pi * temperature

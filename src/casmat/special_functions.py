@@ -23,8 +23,8 @@ __all__ = [
 ]
 
 
-def polylog(x, p, tol=1e-12):
-    """Bounded polylogarithm zeta_x(p) = sum_{l=1}^inf x^l / l^p.
+def polylog(x, p):
+    """Bounded polylogarithm zeta_x(p) = sum_{l=1}^inf x^l / l^p, to rounding.
 
     Parameters
     ----------
@@ -33,8 +33,6 @@ def polylog(x, p, tol=1e-12):
     p : int
         Order, p >= 2.  The series then converges absolutely on the whole
         closed interval |x| <= 1.
-    tol : float
-        Relative tolerance of the returned value.
 
     Returns
     -------
@@ -44,7 +42,7 @@ def polylog(x, p, tol=1e-12):
     -----
     For |x| < 1 it is one vectorised sum of the first L terms, the fewest
     for which the geometric tail bound |x|^(L+1) / ((L+1)^p (1-|x|)) is
-    below tol times |x| (1 - |x|/2^p), a lower bound of |zeta_x(p)|; L
+    below 1e-16 times |x| (1 - |x|/2^p), a lower bound of |zeta_x(p)|; L
     comes from a bisection on the bound's logarithm.  At x = 1 the value
     is zeta(p) and at x = -1 it is -(1 - 2^(1-p)) zeta(p), with zeta from
     scipy.  Just below 1 (1 - x < 0.1) direct summation needs
@@ -56,15 +54,13 @@ def polylog(x, p, tol=1e-12):
 
     and near -1 the inversion  zeta_x(p) = 2^(1-p) zeta_{x^2}(p)
     - zeta_{-x}(p)  routes both pieces to cheap regions.  A direct sum
-    thus has |x| <= 0.9 and L < 7,100 terms, whatever tol.
+    thus has |x| <= 0.9 and L < 270 terms.
     """
     p = int(p)
     if p < 2:
         raise ValueError("polylog order must satisfy p >= 2")
     if not -1.0 <= x <= 1.0:
         raise ValueError("polylog weight must satisfy |x| <= 1")
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -75,15 +71,12 @@ def polylog(x, p, tol=1e-12):
     if x > 0.9:
         return _polylog_near_unit(x, p)
     if x < -0.9:
-        # square-argument inversion: both pieces land in fast regions, each
-        # to a quarter of tol, kept above 0 where a quarter underflows
-        inner = max(0.25 * tol, math.ulp(0.0))
-        return (2.0 ** (1 - p) * polylog(x * x, p, inner)
-                - polylog(-x, p, inner))
+        # square-argument inversion: both pieces land in fast regions
+        return 2.0 ** (1 - p) * polylog(x * x, p) - polylog(-x, p)
 
     ax = abs(x)
     log_ax = math.log(ax)
-    need = (math.log(tol) + log_ax + math.log1p(-ax / 2**p)
+    need = (math.log(1e-16) + log_ax + math.log1p(-ax / 2**p)
             + math.log1p(-ax))
     # L + 1 by bisection: the bound falls with L, and meets need at the
     # L + 1 that meets it without its (L+1)^p

@@ -614,6 +614,28 @@ def test_free_energy_zero_temperature_limit():
     assert abs(res.value - ref) <= res.error_estimate + bar
 
 
+# a known bar miss at q = 3, T q = 3e-4: these lorentzian free energies
+# converge 1.3 and 1.5 times their bars off the Matsubara sum
+_LOW_T_FREE_ENERGY_MISS = pytest.mark.xfail(strict=True, reason=(
+    "lorentzian free energy at low T q outside its bar"))
+
+
+@pytest.mark.parametrize("cutoffs, q, tq", [
+    ((0.3, 0.3), 0.1, 3e-4), ((0.3, 0.3), 0.1, 5.33e-4),
+    ((0.3, 0.3), 0.1, 9.49e-4), ((0.3, 3.0), 0.1, 3e-4),
+    pytest.param((1.0, 2.0), 3.0, 3e-4, marks=_LOW_T_FREE_ENERGY_MISS),
+    pytest.param((3.0, 3.0), 3.0, 3e-4, marks=_LOW_T_FREE_ENERGY_MISS)])
+def test_low_temperature_lorentzian_free_energy_meets_matsubara_sum(
+        cutoffs, q, tq):
+    # the series stops long before l* = 1/(4 pi T q), where its 1/l
+    # plateau ends; its own bar still covers the Matsubara sum
+    cfg = _exact_weight_pair(cutoffs, q, tq / q)
+    res = free_energy(cfg)
+    ref, bar = _matsubara("free energy", cfg)
+    assert res.converged
+    assert abs(res.value - ref) <= res.error_estimate + bar
+
+
 def test_free_energy_rejects_zero_temperature():
     with pytest.raises(ValueError):
         free_energy(_pair(perfect_mirror, 1.0))
@@ -692,17 +714,22 @@ def _eulerian(m):
     return a
 
 
-def _li(s, mu):
-    """The polylogarithm Li_s(e^mu) for an integer s <= 4 and mu < 0.
+def _li(s, mu, sign=1.0):
+    """The polylogarithm Li_s(w), w = sign e^mu, for an integer s <= 4,
+    mu < 0 and sign = +-1.
 
-    s <= 0: w A_{-s}(w) / (1 - w)^{1-s}, w = e^mu, with the Eulerian
-    polynomial; s = 1: -ln(1 - w); s = 2..4: the expansion in mu about
+    s <= 0: w A_{-s}(w) / (1 - w)^{1-s}, with the Eulerian polynomial;
+    s = 1: -ln(1 - w); s = 2..4: at w > 0 the expansion in mu about
     w = 1 for mu >= -1,
         sum_{k != s-1} zeta(s - k) mu^k / k!
         + mu^{s-1} / (s-1)! (H_{s-1} - ln(-mu)),
-    and the direct sum of w^l / l^s, l <= 60, below.
+    and the direct sum of w^l / l^s, l <= 60, below; at w < 0 the
+    duplication Li_s(-e^mu) = 2^{1-s} Li_s(e^{2 mu}) - Li_s(e^mu).
     """
-    w, gap = math.exp(mu), -math.expm1(mu)  # w and 1 - w
+    if sign < 0.0 and s >= 2:
+        return 2.0 ** (1 - s) * _li(s, 2.0 * mu) - _li(s, mu)
+    w = sign * math.exp(mu)
+    gap = -math.expm1(mu) if sign > 0.0 else 1.0 - w  # 1 - w
     if s <= 0:
         return w * np.polyval(_eulerian(-s)[::-1], w) / gap ** (1 - s)
     if s == 1:
@@ -717,7 +744,7 @@ def _li(s, mu):
 
 
 def _bernoulli_matsubara(observable, r0, q, T, head=20, orders=8):
-    """A Matsubara sum of a constant loop 0 < r0 <= 1, and its bar.
+    """A Matsubara sum of a constant loop 0 < |r0| <= 1, and its bar.
 
     The Euler-Maclaurin (Bernoulli) form: with h = 2 pi T and
     xi_N = N h, N = head, the terms n < N are summed and the rest closes
@@ -725,7 +752,8 @@ def _bernoulli_matsubara(observable, r0, q, T, head=20, orders=8):
     - sum_{k<=orders} B_2k h^2k f^(2k-1)(xi_N) / (2k)!.  f is analytic
     within xi_N of xi_N, so the closure is good to about
     (2 orders + 1)! / (2 pi N)^(2 orders + 1) < 1e-20 relative, at any
-    T q.  Every piece is a polylogarithm of w = r0 e^{-c xi}, c = 2 q,
+    T q (at r0 < 0 the poles lie pi / c off the real axis, farther still).
+    Every piece is a polylogarithm of w = r0 e^{-c xi}, c = 2 q,
     with d/dxi Li_s(w) = -c Li_{s-1}(w):
         force        F = (h / pi) sum_{n>=1} xi Li_0(w)
         free energy  A = (h / 2 pi) sum_{n>=1} -Li_1(w)
@@ -736,9 +764,10 @@ def _bernoulli_matsubara(observable, r0, q, T, head=20, orders=8):
     Bernoulli term.
     """
     h, c, a = 2.0 * math.pi * T, 2.0 * q, 2.0 * math.pi * T * head
+    mu0, sign = math.log(abs(r0)), math.copysign(1.0, r0)
 
     def li(s, xi, m=0):  # d^m/dxi^m Li_s(r0 e^{-c xi})
-        return (-c) ** m * _li(s - m, math.log(r0) - c * xi)
+        return (-c) ** m * _li(s - m, mu0 - c * xi, sign)
 
     if observable == "force":
         pref, f = 1.0 / math.pi, (lambda xi: xi * li(0, xi))
@@ -761,8 +790,7 @@ def _bernoulli_matsubara(observable, r0, q, T, head=20, orders=8):
                             + 2.0 * (j - 1) * a * li(0, a, j - 2)
                             + (j - 1) * (j - 2) * li(0, a, j - 3))
         # half the n = 0 term, h G(0) / 2 = h Li_3(r0) / c^3
-        zero = [h * (_zeta(3) if r0 == 1.0 else _li(3, math.log(r0)))
-                / c**3]
+        zero = [h * (_zeta(3) if r0 == 1.0 else _li(3, mu0, sign)) / c**3]
     closure = [integral, 0.5 * h * f(a)] + [
         -_BERNOULLI[2 * k] * h ** (2 * k) / math.factorial(2 * k)
         * deriv(2 * k - 1) for k in range(1, orders + 1)]
@@ -773,9 +801,13 @@ def _bernoulli_matsubara(observable, r0, q, T, head=20, orders=8):
 
 def _constant_loop(r0, q, T):
     """A pair of frequency-independent mirrors of loop reflection r0."""
-    mirror = MirrorModel("constant", r_imag_fn=lambda xi: np.full(
-        np.shape(xi), math.sqrt(r0)))
-    return CavityConfig(mirror, mirror, q, temperature=T)
+    def mirror(r):
+        return MirrorModel("constant",
+                           r_imag_fn=lambda xi: np.full(np.shape(xi), r))
+
+    r = math.sqrt(abs(r0))
+    return CavityConfig(mirror(r), mirror(math.copysign(r, r0)), q,
+                        temperature=T)
 
 
 _LOW_TQ = (1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 2.5e-3, 4e-3, 1e-2,
@@ -831,7 +863,7 @@ def test_bernoulli_matsubara_meets_the_perfect_closed_forms():
         for observable, value in closed.items():
             ref, bar = _bernoulli_matsubara(observable, 1.0, q, T)
             assert abs(ref - value) <= bar + 4 * np.spacing(abs(value))
-    for r0 in (1.0, 0.999999, 0.5):
+    for r0 in (1.0, 0.999999, 0.5, -0.5, -(1.0 - 1e-7)):
         for observable in ("force", "free energy"):
             ref, bar = _bernoulli_matsubara(observable, r0, 1.0, 0.01)
             direct, direct_bar = _matsubara(observable,

@@ -20,6 +20,8 @@ from casmat.scattering import (CavityConfig, airy_factor, cavity_matrices,
                                phase_shift_derivative_decomposition,
                                tabulated_mirror, validate_model)
 
+from test_casimir2d import _bernoulli_matsubara
+
 ZETA3 = 1.2020569031595942854
 PERFECT_PRESSURE = math.pi ** 2 / 240.0
 
@@ -116,9 +118,19 @@ def test_thermal_pressure_zero_temperature_delegates():
                                       rel=1e-12)
 
 
-def test_thermal_pressure_rejects_near_critical_reflectivity():
-    with pytest.raises(ValueError):
-        pressure_thermal_large_distance(1.0 - 1e-8, 1.0, 0.5)
+def test_thermal_pressure_converges_at_near_critical_reflectivity():
+    # loops just inside |r0| = 1 take the series' own exits (Gregory's
+    # closure for r0 > 0) and meet the Matsubara sum within the summed bars
+    misses = []
+    for r0 in (1.0 - 1e-8, 1.0 - 1e-7, -(1.0 - 1e-7)):
+        for tq in (1e-4, 1e-2, 0.3):
+            for q in (0.3, 1.0, 3.0):
+                res = pressure_thermal_large_distance(r0, q, tq / q)
+                ref, bar = _bernoulli_matsubara("pressure", r0, q, tq / q)
+                if not (res.converged and abs(res.value - ref)
+                        <= res.error_estimate + bar):
+                    misses.append((r0, tq, q, res, ref))
+    assert misses == []
     # the exactly-critical loops have closed-form kernels and are allowed
     assert pressure_thermal_large_distance(-1.0, 1.0, 0.5).value < 0.0
 

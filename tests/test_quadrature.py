@@ -286,6 +286,28 @@ def test_critical_series_closes_through_algebraic_tail():
     assert abs(res.value - ZETA2) <= res.error_estimate + roundoff
 
 
+def test_critical_series_short_of_its_tolerance_keeps_its_best_fit():
+    # no checkpoint's fit meets a 1e-16 tail tolerance, so at the cap the
+    # series returns the fitted tail of smallest bar, unconverged, with
+    # every term counted; that bar, not the last term, covers the error
+    spec = QuadratureSpec(max_roundtrips=128, series_tail_tol=1e-16,
+                          rel_tol=1e-16, abs_tol=1e-300)
+    res = _sum_series(lambda ell: 1.0 / ell ** 2, spec, 1.0)
+    assert not res.converged
+    assert res.evaluations == 128
+    assert res.error_estimate < 1e-14
+    assert abs(res.value - ZETA2) <= res.error_estimate
+
+
+@pytest.mark.parametrize("term", [lambda l: (-1.0) ** l / l ** 2,
+                                  lambda l: l ** 0.5],
+                         ids=["alternating", "growing"])
+def test_tail_fit_refuses_a_window_that_is_not_algebraic(term):
+    # sign changes or magnitudes that do not fall across [L/2, L]
+    terms = term(np.arange(1.0, 65.0)).tolist()
+    assert quadrature._fit_algebraic_tail(terms, 64) is None
+
+
 def test_algebraic_terms_get_an_honest_observed_ratio_bar():
     # ratios of c/l^4 rise toward 1 and stay below 0.98 at l = 64: a
     # geometric bound from the largest of them, 15 t_64, falls short of the
@@ -332,9 +354,9 @@ def _polylog_calls(monkeypatch):
     from casmat import quadrature
     calls = []
 
-    def spy(x, p, tol=1e-12):
+    def spy(x, p):
         calls.append((x, p))
-        return polylog(x, p, tol=tol)
+        return polylog(x, p)
 
     monkeypatch.setattr(quadrature, "polylog", spy)
     return calls
@@ -351,7 +373,7 @@ def test_polylog_series_closes_exactly(monkeypatch):
     assert res.value == polylog(0.99, 2)
     # a direct sum at 0.85, to rounding and not to series_tail_tol
     res = _sum_series(lambda l: 0.85 ** l / l ** 2, QuadratureSpec())
-    assert res.evaluations == 64 and res.value == polylog(0.85, 2, tol=1e-16)
+    assert res.evaluations == 64 and res.value == polylog(0.85, 2)
 
 
 def test_nearly_zero_temperature_force_closes_by_its_tail(monkeypatch):
