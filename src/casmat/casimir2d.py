@@ -435,16 +435,27 @@ def free_energy(cfg, spec=None):
     The additive constant is fixed by Fcal -> 0 as q -> inf, i.e. the
     mirrors decouple.  d(Fcal)/dq reproduces the roundtrip force.
 
-    Its error bar is the series' own.  Like the force it omits the n = 0
-    Matsubara term, which diverges here because r1 r2 = 1 at zero
-    frequency.
+    At very low temperature the terms develop a long 1/l plateau of
+    height alpha/(2 pi) that is cut off only near l* ~ 1/(4 alpha q).  A
+    perfect pair's series closes by Gregory's formula, whose tail integral
+    collects the plateau.  A lorentzian pair's series can end unconverged
+    before l* without it, and then the uncollected plateau,
+    (alpha/2 pi) ln(l*/L), is added to its error estimate; a converged
+    series' bar is its own.  Like the force it omits the n = 0 Matsubara
+    term, which diverges here because r1 r2 = 1 at zero frequency.
     """
     T = cfg.temperature
     if T <= 0.0:
         raise ValueError("free energy requires T > 0; at T = 0 the free "
                          "energy is the Casimir energy")
+    alpha = np.pi * T
     series = _roundtrip_sum(
         cfg, lambda l, tau: free_energy_kernel_time(tau, T) / l, spec)
+    lstar = 1.0 / (4.0 * alpha * cfg.q)
+    lorentzian = "lorentzian" in (cfg.mirror1.kind, cfg.mirror2.kind)
+    if not series.converged and lorentzian and lstar > series.evaluations:
+        series.error_estimate += (alpha / (2.0 * np.pi)) * np.log(
+            lstar / series.evaluations)
     return _result(series, "roundtrip-time", spec)
 
 

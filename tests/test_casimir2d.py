@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import scipy.special
 from scipy.integrate import quad
 
 from casmat import casimir2d, casimir4d, quadrature
@@ -22,6 +21,9 @@ from casmat.scattering import (CavityConfig, MirrorModel,
                                ModelCapabilityError, lorentzian_mirror,
                                perfect_mirror, tabulated_mirror)
 from casmat.spectral import thermal_kernel_time
+
+from matsubara_sums import (bernoulli_matsubara_sum,
+                            euler_maclaurin_free_energy, matsubara_sum)
 
 ZETA2 = 1.6449340668482264365
 PERFECT_FORCE = math.pi / 24.0
@@ -187,7 +189,7 @@ def test_exact_weight_thermal_routes_meet_matsubara_sums(
         request.applymarker(_NARROW_KERNEL)
     cfg = _exact_weight_pair(cutoffs, q, tq / q)
     res = engine(cfg)
-    ref, bar = _matsubara(observable, cfg)
+    ref, bar = matsubara_sum(observable, cfg)
     assert res.converged
     assert abs(res.value - ref) <= res.error_estimate + bar
 
@@ -608,7 +610,7 @@ def test_free_energy_zero_temperature_limit():
     # the tail integral collects that plateau within the bar
     T, q = 1e-8, 1.0
     res = free_energy(_pair(perfect_mirror, q, T=T))
-    ref, bar = _bernoulli_matsubara("free energy", 1.0, q, T)
+    ref, bar = bernoulli_matsubara_sum("free energy", 1.0, q, T)
     assert abs(res.value - (-math.pi / 24.0)) < 1e-6
     assert res.converged
     assert abs(res.value - ref) <= res.error_estimate + bar
@@ -631,9 +633,48 @@ def test_low_temperature_lorentzian_free_energy_meets_matsubara_sum(
     # plateau ends; its own bar still covers the Matsubara sum
     cfg = _exact_weight_pair(cutoffs, q, tq / q)
     res = free_energy(cfg)
-    ref, bar = _matsubara("free energy", cfg)
+    ref, bar = matsubara_sum("free energy", cfg)
     assert res.converged
     assert abs(res.value - ref) <= res.error_estimate + bar
+
+
+# a known miss: at q = 1, T q = 1e-8 the series ends at the cap 1.4 times
+# its bar, plateau included, off the Matsubara sum
+_CAP_BAR_MISS = pytest.mark.xfail(strict=True, reason=(
+    "lorentzian free energy at the cap outside its bar"))
+
+
+@pytest.mark.parametrize("cutoffs, q, tq", [
+    ((1.0, 1.0), 0.1, 1e-6), ((1.0, 2.0), 3.0, 1e-6),
+    ((0.3, 3.0), 0.1, 1e-8), ((1.0, 2.0), 0.1, 1e-8),
+    pytest.param((1.0, 1.0), 1.0, 1e-8, marks=_CAP_BAR_MISS)])
+def test_lorentzian_free_energy_at_the_cap_keeps_the_plateau_in_its_bar(
+        cutoffs, q, tq):
+    # the series ends unconverged at 10,000 terms, short of
+    # l* = 1/(4 pi T q); its bar takes the plateau it did not collect
+    cfg = _exact_weight_pair(cutoffs, q, tq / q)
+    res = free_energy(cfg)
+    ref, bar = euler_maclaurin_free_energy(cfg)
+    assert not res.converged
+    assert abs(res.value - ref) <= res.error_estimate + bar
+
+
+@pytest.mark.parametrize("cutoffs", _EXACT_WEIGHT_PAIRS + [
+    pytest.param((None, None), id="perfect")])
+def test_euler_maclaurin_free_energy_meets_the_direct_sum(cutoffs):
+    # the direct n sum needs 4 / T q terms, so it is the reference only
+    # down to T q ~ 1e-6; a perfect pair's closed form checks it below
+    for q, tq in ((0.03, 1e-3), (1.0, 1e-2), (30.0, 1e-6)):
+        cfg = _exact_weight_pair(cutoffs, q, tq / q)
+        ref, bar = euler_maclaurin_free_energy(cfg)
+        direct, direct_bar = matsubara_sum("free energy", cfg)
+        assert abs(ref - direct) <= bar + direct_bar
+    q, T = 0.1, 1e-7
+    closed = (-math.pi / (24 * q) - 0.5 * T * math.log(2 * T * q)
+              + math.pi * T * T * q / 6)
+    ref, bar = euler_maclaurin_free_energy(_exact_weight_pair((None, None),
+                                                              q, T))
+    assert abs(ref - closed) <= bar + 4 * np.spacing(abs(closed))
 
 
 def test_free_energy_rejects_zero_temperature():
@@ -663,140 +704,6 @@ def test_thermal_series_bars_cover_rounding():
     assert abs(force.value - THERMAL_FORCE) <= force.error_estimate
     fe = free_energy(cfg)
     assert abs(fe.value - THERMAL_FREE_ENERGY) <= fe.error_estimate
-
-
-def _matsubara(observable, cfg):
-    """An observable's Matsubara sum at T > 0, and the bar of its rounding.
-
-    With xi_n = 2 pi n T, x = rbar(xi) e^{-2 q xi} and
-    x' = x (d ln rbar/dxi - 2 q), where d ln rbar/dxi is
-    -sum_i 1/(cutoff_i + xi) over the lorentzian mirrors,
-
-        force            F = 2T sum_{n>=1} xi_n x_n / (1 - x_n)
-        free energy      A =  T sum_{n>=1} ln(1 - x_n)
-        internal energy  U =  T sum_{n>=1} xi_n x'_n / (1 - x_n).
-
-    The n = 0 term is excluded, as in the roundtrip series.  The sum runs
-    to n = max(2000, 4 / T q), past which the terms are below
-    e^{-min(8000 pi T q, 16 pi)}, under 1e-21 relative; the bar allows
-    16 eps per unit of sum_n |t_n| for their rounding.
-    """
-    T, q = cfg.temperature, cfg.q
-    xi = 2.0 * math.pi * T * np.arange(1, max(2000, math.ceil(4.0 / (T * q))))
-    x = cfg.loop_r_imag(xi) * np.exp(-2.0 * q * xi)
-    if observable == "force":
-        terms = 2.0 * T * xi * x / (1.0 - x)
-    elif observable == "free energy":
-        terms = T * np.log1p(-x)
-    else:
-        dlog = -sum(1.0 / (m.cutoff + xi) for m in (cfg.mirror1, cfg.mirror2)
-                    if m.kind == "lorentzian")
-        terms = T * xi * x * (dlog - 2.0 * q) / (1.0 - x)
-    return math.fsum(terms), 16.0 * np.finfo(float).eps * np.abs(terms).sum()
-
-
-_BERNOULLI = scipy.special.bernoulli(60)  # B_0..B_60, with B_1 = -1/2
-
-
-def _zeta(n):
-    """zeta(n) at an integer n != 1: zeta(-m) = (-1)^m B_{m+1} / (m + 1)."""
-    if n >= 2:
-        return float(scipy.special.zeta(n))
-    return (-1) ** -n * _BERNOULLI[1 - n] / (1 - n)
-
-
-def _eulerian(m):
-    """The coefficients A(m, k), k < m, of the Eulerian polynomial A_m."""
-    a = [1]
-    for n in range(1, m + 1):
-        a = [(k + 1) * (a[k] if k < len(a) else 0)
-             + (n - k) * (a[k - 1] if k else 0) for k in range(n)]
-    return a
-
-
-def _li(s, mu, sign=1.0):
-    """The polylogarithm Li_s(w), w = sign e^mu, for an integer s <= 4,
-    mu < 0 and sign = +-1.
-
-    s <= 0: w A_{-s}(w) / (1 - w)^{1-s}, with the Eulerian polynomial;
-    s = 1: -ln(1 - w); s = 2..4: at w > 0 the expansion in mu about
-    w = 1 for mu >= -1,
-        sum_{k != s-1} zeta(s - k) mu^k / k!
-        + mu^{s-1} / (s-1)! (H_{s-1} - ln(-mu)),
-    and the direct sum of w^l / l^s, l <= 60, below; at w < 0 the
-    duplication Li_s(-e^mu) = 2^{1-s} Li_s(e^{2 mu}) - Li_s(e^mu).
-    """
-    if sign < 0.0 and s >= 2:
-        return 2.0 ** (1 - s) * _li(s, 2.0 * mu) - _li(s, mu)
-    w = sign * math.exp(mu)
-    gap = -math.expm1(mu) if sign > 0.0 else 1.0 - w  # 1 - w
-    if s <= 0:
-        return w * np.polyval(_eulerian(-s)[::-1], w) / gap ** (1 - s)
-    if s == 1:
-        return -math.log1p(-w) if w < 0.5 else -math.log(gap)
-    if mu < -1.0:
-        return math.fsum(w ** l / l ** s for l in range(1, 61))
-    return math.fsum([_zeta(s - k) * mu ** k / math.factorial(k)
-                      for k in range(40) if k != s - 1]
-                     + [mu ** (s - 1) / math.factorial(s - 1)
-                        * (sum(1.0 / j for j in range(1, s))
-                           - math.log(-mu))])
-
-
-def _bernoulli_matsubara(observable, r0, q, T, head=20, orders=8):
-    """A Matsubara sum of a constant loop 0 < |r0| <= 1, and its bar.
-
-    The Euler-Maclaurin (Bernoulli) form: with h = 2 pi T and
-    xi_N = N h, N = head, the terms n < N are summed and the rest closes
-    as h sum_{n>=N} f(n h) = int_{xi_N}^inf f + h f(xi_N) / 2
-    - sum_{k<=orders} B_2k h^2k f^(2k-1)(xi_N) / (2k)!.  f is analytic
-    within xi_N of xi_N, so the closure is good to about
-    (2 orders + 1)! / (2 pi N)^(2 orders + 1) < 1e-20 relative, at any
-    T q (at r0 < 0 the poles lie pi / c off the real axis, farther still).
-    Every piece is a polylogarithm of w = r0 e^{-c xi}, c = 2 q,
-    with d/dxi Li_s(w) = -c Li_{s-1}(w):
-        force        F = (h / pi) sum_{n>=1} xi Li_0(w)
-        free energy  A = (h / 2 pi) sum_{n>=1} -Li_1(w)
-        pressure     P = (h / pi^2) sum'_{n>=0} G(xi_n), the n = 0 term
-                     halved, G = int_xi^inf kappa^2 Li_0 dkappa
-                     = xi^2 Li_1 / c + 2 xi Li_2 / c^2 + 2 Li_3 / c^3.
-    The bar is 16 eps per unit of the summed |pieces| plus the last
-    Bernoulli term.
-    """
-    h, c, a = 2.0 * math.pi * T, 2.0 * q, 2.0 * math.pi * T * head
-    mu0, sign = math.log(abs(r0)), math.copysign(1.0, r0)
-
-    def li(s, xi, m=0):  # d^m/dxi^m Li_s(r0 e^{-c xi})
-        return (-c) ** m * _li(s - m, mu0 - c * xi, sign)
-
-    if observable == "force":
-        pref, f = 1.0 / math.pi, (lambda xi: xi * li(0, xi))
-        integral = a * li(1, a) / c + li(2, a) / c**2
-        deriv = lambda j: a * li(0, a, j) + j * li(0, a, j - 1)
-        zero = []
-    elif observable == "free energy":
-        pref, f = 0.5 / math.pi, (lambda xi: -li(1, xi))
-        integral = -li(2, a) / c
-        deriv = lambda j: -li(1, a, j)
-        zero = []
-    else:
-        pref = 1.0 / math.pi**2
-        f = lambda xi: (xi**2 * li(1, xi) / c + 2.0 * xi * li(2, xi) / c**2
-                        + 2.0 * li(3, xi) / c**3)
-        integral = (a**2 * li(2, a) / c**2 + 4.0 * a * li(3, a) / c**3
-                    + 6.0 * li(4, a) / c**4)
-        # G' = -xi^2 Li_0(w), differentiated by Leibniz's rule
-        deriv = lambda j: -(a * a * li(0, a, j - 1)
-                            + 2.0 * (j - 1) * a * li(0, a, j - 2)
-                            + (j - 1) * (j - 2) * li(0, a, j - 3))
-        # half the n = 0 term, h G(0) / 2 = h Li_3(r0) / c^3
-        zero = [h * (_zeta(3) if r0 == 1.0 else _li(3, mu0, sign)) / c**3]
-    closure = [integral, 0.5 * h * f(a)] + [
-        -_BERNOULLI[2 * k] * h ** (2 * k) / math.factorial(2 * k)
-        * deriv(2 * k - 1) for k in range(1, orders + 1)]
-    pieces = zero + [h * f(n * h) for n in range(1, head)] + closure
-    bar = 16.0 * np.finfo(float).eps * sum(map(abs, pieces))
-    return pref * math.fsum(pieces), pref * (bar + abs(closure[-1]))
 
 
 def _constant_loop(r0, q, T):
@@ -838,9 +745,9 @@ def test_perfect_and_constant_loop_thermal_results_meet_matsubara_sums(tq):
                       ("pressure", casimir4d.pressure_thermal_large_distance))]
         for observable, factor, res, r0 in cases:
             if observable == "pressure" or tq < 1e-5:
-                ref, bar = _bernoulli_matsubara(observable, r0, q, T)
+                ref, bar = bernoulli_matsubara_sum(observable, r0, q, T)
             else:
-                ref, bar = _matsubara(observable, _constant_loop(r0, q, T))
+                ref, bar = matsubara_sum(observable, _constant_loop(r0, q, T))
             ref, bar = factor * ref, abs(factor) * bar
             if not (res.converged and abs(res.value - ref)
                     <= res.error_estimate + bar):
@@ -861,12 +768,12 @@ def test_bernoulli_matsubara_meets_the_perfect_closed_forms():
                   "pressure": math.pi**2 / (240 * q**4)
                   + math.pi**2 * T**4 / 45}
         for observable, value in closed.items():
-            ref, bar = _bernoulli_matsubara(observable, 1.0, q, T)
+            ref, bar = bernoulli_matsubara_sum(observable, 1.0, q, T)
             assert abs(ref - value) <= bar + 4 * np.spacing(abs(value))
     for r0 in (1.0, 0.999999, 0.5, -0.5, -(1.0 - 1e-7)):
         for observable in ("force", "free energy"):
-            ref, bar = _bernoulli_matsubara(observable, r0, 1.0, 0.01)
-            direct, direct_bar = _matsubara(observable,
+            ref, bar = bernoulli_matsubara_sum(observable, r0, 1.0, 0.01)
+            direct, direct_bar = matsubara_sum(observable,
                                             _constant_loop(r0, 1.0, 0.01))
             assert abs(ref - direct) <= bar + direct_bar
 
@@ -879,7 +786,7 @@ def test_internal_energy_matches_matsubara_sum(cutoff, tq):
         lambda: lorentzian_mirror(cutoff))
     cfg = _pair(maker, q, T=tq / q)
     res = internal_energy_thermal(cfg)
-    ref, _ = _matsubara("internal energy", cfg)
+    ref, _ = matsubara_sum("internal energy", cfg)
     assert res.converged
     assert abs(res.value - ref) <= res.error_estimate + 4 * np.spacing(abs(ref))
 

@@ -20,7 +20,7 @@ from casmat.scattering import (CavityConfig, airy_factor, cavity_matrices,
                                phase_shift_derivative_decomposition,
                                tabulated_mirror, validate_model)
 
-from test_casimir2d import _bernoulli_matsubara
+from matsubara_sums import bernoulli_matsubara_sum
 
 ZETA3 = 1.2020569031595942854
 PERFECT_PRESSURE = math.pi ** 2 / 240.0
@@ -126,7 +126,7 @@ def test_thermal_pressure_converges_at_near_critical_reflectivity():
         for tq in (1e-4, 1e-2, 0.3):
             for q in (0.3, 1.0, 3.0):
                 res = pressure_thermal_large_distance(r0, q, tq / q)
-                ref, bar = _bernoulli_matsubara("pressure", r0, q, tq / q)
+                ref, bar = bernoulli_matsubara_sum("pressure", r0, q, tq / q)
                 if not (res.converged and abs(res.value - ref)
                         <= res.error_estimate + bar):
                     misses.append((r0, tq, q, res, ref))
