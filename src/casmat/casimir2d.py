@@ -44,7 +44,7 @@ class Result:
 
     ``method`` records which representation produced the number, and
     ``roundtrips_used`` how many terms of the roundtrip series were
-    evaluated (None for methods that are not series, and for the energies).
+    evaluated (None for the imaginary-axis integrals and closed forms).
     """
     value: float
     error_estimate: float
@@ -58,16 +58,16 @@ class Result:
                              % self.method)
 
 
-def _result(res, method, spec, roundtrips=False):
+def _result(res, method, spec):
     """The Result of an engine's integral or series res: every engine's exit.
 
-    Converged only if res is and its error bar meets the tolerances of
-    spec (`_tol_met`); roundtrips_used is res.evaluations when roundtrips.
+    Converged only if res is and its bar meets spec's tolerances
+    (`_tol_met`); roundtrips_used is None for an imag-axis integral.
     """
     ok = res.converged and _tol_met(res.error_estimate, res.value,
                                     spec or QuadratureSpec())
     return Result(res.value, res.error_estimate, method,
-                  res.evaluations if roundtrips else None, ok)
+                  None if method == "imag-axis" else res.evaluations, ok)
 
 
 def _closed_form(r0, p, num, den, method):
@@ -217,15 +217,24 @@ def _sum_integral_terms(kernel, shape, term, spec):
                              series.evaluations, series.converged and quad_ok)
 
 
-def _efold_length(r0, q, temperature):
-    """The e-folding length in l, 1/(2 pi T q - ln r0), of the thermal
-    terms r0^l K(2 l q) of a constant loop 0 < r0 <= 1, for
-    `_sum_series`; None at T = 0 or r0 <= 0, whose terms keep its other
-    exits (for r0 < 0 they alternate and take no real l)."""
-    if temperature == 0.0 or r0 <= 0.0:
-        return None
-    rate = 2.0 * math.pi * temperature * q - math.log(r0)
-    return 1.0 / rate if rate > 0.0 else math.inf  # 0 if T q underflows
+def _loop_series(r0, q, temperature, kernel):
+    """The `_sum_series` keyword arguments of a constant loop r0.
+
+    Every constant-loop series takes them, a perfect pair as r0 = 1: the
+    terms r0^l kernel(l, 2 l q), with kernel elementwise in l and the
+    delay tau; their a priori ratio bound |r0| e^{-4 pi T q}; and for
+    0 < r0 <= 1 at T > 0 the e-folding length in l, 1/(2 pi T q - ln r0),
+    below which Gregory's tail may close them (else None: at T = 0, and
+    for r0 < 0, whose terms alternate and take no real l).
+    """
+    rate = 2.0 * math.pi * temperature * q
+    bound = abs(r0) * math.exp(-2.0 * rate)
+    efold = None
+    if temperature > 0.0 and r0 > 0.0:
+        rate -= math.log(r0)
+        efold = 1.0 / rate if rate > 0.0 else math.inf  # 0 if T q underflows
+    return dict(terms=lambda l: r0 ** l * kernel(l, 2.0 * l * q),
+                ratio_bound=bound, efold_length=efold)
 
 
 def _roundtrip_sum(cfg, kernel, spec):
@@ -238,17 +247,17 @@ def _roundtrip_sum(cfg, kernel, spec):
 
     kernel is elementwise in l and tau: it gets one l per term for a
     perfect pair, whose density is a delta at s = 0 and whose loop
-    reflection is (-1)(-1) = 1, so the terms are kernel(l, 2 l q), and
-    one l per quadrature node otherwise.  w_l is exactly the law its
-    shape gives, so `_sum_integral_terms` takes the kernel for its rules
-    and w_l times it for its fallback, whose nodes alone evaluate the
-    density.
+    reflection is (-1)(-1) = 1, so its series is `_loop_series`' r0 = 1,
+    term for term that of `force_large_distance` at r0 = 1; and one l per
+    quadrature node otherwise.  w_l is exactly the law its shape gives, so
+    `_sum_integral_terms` takes the kernel for its rules and w_l times it
+    for its fallback, whose nodes alone evaluate the density.
     """
     q = cfg.q
     weight, shape = _delay_profile(cfg)
     if weight is None:
-        return _sum_series(lambda l: kernel(l, 2.0 * l * q), spec,
-                           efold_length=_efold_length(1.0, q, cfg.temperature))
+        return _sum_series(spec=spec,
+                           **_loop_series(1.0, q, cfg.temperature, kernel))
     return _sum_integral_terms(
         lambda l, s: kernel(l, 2.0 * l * q + s), shape,
         lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec)
@@ -349,7 +358,7 @@ def force_roundtrip_time(cfg, spec=None):
     T = cfg.temperature
     series = _roundtrip_sum(
         cfg, lambda l, tau: -thermal_kernel_time(tau, T), spec)
-    return _result(series, "roundtrip-time", spec, roundtrips=True)
+    return _result(series, "roundtrip-time", spec)
 
 
 def _check_constant_loop(r0, q, temperature=0.0):
@@ -368,23 +377,20 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
     When the loop reflection is a constant r0 over the frequencies that
     matter (separation much larger than the mirror response time), the
     roundtrip series closes: at T = 0 it is polylog(r0, 2)/(4 pi q^2), and
-    at T > 0 it is summed from the thermal kernel with the rigorous
-    geometric ratio bound |r0| e^{-4 pi T q}, and for 0 < r0 <= 1 closed
-    by Gregory's tail where that bound is weak (`_efold_length`).
+    at T > 0 it is `_loop_series`' sum of the thermal kernel, bounded by
+    the rigorous geometric ratio |r0| e^{-4 pi T q} and for 0 < r0 <= 1
+    closed by Gregory's tail where that bound is weak: at r0 = 1, the
+    perfect pair's `force_roundtrip_time`, bar for bar.
 
     Negative r0 gives a repulsive (negative) force.
     """
     _check_constant_loop(r0, q, temperature)
     if temperature == 0.0 or r0 == 0.0:
         return _closed_form(r0, 2, 1.0, 4.0 * np.pi * q * q, "large-distance")
-    rb = abs(r0) * np.exp(-4.0 * np.pi * temperature * q)
-
-    def term(l):
-        return -(r0 ** l) * thermal_kernel_time(2.0 * l * q, temperature)
-
-    series = _sum_series(term, spec, ratio_bound=rb,
-                         efold_length=_efold_length(r0, q, temperature))
-    return _result(series, "large-distance", spec, roundtrips=True)
+    T = temperature
+    series = _sum_series(spec=spec, **_loop_series(
+        r0, q, T, lambda l, tau: -thermal_kernel_time(tau, T)))
+    return _result(series, "large-distance", spec)
 
 
 def mode_sum_oracle_2d(q):

@@ -22,7 +22,7 @@ from .quadrature import integrate_semi_infinite, _sum_series
 from .special_functions import polylog, bernoulli  # noqa: F401
 from .spectral import kernel_4d_thermal
 from .casimir2d import (Result, _check_constant_loop, _closed_form,
-                        _efold_length, _imag_axis_integrand, _result,
+                        _imag_axis_integrand, _loop_series, _result,
                         _sum_integral_terms)
 from .scattering import MirrorModel
 
@@ -96,7 +96,7 @@ def pressure_roundtrip(cfg, spec=None):
 
     series = _sum_integral_terms(
         kernel, lambda l: (np.full_like(l, 3), l[:, None] * lam), term, spec)
-    return _result(series, "roundtrip-time", spec, roundtrips=True)
+    return _result(series, "roundtrip-time", spec)
 
 
 def pressure_large_distance(r0, q, spec=None):
@@ -115,11 +115,12 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     The roundtrip series sum_l r0^l C_T(2 l q) is split into the classical
     part of the thermal kernel, 2 alpha/(pi^2 tau^3) with alpha = pi T,
     whose sum closes to the high-temperature form T polylog(r0, 3)/(4 pi
-    q^3), plus a remainder kernel that decays like e^{-4 pi T q} per
-    roundtrip and is summed with that geometric bound, or for 0 < r0 <= 1
-    closed by Gregory's tail where it is weak.  The split makes both the
-    T -> 0 and the Tq >> 1 limits exact by construction.  Every
-    |r0| <= 1 is accepted; the series engine alone bounds the result.
+    q^3), plus `_loop_series`' sum of the remainder kernel, which decays
+    like e^{-4 pi T q} per roundtrip and is bounded by that geometric
+    ratio, or for 0 < r0 <= 1 closed by Gregory's tail where it is weak.
+    The split makes both the T -> 0 and the Tq >> 1 limits exact by
+    construction.  Every |r0| <= 1 is accepted; the series engine alone
+    bounds the result.
     """
     _check_constant_loop(r0, q, temperature)
     if temperature == 0.0 or r0 == 0.0:
@@ -127,17 +128,15 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     alpha = np.pi * temperature
     classical = pressure_high_temperature(r0, q, temperature)
 
-    def term(l):
-        tau = 2.0 * l * q
-        rem = kernel_4d_thermal(tau, temperature) - 2.0 * alpha / (np.pi**2 * tau**3)
-        return (r0 ** l) * rem
+    def remainder(l, tau):
+        return (kernel_4d_thermal(tau, temperature)
+                - 2.0 * alpha / (np.pi**2 * tau**3))
 
-    rb = abs(r0) * np.exp(-4.0 * alpha * q)
-    series = _sum_series(term, spec, ratio_bound=rb,
-                         efold_length=_efold_length(r0, q, temperature))
+    series = _sum_series(spec=spec,
+                         **_loop_series(r0, q, temperature, remainder))
     series.value += classical.value
     series.error_estimate += classical.error_estimate
-    return _result(series, "large-distance", spec, roundtrips=True)
+    return _result(series, "large-distance", spec)
 
 
 def pressure_high_temperature(r0, q, temperature):

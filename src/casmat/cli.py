@@ -25,7 +25,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -64,11 +64,9 @@ def _build_parser():
     common.add_argument("--r0", type=float, default=None,
                         help="frequency-independent loop reflection for the "
                              "large-distance forms")
-    common.add_argument("--rel-tol", type=float, default=1e-9)
-    common.add_argument("--abs-tol", type=float, default=1e-14)
-    common.add_argument("--series-tail-tol", type=float, default=1e-10)
-    common.add_argument("--max-roundtrips", type=int, default=10000)
-    common.add_argument("--max-subdivisions", type=int, default=60)
+    for field in fields(QuadratureSpec):
+        common.add_argument("--" + field.name.replace("_", "-"),
+                            type=field.type, default=field.default)
     common.add_argument("--output", choices=["csv", "json", "plain"],
                         default="plain")
     common.add_argument("--config", default=None,
@@ -136,10 +134,8 @@ def _config_tokens(path):
 
 
 def _spec(args):
-    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                          series_tail_tol=args.series_tail_tol,
-                          max_roundtrips=args.max_roundtrips,
-                          max_subdivisions=args.max_subdivisions)
+    return QuadratureSpec(**{field.name: getattr(args, field.name)
+                             for field in fields(QuadratureSpec)})
 
 
 def _mirror_pair(args):

@@ -505,12 +505,13 @@ def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
     1 (perfectly reflecting pairs) it says nothing.  efold_length, when
     given, says that terms(l) takes real l, smooth in l, and that the terms
     e-fold over about that many l past their algebraic range, as thermal
-    terms do.  Exits, in order: a priori geometric bound (ratio_bound < 1)
-    at the first l that meets it, later terms of its block discarded; then
-    at checkpoints an observed-ratio bound (the larger of the geometric
-    tail and the power-law tail through the last two terms), and then
-    either, with efold_length, Gregory's closure at checkpoints L from 64
-    up to efold_length (`_gregory_tails`), whose bar is |S_L - S_{L/2}|
+    terms do.  Every exit is tested at a checkpoint L on all the terms
+    computed up to L; none discards a term.  Exits, in order: the a priori
+    geometric bound |t_L| ratio_bound / (1 - ratio_bound) (ratio_bound <
+    1); an observed-ratio bound (the larger of the geometric tail and the
+    power-law tail through the last two terms); and then either, with
+    efold_length, Gregory's closure at checkpoints L from 64 up to
+    efold_length (`_gregory_tails`), whose bar is |S_L - S_{L/2}|
     plus both tail integrals' bars, or else exact polylogarithm detection
     of a ratio |x| <= 1 - 1e-6 and an algebraic 1/l^k tail fit (from 64
     terms on), which closes critical sequences such as 1/l^2.  Neither of
@@ -552,17 +553,14 @@ def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
         for ell in checkpoints:
             ells = np.arange(len(kept) + 1, ell + 1)
             block = np.asarray(terms(ells), dtype=float).reshape(ells.shape)
-            sums = np.cumsum(np.concatenate(([partial], block)))[1:]
-            if not np.isfinite(sums[-1]):
+            partial = float(np.cumsum(np.concatenate(([partial], block)))[-1])
+            if not math.isfinite(partial):
                 return IntegrationResult(math.nan, math.nan, ell, False)
-            if geometric:
-                bounds = np.abs(block) * ratio_bound / (1.0 - ratio_bound)
-                hit = np.flatnonzero(_tol_met(bounds, sums, tail_spec))
-                if hit.size:
-                    kept += block[:hit[0] + 1].tolist()
-                    return result(0.0, float(bounds[hit[0]]), True)
             kept += block.tolist()
-            partial = float(sums[-1])
+            if geometric:
+                bound = abs(kept[-1]) * ratio_bound / (1.0 - ratio_bound)
+                if _tol_met(bound, partial, tail_spec):
+                    return result(0.0, bound, True)
 
             window = np.abs(kept[-9:])
             if np.max(window) == 0.0:
@@ -619,5 +617,4 @@ def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
 
     if best is not None:
         return replace(best[1], evaluations=len(kept))
-    return result(0.0, float(bounds[-1]) if geometric else abs(kept[-1]),
-                  False)
+    return result(0.0, bound if geometric else abs(kept[-1]), False)

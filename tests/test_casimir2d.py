@@ -308,10 +308,11 @@ def test_perfect_thermal_series_term_counts(tq, used, converged):
 
 
 def test_large_distance_series_term_count():
-    # the a priori exit falls one term before the block edge at l = 128
+    # the a priori exit is met at l = 127 and tested at the checkpoint
+    # l = 128, which keeps all the terms of its block
     res = force_large_distance(0.9052, 2.2387, temperature=0.0037 / 2.2387)
     assert res.converged
-    assert res.roundtrips_used == 127
+    assert res.roundtrips_used == 128
 
 
 def test_perfect_series_calls_kernel_once_per_block(monkeypatch):
@@ -544,6 +545,22 @@ def test_large_distance_thermal_matches_roundtrip():
     assert res.value == pytest.approx(THERMAL_FORCE, rel=1e-10)
     rt = force_roundtrip_time(_pair(perfect_mirror, 1.0, T=0.2))
     assert rt.value == pytest.approx(THERMAL_FORCE, rel=1e-12)
+
+
+def test_perfect_roundtrip_force_is_the_unit_loop_series():
+    # a perfect pair is the constant loop r0 = 1: one builder gives both
+    # routes the same terms, ratio bound and e-folding length, so they
+    # agree in value, bar, term count and convergence
+    misses = []
+    for q in np.geomspace(0.05, 50, 9):
+        for T in np.geomspace(1e-8, 5, 12) / q:
+            rt = force_roundtrip_time(_pair(perfect_mirror, q, T=T))
+            ld = force_large_distance(1.0, q, temperature=T)
+            if (rt.value, rt.error_estimate, rt.roundtrips_used,
+                    rt.converged) != (ld.value, ld.error_estimate,
+                                      ld.roundtrips_used, ld.converged):
+                misses.append((q, T * q, rt, ld))
+    assert misses == []
 
 
 def test_thermal_suppression_is_monotone():

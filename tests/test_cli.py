@@ -13,6 +13,7 @@ import pytest
 from casmat import casimir2d, casimir4d, cli
 from casmat.casimir2d import force_imag_axis
 from casmat.casimir4d import PlanarMirrorModel
+from casmat.quadrature import QuadratureSpec
 from casmat.scattering import (CavityConfig, MirrorModel, lorentzian_mirror,
                                perfect_mirror, tabulated_mirror)
 
@@ -102,8 +103,10 @@ def test_free_energy_record(capsys):
     rec = parse_csv(out)[0]
     assert float(rec["value"]) == pytest.approx(-0.018326699828579577933,
                                                 rel=1e-10)
-    # energy records carry no roundtrip count; the column stays empty
-    assert rec["roundtrips"] == ""
+    # a series record carries its term count, the library call's
+    res = casimir2d.free_energy(
+        CavityConfig(perfect_mirror(), perfect_mirror(), 1.0, temperature=0.2))
+    assert rec["roundtrips"] == str(res.roundtrips_used)
 
 
 def test_free_energy_rejects_zero_temperature(capsys):
@@ -300,6 +303,20 @@ def test_config_file_flags_lose_to_cli(tmp_path, capsys):
     rec = parse_csv(out)[0]
     assert rec["q"] == "2.0"
     assert rec["method"] == "imag-axis"
+
+
+def test_tolerance_flags_are_the_spec_fields(tmp_path, capsys):
+    # the parser takes the flags and their defaults from QuadratureSpec,
+    # and a config file still sets them
+    args = cli._build_parser().parse_args(["force2d"])
+    assert cli._spec(args) == QuadratureSpec()
+    path = tmp_path / "run.cfg"
+    path.write_text("max_roundtrips=4\n")
+    code, out, _ = run_cli(["force2d", "--T", "0.2", "--method", "roundtrip",
+                            "--config", str(path), "--output", "csv"], capsys)
+    assert code == 4
+    rec = parse_csv(out)[0]
+    assert rec["roundtrips"] == "4" and rec["converged"] == "False"
 
 
 def test_validate_model_command(capsys):

@@ -229,8 +229,12 @@ def test_geometric_series_slow_ratio():
 
 @pytest.mark.parametrize("x, used", [(0.5, 34), (0.96, 565), (0.995, 4594)])
 def test_geometric_exit_matches_one_term_loop(x, used):
-    # the series pulls its terms in blocks, but its a priori exit must stop
-    # at the l where a loop over one term at a time meets the same rule
+    # the series pulls its terms in blocks and tests its a priori exit at
+    # the checkpoints, on every term computed so far: it must stop at the
+    # checkpoint that holds the l where a loop over one term at a time
+    # meets the same rule, and keep the rest of that block, which puts the
+    # value far inside the tail tolerance (the first-l exit that dropped
+    # those terms ended 5.8e-11 to 1.0e-10 relative off)
     spec = QuadratureSpec()
     partial, ell = 0.0, 0
     while True:
@@ -239,9 +243,15 @@ def test_geometric_exit_matches_one_term_loop(x, used):
         bound = x ** ell * x / (1.0 - x)
         if bound <= max(spec.abs_tol, spec.series_tail_tol * abs(partial)):
             break
-    res = _sum_series(lambda l: x ** l, QuadratureSpec(), x)
+    assert ell == used
+    checkpoint = min(c for c in (64, 128, 256, 512, 1024, spec.max_roundtrips)
+                     if c >= used)
+    res = _sum_series(lambda l: x ** l, spec, x)
     assert res.converged
-    assert res.evaluations == ell == used
+    assert res.evaluations == checkpoint
+    exact = x / (1.0 - x)
+    assert abs(res.value - exact) <= res.error_estimate
+    assert res.value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
