@@ -42,7 +42,8 @@ abscissae spanning many panels (with each node's integral index for a
 block), series terms integer arrays of l (a block between two
 checkpoints); both must be elementwise: a node's value may not depend on
 the other nodes.  An integral's value is the exactly rounded sum of its
-panels.
+panels.  scipy is reached as `scipy.linalg.<fn>` and `scipy.special.<fn>`
+at call time: a process loads those on its first Gauss rule or tail fit.
 """
 
 import bisect
@@ -54,11 +55,10 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import zeta as _hurwitz
 
 from .special_functions import polylog
 
@@ -341,7 +341,7 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
 def _golub_welsch(diagonal, off_diagonal):
     """Golub-Welsch: a Jacobi matrix's eigenvalues t and its eigenvectors'
     squared first components v_0^2 (the Gauss weights)."""
-    t, v = eigh_tridiagonal(diagonal, off_diagonal)
+    t, v = scipy.linalg.eigh_tridiagonal(diagonal, off_diagonal)
     return t, v[0] * v[0]
 
 
@@ -434,7 +434,8 @@ def _tail_weights(L):
     y = L / los.astype(float)
     design = y[:, None] ** 2 * chebvander(2.0 * y - 3.0, 5)
     ks = np.arange(2, 8)
-    tails = _CHEBYSHEV_POWERS @ (float(L) ** ks * _hurwitz(ks, L + 1))
+    tails = _CHEBYSHEV_POWERS @ (float(L) ** ks
+                                 * scipy.special.zeta(ks, L + 1))
     weights = np.stack([tails @ np.linalg.pinv(design),
                         tails[:4] @ np.linalg.pinv(design[:, :4])])
     weights.flags.writeable = False

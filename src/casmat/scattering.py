@@ -12,14 +12,15 @@ Two mirrors at separation q compose into a global scattering matrix S, a
 resonance matrix R mapping input to intracavity fields, the Airy factor g
 (intracavity/vacuum spectral weight), and the total phase shift Delta whose
 frequency integral carries the Casimir energy.  The coordinate convention
-places mirror 1 at the origin and mirror 2 at q.
+places mirror 1 at the origin and mirror 2 at q.  scipy is reached as
+`scipy.interpolate.<fn>` at call time: only tabulated mirrors load it.
 """
 
 import functools
 import itertools
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+import scipy
 
 __all__ = [
     "ModelCapabilityError",
@@ -182,7 +183,7 @@ def tabulated_mirror(xi, r, units="absolute", q=None):
         xi = xi / q
     elif units != "absolute":
         raise ValueError("units must be 'absolute' or 'q-relative'")
-    interp = PchipInterpolator(xi, r, extrapolate=False)
+    interp = scipy.interpolate.PchipInterpolator(xi, r, extrapolate=False)
     lo, hi = xi[0], xi[-1]
     rhi = r[-1]
 

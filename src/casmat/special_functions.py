@@ -5,7 +5,8 @@ polylogarithms zeta_x(p) = sum_{l>=1} x^l / l^p, the summation-rule oracles
 need exact Bernoulli numbers, and the time-domain roundtrip integrals for
 exponential reflection kernels collapse into Erlang (equal rates) or
 hypoexponential (two distinct rates) delay densities.  Everything here is a
-pure function.
+pure function.  scipy is reached as `scipy.special.<fn>` at call time, so
+only a process that calls one of those loads scipy.special.
 """
 
 import bisect
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, hyp0f1, ive, xlogy, zeta
+import scipy
 
 __all__ = [
     "polylog",
@@ -64,10 +65,10 @@ def polylog(x, p):
     if x == 0.0:
         return 0.0
     if x == 1.0:
-        return float(zeta(p))
+        return float(scipy.special.zeta(p))
     if x == -1.0:
         # alternating sum of l^-p in terms of the x = 1 value
-        return -(1.0 - 2.0 ** (1 - p)) * float(zeta(p))
+        return -(1.0 - 2.0 ** (1 - p)) * float(scipy.special.zeta(p))
     if x > 0.9:
         return _polylog_near_unit(x, p)
     if x < -0.9:
@@ -97,7 +98,7 @@ def _polylog_near_unit(x, p):
     powk = 1.0  # mu^k / k!
     for k in range(0, 13):
         if k != p - 1:
-            total += float(zeta(p - k)) * powk
+            total += float(scipy.special.zeta(p - k)) * powk
         powk *= mu / (k + 1)
     return total
 
@@ -156,12 +157,8 @@ def erlang_weight(ell, rate, s):
         raise ValueError("rate must be positive and finite")
     s_arr = _delays(s)
     # xlogy is 0 at s = 0 for a single delay and -inf for ell >= 2
-    logw = (
-        ell * math.log(rate)
-        + xlogy(ell - 1, s_arr)
-        - rate * s_arr
-        - gammaln(ell)
-    )
+    logw = (ell * math.log(rate) + scipy.special.xlogy(ell - 1, s_arr)
+            - rate * s_arr - scipy.special.gammaln(ell))
     w = np.exp(logw)
     return float(w) if w.ndim == 0 else w
 
@@ -205,16 +202,19 @@ def hypoexp_weight(ell, rate1, rate2, s):
     log_rates = math.log(rate1 * rate2)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the Bessel form but for its log ive(nu, z)
-        head = (ell * log_rates + 0.5 * math.log(math.pi) - gammaln(ell)
-                + nu * np.log(s / d) - min(rate1, rate2) * s)
-        bessel = ive(nu, z)
+        head = (ell * log_rates + 0.5 * math.log(math.pi)
+                - scipy.special.gammaln(ell) + nu * np.log(s / d)
+                - min(rate1, rate2) * s)
+        bessel = scipy.special.ive(nu, z)
         log_w = head + np.log(bessel)
         # not >= tiny: also NaN, which ive returns past d s / 2 = 2^30
         near = np.flatnonzero(~(bessel >= np.finfo(float).tiny))
         ln, sn = ell[near], s[near]
-        log_w[near] = (ln * log_rates + xlogy(2 * ln - 1, sn)
-                       - 0.5 * (rate1 + rate2) * sn - gammaln(2 * ln)
-                       + np.log(hyp0f1(ln + 0.5, (0.5 * z[near]) ** 2)))
+        log_w[near] = (ln * log_rates + scipy.special.xlogy(2 * ln - 1, sn)
+                       - 0.5 * (rate1 + rate2) * sn
+                       - scipy.special.gammaln(2 * ln)
+                       + np.log(scipy.special.hyp0f1(
+                           ln + 0.5, (0.5 * z[near]) ** 2)))
         over = near[~(log_w[near] < np.inf)]
         log_w[over] = head[over] + _log_ive_debye(nu[over], z[over])
         w = np.exp(log_w).reshape(shape)

@@ -374,6 +374,61 @@ def test_console_script_entry_point():
     assert proc.stdout.splitlines()[0] == HEADER
 
 
+# routes that load none of scipy's heavy submodules; the test process has
+# imported them already, so a fresh interpreter runs the calls
+SCIPY_FREE_CALLS = [
+    [command] + model for command in ("force2d", "force4d", "energy2d",
+                                      "energy4d")
+    for model in ([], ["--model", "lorentzian", "--omega1", "1"])] + [
+    ["force2d", "--method", "large-distance", "--r0", "0.5"],
+    ["force4d", "--method", "high-T", "--r0", "0.5", "--T", "2"],
+    ["oracle", "--dimension", "4"],
+    ["validate-model", "--model", "lorentzian", "--omega1", "1"],
+    ["force2d", "--T", "0.1"]]
+FRESH_PROCESS = """
+import contextlib, io, json, sys
+from casmat import casimir2d, casimir4d, cli
+
+def loaded():
+    return [name for name in ("scipy.special", "scipy.linalg",
+                              "scipy.interpolate") if name in sys.modules]
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ["--output", "csv"])
+    return code, out.getvalue()
+
+free, using = json.loads(sys.argv[1])
+after_import = loaded()
+codes = [run(argv)[0] for argv in free]
+print(json.dumps({"after_import": after_import, "codes": codes,
+                  "after_calls": loaded(),
+                  "records": [run(argv) for argv in using]}))
+"""
+
+
+def test_scipy_submodules_load_only_where_a_route_uses_them(mirror_table,
+                                                            capsys):
+    # a tabulated mirror loads scipy.interpolate and a split pair's
+    # roundtrip rules scipy.linalg and scipy.special, on first use, and
+    # print the same records as in a process that loaded them at start
+    using = [["force2d", "--model", "tabulated", "--table", mirror_table],
+             ["force2d", "--model", "lorentzian", "--omega1", "1",
+              "--omega2", "2", "--method", "roundtrip"]]
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS,
+                           json.dumps([SCIPY_FREE_CALLS, using])],
+                          capture_output=True, text=True, check=True)
+    fresh = json.loads(proc.stdout)
+    assert fresh["after_import"] == []
+    assert fresh["codes"] == [0] * len(SCIPY_FREE_CALLS)
+    assert fresh["after_calls"] == []
+    for argv, (code, out) in zip(using, fresh["records"]):
+        assert (code, out) == run_cli(argv + ["--output", "csv"],
+                                      capsys)[:2]
+        assert code == 0
+
+
 def test_non_finite_separation_exits_2(capsys):
     for argv in (["force2d", "--q", "nan"],
                  ["force2d", "--method", "large-distance", "--r0", "0.5",
