@@ -20,8 +20,8 @@ import numpy as np
 from dataclasses import dataclass, replace
 
 from .quadrature import (QuadratureSpec, IntegrationResult,
-                         integrate_semi_infinite, _gauss_beta,
-                         _gauss_laguerre, _sum_series, _tol_met)
+                         integrate_semi_infinite, _gauss_beta, _gauss_laguerre,
+                         _laguerre_pair, _sum_series, _tol_met)
 from .special_functions import polylog, bernoulli, erlang_weight, hypoexp_weight
 from .spectral import thermal_kernel_time, free_energy_kernel_time
 from .scattering import ModelCapabilityError
@@ -263,22 +263,22 @@ def _roundtrip_sum(cfg, kernel, spec):
         lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec)
 
 
-def _imag_axis_integrand(cfg, coefficient, power, log_form):
-    """The Lifshitz integrand of every imaginary-axis observable (T = 0).
+def _imag_axis(cfg, coefficient, power, log_form, spec, march):
+    """The Result of an imaginary-axis observable (T = 0): every one's route.
 
     Each observable is
 
         coefficient * int_0^inf dxi  xi^power h(x),   x = rbar(xi) e^{-2 q xi},
 
-    with h(x) = ln(1 - x) when log_form, else x / (1 - x).  Returns the
-    integrand in u = 2 q xi, whose decay scale is 1 (a perfect pair's
-    integrand does not depend on q), and the panel edges 2 q xi_k at the
-    knots of a tabulated mirror.  1 - x is formed once, without
-    cancellation, as e^{-u} (expm1(u) + 1 - rbar); the log takes
-    log1p(-x) instead where x < 1/2.  The log form, singular like ln u at
-    u = 0 when rbar(0) = 1, also gets the edges 2^-k, k = 1..40, graded
-    toward 0, so the march's first round already resolves the singularity
-    that bisection would reach one panel call at a time.
+    with h(x) = ln(1 - x) when log_form, else x / (1 - x), in u = 2 q xi:
+    decay scale 1, damping e^{-u}.  Without panel edges it tries
+    `_laguerre_pair` first; on a miss, or with edges (2 q xi_k at the
+    knots of a tabulated mirror), it calls march, the caller module's own
+    `integrate_semi_infinite`.  1 - x is formed without cancellation as
+    e^{-u} (expm1(u) + 1 - rbar); the log takes log1p(-x) where x < 1/2.
+    The log form, singular like ln u at u = 0 when rbar(0) = 1, also gets
+    the edges 2^-k, k = 1..40, graded toward 0, so the march's first round
+    resolves what bisection would reach one panel call at a time.
     """
     if cfg.temperature != 0.0:
         raise ValueError("the imaginary-axis integrals are zero-temperature "
@@ -304,7 +304,9 @@ def _imag_axis_integrand(cfg, coefficient, power, log_form):
     edges = scale * np.asarray(cfg.knots)
     if log_form:
         edges = np.concatenate((edges, _LOG_EDGES))
-    return integrand, edges
+    res = None if edges.size else _laguerre_pair(integrand, spec)
+    return _result(res or march(integrand, 1.0, spec, edges), "imag-axis",
+                   spec)
 
 
 def force_imag_axis(cfg, spec=None):
@@ -332,9 +334,8 @@ def force_imag_axis(cfg, spec=None):
     Result
         Positive value means attraction.
     """
-    integrand, edges = _imag_axis_integrand(cfg, 1.0 / np.pi, 1, False)
-    return _result(integrate_semi_infinite(integrand, 1.0, spec, edges),
-                   "imag-axis", spec)
+    return _imag_axis(cfg, 1.0 / np.pi, 1, False, spec,
+                      integrate_semi_infinite)
 
 
 def force_roundtrip_time(cfg, spec=None):
@@ -423,9 +424,8 @@ def casimir_energy(cfg, spec=None):
     finite-difference version of that identity is a standard cross-check.
     U < 0 for positive loop reflection.
     """
-    integrand, edges = _imag_axis_integrand(cfg, 0.5 / np.pi, 0, True)
-    return _result(integrate_semi_infinite(integrand, 1.0, spec, edges),
-                   "imag-axis", spec)
+    return _imag_axis(cfg, 0.5 / np.pi, 0, True, spec,
+                      integrate_semi_infinite)
 
 
 def free_energy(cfg, spec=None):

@@ -22,8 +22,7 @@ from .quadrature import integrate_semi_infinite, _sum_series
 from .special_functions import polylog, bernoulli  # noqa: F401
 from .spectral import kernel_4d_thermal
 from .casimir2d import (Result, _check_constant_loop, _closed_form,
-                        _imag_axis_integrand, _loop_series, _result,
-                        _sum_integral_terms)
+                        _imag_axis, _loop_series, _result, _sum_integral_terms)
 from .scattering import MirrorModel
 
 
@@ -55,9 +54,8 @@ def pressure_imag_axis(cfg, spec=None):
     with rbar the loop reflection on the imaginary axis.  Per polarization
     the pressure is half of this.
     """
-    integrand, edges = _imag_axis_integrand(cfg, 1.0 / np.pi**2, 3, False)
-    return _result(integrate_semi_infinite(integrand, 1.0, spec, edges),
-                   "imag-axis", spec)
+    return _imag_axis(cfg, 1.0 / np.pi**2, 3, False, spec,
+                      integrate_semi_infinite)
 
 
 def pressure_roundtrip(cfg, spec=None):
@@ -182,6 +180,5 @@ def energy_4d(cfg, spec=None):
     perfect-mirror pressure: the integrated-field-energy relation, exact
     in the perfect-reflection limit.
     """
-    integrand, edges = _imag_axis_integrand(cfg, 0.5 / np.pi**2, 2, True)
-    return _result(integrate_semi_infinite(integrand, 1.0, spec, edges),
-                   "imag-axis", spec)
+    return _imag_axis(cfg, 0.5 / np.pi**2, 2, True, spec,
+                      integrate_semi_infinite)

@@ -42,8 +42,9 @@ abscissae spanning many panels (with each node's integral index for a
 block), series terms integer arrays of l (a block between two
 checkpoints); both must be elementwise: a node's value may not depend on
 the other nodes.  An integral's value is the exactly rounded sum of its
-panels.  scipy is reached as `scipy.linalg.<fn>` and `scipy.special.<fn>`
-at call time: a process loads those on its first Gauss rule or tail fit.
+panels.  An integrand damped like e^{-u} may try a Gauss-Laguerre pair
+first (`_laguerre_pair`).  Gauss rules take numpy's eigh; scipy.special is
+reached as `scipy.special.<fn>`, loaded at a process's first tail fit.
 """
 
 import bisect
@@ -77,6 +78,8 @@ _GROWTH = 1.4
 _MIN_EXTENT_SCALES = 6.0
 _MAX_MARCH_PANELS = 400
 _MAX_TOTAL_PANELS = 20000
+# the node counts of `_laguerre_pair`, the coarser first
+_PAIR = (32, 48)
 # rounding allowance per unit of sum_l |t_l| in a series error bar: the
 # terms carry their own evaluation rounding, the exact sum adds none
 _SUM_ROUNDING = 2.0 * np.finfo(float).eps
@@ -340,8 +343,8 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
 
 def _golub_welsch(diagonal, off_diagonal):
     """Golub-Welsch: a Jacobi matrix's eigenvalues t and its eigenvectors'
-    squared first components v_0^2 (the Gauss weights)."""
-    t, v = scipy.linalg.eigh_tridiagonal(diagonal, off_diagonal)
+    squared first components v_0^2 (the Gauss weights), by numpy."""
+    t, v = np.linalg.eigh(np.diag(diagonal) + np.diag(off_diagonal, -1))
     return t, v[0] * v[0]
 
 
@@ -356,6 +359,36 @@ def _gauss_laguerre(m, alpha):
     i = np.arange(m, dtype=float)
     return _golub_welsch(2.0 * i + alpha + 1.0,
                          np.sqrt(i[1:] * (i[1:] + alpha)))
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_rule():
+    """The nodes u of the rules `_PAIR` and their weights v_0^2 e^u."""
+    u, v0sq = map(np.concatenate,
+                  zip(*[_gauss_laguerre(m, 0.0) for m in _PAIR]))
+    return u, v0sq * np.exp(u)
+
+
+def _laguerre_pair(f, spec=None):
+    """f's integral over (0, inf) for f damped like e^{-u}, or None.
+
+    One call of f on the 32 + 48 Gauss-Laguerre nodes (`_pair_rule`).  The
+    48-point value G48 is accepted when its bar, |G48 - G32| plus
+    `_SUM_ROUNDING` sum |w f|, meets spec's tolerances, which no value or
+    bar that is not finite does: QUADPACK's pair first, a march on a miss.
+    """
+    u, w = _pair_rule()
+    with np.errstate(all="ignore"):
+        y = (np.asarray(f(u), dtype=float) * w).tolist()
+    try:
+        coarse, fine = math.fsum(y[:_PAIR[0]]), math.fsum(y[_PAIR[0]:])
+        error = abs(fine - coarse) + _SUM_ROUNDING * math.fsum(
+            map(abs, y[_PAIR[0]:]))
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
+        return None
+    if _tol_met(error, fine, spec or QuadratureSpec()):
+        return IntegrationResult(fine, error, sum(_PAIR), True)
+    return None
 
 
 def _gauss_beta(m, alpha):

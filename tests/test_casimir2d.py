@@ -289,6 +289,139 @@ def test_imag_axis_observables_take_few_panel_calls(
     assert len(calls) <= 4
 
 
+def _spy_imag_axis(monkeypatch):
+    # the (integrand, result or None) of every Gauss-Laguerre pair the
+    # imaginary-axis routes try, and the integral each turns into a Result
+    tried, integrals = [], []
+    pair, result = casimir2d._laguerre_pair, casimir2d._result
+
+    def spy_pair(f, spec):
+        tried.append((f, pair(f, spec)))
+        return tried[-1][1]
+
+    def spy_result(res, method, spec):
+        integrals.append(res)
+        return result(res, method, spec)
+
+    monkeypatch.setattr(casimir2d, "_laguerre_pair", spy_pair)
+    monkeypatch.setattr(casimir2d, "_result", spy_result)
+    return tried, integrals
+
+
+# the force and the pressure, the routes whose integrals have no edges
+# unless a mirror is tabulated: (engine, planar)
+_PAIR_ROUTES = [(force_imag_axis, False),
+                (casimir4d.pressure_imag_axis, True)]
+
+
+def _planar(planar):
+    return casimir4d.PlanarMirrorModel if planar else (lambda m: m)
+
+
+def test_laguerre_pair_values_lie_within_the_bars_of_a_tight_march(
+        monkeypatch):
+    # a derandomized grid, the first 500 points of the R_3 sequence
+    # (Roberts 2018) in the unit cube: q log-uniform in [1e-2, 1e3], the
+    # cutoffs in [0.1, 10], one pair in three equal and one in ten
+    # perfect, each in 1D and 4D.  Every integral the pair accepts lies
+    # within its bar plus that of a march at rel_tol 1e-14, with no ulp
+    # floor, and its bar is not loose beyond reason
+    tried, integrals = _spy_imag_axis(monkeypatch)
+    g = 1.2207440846057596  # the root of g^4 = g + 1
+    grid = (np.arange(1, 501)[:, None] / g ** np.arange(1, 4)) % 1.0
+    for k, (x, y, z) in enumerate(grid):
+        q = 10.0 ** (5.0 * x - 2.0)
+        w1, w2 = 10.0 ** (2.0 * y - 1.0), 10.0 ** (2.0 * z - 1.0)
+        mirrors = ((perfect_mirror(), perfect_mirror()) if k % 10 == 0 else
+                   (lorentzian_mirror(w1),
+                    lorentzian_mirror(w1 if k % 3 == 0 else w2)))
+        for engine, planar in _PAIR_ROUTES:
+            engine(CavityConfig(*map(_planar(planar), mirrors), q))
+    tight = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300)
+    accepted = [(res, quadrature.integrate_semi_infinite(f, 1.0, tight))
+                for f, res in tried if res is not None]
+    assert len(tried) == len(integrals) == 1000
+    assert len(accepted) >= 700
+    ratios = []
+    for res, ref in accepted:
+        assert ref.converged
+        error = abs(res.value - ref.value)
+        assert error <= res.error_estimate + ref.error_estimate
+        ratios.append(res.error_estimate / error if error else math.inf)
+    assert np.median(ratios) <= 1000.0
+
+
+@pytest.mark.parametrize("engine, planar, pref, power, log_form", _IMAG_AXIS)
+def test_tabulated_mirrors_and_energies_march(monkeypatch, engine, planar,
+                                              pref, power, log_form):
+    # panel edges, a table's knots or the energies' log edges, send an
+    # integral straight to the march: 22 evaluations a panel, never 80
+    tried, integrals = _spy_imag_axis(monkeypatch)
+    xs = np.geomspace(1e-6, 1e4, 400)
+    table = tabulated_mirror(xs, -1.0 / (1.0 + xs))
+    pairs = [(table, table)]
+    if log_form:
+        pairs += [(perfect_mirror(), perfect_mirror()),
+                  (lorentzian_mirror(0.7), lorentzian_mirror(2.3))]
+    for mirrors in pairs:
+        assert engine(CavityConfig(*map(_planar(planar), mirrors),
+                                   1.3)).converged
+    assert tried == []
+    assert len(integrals) == len(pairs)
+    for res in integrals:
+        assert res.evaluations % 22 == 0 and res.evaluations != 80
+
+
+@pytest.mark.parametrize("engine, planar", _PAIR_ROUTES)
+def test_a_pair_miss_returns_the_march_bit_for_bit(monkeypatch, engine,
+                                                   planar):
+    # at 2 q Omega = 2e-3 the integrand bends far below the pair's first
+    # node, about 0.03, and the two rules disagree
+    tried, integrals = _spy_imag_axis(monkeypatch)
+    mirror = _planar(planar)(lorentzian_mirror(0.1))
+    res = engine(CavityConfig(mirror, mirror, 0.01))
+    (f, pair), = tried
+    march = quadrature.integrate_semi_infinite(f, 1.0)
+    assert pair is None
+    assert integrals == [march]
+    assert march.evaluations % 22 == 0 and march.converged
+    assert (res.value, res.error_estimate) == (march.value,
+                                               march.error_estimate)
+
+
+@pytest.mark.parametrize("engine, planar", _PAIR_ROUTES)
+def test_an_accepted_pair_reports_80_evaluations(monkeypatch, engine,
+                                                 planar):
+    tried, integrals = _spy_imag_axis(monkeypatch)
+    res = engine(_perfect_pair(planar, 1.0))
+    assert [pair for _, pair in tried] == integrals
+    assert [(r.evaluations, r.converged) for r in integrals] == [(80, True)]
+    assert res.converged
+    closed = math.pi / 24.0 if not planar else math.pi**2 / 240.0
+    assert res.value == pytest.approx(closed, rel=1e-13)
+
+
+@pytest.mark.parametrize("engine, planar, q", [
+    (force_imag_axis, False, 1e-60), (force_imag_axis, False, 1e-153),
+    (force_imag_axis, False, 1e-154),
+    (casimir4d.pressure_imag_axis, True, 1e-60),
+    (casimir4d.pressure_imag_axis, True, 1e-76)])
+def test_pair_routes_at_tiny_q_end_finite_or_refused(engine, planar, q):
+    # the prefactor 1 / (2q)^(p + 1) is finite at these q, but the
+    # integral may pass the float range: then Result refuses it, and
+    # neither the pair nor the march raises a RuntimeWarning (an error
+    # under the suite's filterwarnings)
+    for mirrors in ((perfect_mirror(), perfect_mirror()),
+                    (lorentzian_mirror(1.0), lorentzian_mirror(3.0))):
+        cfg = CavityConfig(*map(_planar(planar), mirrors), q)
+        try:
+            res = engine(cfg)
+        except ValueError as err:
+            assert "is not finite" in str(err)
+        else:
+            assert np.isfinite([res.value, res.error_estimate]).all()
+
+
 def test_roundtrip_cap_is_honest():
     cfg = CavityConfig(lorentzian_mirror(1.0), lorentzian_mirror(1.0), 1.0)
     res = force_roundtrip_time(cfg, QuadratureSpec(max_roundtrips=4))

@@ -404,18 +404,20 @@ after_import = loaded()
 codes = [run(argv)[0] for argv in free]
 print(json.dumps({"after_import": after_import, "codes": codes,
                   "after_calls": loaded(),
-                  "records": [run(argv) for argv in using]}))
+                  "records": [run(argv) + (loaded(),) for argv in using]}))
 """
 
 
 def test_scipy_submodules_load_only_where_a_route_uses_them(mirror_table,
                                                             capsys):
-    # a tabulated mirror loads scipy.interpolate and a split pair's
-    # roundtrip rules scipy.linalg and scipy.special, on first use, and
-    # print the same records as in a process that loaded them at start
-    using = [["force2d", "--model", "tabulated", "--table", mirror_table],
-             ["force2d", "--model", "lorentzian", "--omega1", "1",
-              "--omega2", "2", "--method", "roundtrip"]]
+    # a split pair's roundtrip loads scipy.special (its delay densities
+    # and tail fits) but not scipy.linalg (its Gauss rules take numpy's
+    # eigh), a tabulated mirror then scipy.interpolate, which imports
+    # scipy.linalg; each on first use, and both print the same records as
+    # in a process that loaded them at start
+    using = [["force2d", "--model", "lorentzian", "--omega1", "1",
+              "--omega2", "2", "--method", "roundtrip"],
+             ["force2d", "--model", "tabulated", "--table", mirror_table]]
     proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS,
                            json.dumps([SCIPY_FREE_CALLS, using])],
                           capture_output=True, text=True, check=False)
@@ -424,7 +426,10 @@ def test_scipy_submodules_load_only_where_a_route_uses_them(mirror_table,
     assert fresh["after_import"] == []
     assert fresh["codes"] == [0] * len(SCIPY_FREE_CALLS)
     assert fresh["after_calls"] == []
-    for argv, (code, out) in zip(using, fresh["records"]):
+    assert [loaded for _, _, loaded in fresh["records"]] == [
+        ["scipy.special"],
+        ["scipy.special", "scipy.linalg", "scipy.interpolate"]]
+    for argv, (code, out, _) in zip(using, fresh["records"]):
         assert (code, out) == run_cli(argv + ["--output", "csv"],
                                       capsys)[:2]
         assert code == 0
