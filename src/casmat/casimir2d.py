@@ -217,15 +217,15 @@ def _sum_integral_terms(kernel, shape, term, spec):
                              series.evaluations, series.converged and quad_ok)
 
 
-def _loop_series(r0, q, temperature, kernel):
-    """The `_sum_series` keyword arguments of a constant loop r0.
+def _loop_series(r0, q, temperature, kernel, spec):
+    """The `_sum_series` sum of a constant loop r0: every one's series.
 
-    Every constant-loop series takes them, a perfect pair as r0 = 1: the
-    terms r0^l kernel(l, 2 l q), with kernel elementwise in l and the
-    delay tau; their a priori ratio bound |r0| e^{-4 pi T q}; and for
-    0 < r0 <= 1 at T > 0 the e-folding length in l, 1/(2 pi T q - ln r0),
-    below which Gregory's tail may close them (else None: at T = 0, and
-    for r0 < 0, whose terms alternate and take no real l).
+    A perfect pair's is r0 = 1.  The terms are r0^l kernel(l, 2 l q), with
+    kernel elementwise in l and the delay tau; their a priori ratio bound
+    is |r0| e^{-4 pi T q}; and for 0 < r0 <= 1 at T > 0 the e-folding
+    length in l, 1/(2 pi T q - ln r0), below which Gregory's tail may
+    close them (else None: at T = 0, and for r0 < 0, whose terms
+    alternate and take no real l).
     """
     rate = 2.0 * math.pi * temperature * q
     bound = abs(r0) * math.exp(-2.0 * rate)
@@ -233,8 +233,8 @@ def _loop_series(r0, q, temperature, kernel):
     if temperature > 0.0 and r0 > 0.0:
         rate -= math.log(r0)
         efold = 1.0 / rate if rate > 0.0 else math.inf  # 0 if T q underflows
-    return dict(terms=lambda l: r0 ** l * kernel(l, 2.0 * l * q),
-                ratio_bound=bound, efold_length=efold)
+    return _sum_series(lambda l: r0 ** l * kernel(l, 2.0 * l * q), spec,
+                       ratio_bound=bound, efold_length=efold)
 
 
 def _roundtrip_sum(cfg, kernel, spec):
@@ -256,14 +256,13 @@ def _roundtrip_sum(cfg, kernel, spec):
     q = cfg.q
     weight, shape = _delay_profile(cfg)
     if weight is None:
-        return _sum_series(spec=spec,
-                           **_loop_series(1.0, q, cfg.temperature, kernel))
+        return _loop_series(1.0, q, cfg.temperature, kernel, spec)
     return _sum_integral_terms(
         lambda l, s: kernel(l, 2.0 * l * q + s), shape,
         lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec)
 
 
-def _imag_axis(cfg, coefficient, power, log_form, spec, march):
+def _imag_axis(cfg, coefficient, power, log_form, spec):
     """The Result of an imaginary-axis observable (T = 0): every one's route.
 
     Each observable is
@@ -273,12 +272,12 @@ def _imag_axis(cfg, coefficient, power, log_form, spec, march):
     with h(x) = ln(1 - x) when log_form, else x / (1 - x), in u = 2 q xi:
     decay scale 1, damping e^{-u}.  Without panel edges it tries
     `_laguerre_pair` first; on a miss, or with edges (2 q xi_k at the
-    knots of a tabulated mirror), it calls march, the caller module's own
-    `integrate_semi_infinite`.  1 - x is formed without cancellation as
-    e^{-u} (expm1(u) + 1 - rbar); the log takes log1p(-x) where x < 1/2.
-    The log form, singular like ln u at u = 0 when rbar(0) = 1, also gets
-    the edges 2^-k, k = 1..40, graded toward 0, so the march's first round
-    resolves what bisection would reach one panel call at a time.
+    knots of a tabulated mirror), it marches with `integrate_semi_infinite`.
+    1 - x is formed without cancellation as e^{-u} (expm1(u) + 1 - rbar);
+    the log takes log1p(-x) where x < 1/2.  The log form, singular like
+    ln u at u = 0 when rbar(0) = 1, also gets the edges 2^-k, k = 1..40,
+    graded toward 0, so the march's first round resolves what bisection
+    would reach one panel call at a time.
     """
     if cfg.temperature != 0.0:
         raise ValueError("the imaginary-axis integrals are zero-temperature "
@@ -305,8 +304,8 @@ def _imag_axis(cfg, coefficient, power, log_form, spec, march):
     if log_form:
         edges = np.concatenate((edges, _LOG_EDGES))
     res = None if edges.size else _laguerre_pair(integrand, spec)
-    return _result(res or march(integrand, 1.0, spec, edges), "imag-axis",
-                   spec)
+    return _result(res or integrate_semi_infinite(integrand, 1.0, spec, edges),
+                   "imag-axis", spec)
 
 
 def force_imag_axis(cfg, spec=None):
@@ -334,8 +333,7 @@ def force_imag_axis(cfg, spec=None):
     Result
         Positive value means attraction.
     """
-    return _imag_axis(cfg, 1.0 / np.pi, 1, False, spec,
-                      integrate_semi_infinite)
+    return _imag_axis(cfg, 1.0 / np.pi, 1, False, spec)
 
 
 def force_roundtrip_time(cfg, spec=None):
@@ -389,8 +387,8 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
     if temperature == 0.0 or r0 == 0.0:
         return _closed_form(r0, 2, 1.0, 4.0 * np.pi * q * q, "large-distance")
     T = temperature
-    series = _sum_series(spec=spec, **_loop_series(
-        r0, q, T, lambda l, tau: -thermal_kernel_time(tau, T)))
+    series = _loop_series(
+        r0, q, T, lambda l, tau: -thermal_kernel_time(tau, T), spec)
     return _result(series, "large-distance", spec)
 
 
@@ -424,8 +422,7 @@ def casimir_energy(cfg, spec=None):
     finite-difference version of that identity is a standard cross-check.
     U < 0 for positive loop reflection.
     """
-    return _imag_axis(cfg, 0.5 / np.pi, 0, True, spec,
-                      integrate_semi_infinite)
+    return _imag_axis(cfg, 0.5 / np.pi, 0, True, spec)
 
 
 def free_energy(cfg, spec=None):

@@ -17,13 +17,15 @@ energy.  Positive pressure means attraction; natural units throughout.
 
 import numpy as np
 
-from .quadrature import integrate_semi_infinite, _sum_series
-# perfbench's tracer wraps polylog on each engine module by name
-from .special_functions import polylog, bernoulli  # noqa: F401
+from .special_functions import bernoulli
 from .spectral import kernel_4d_thermal
 from .casimir2d import (Result, _check_constant_loop, _closed_form,
                         _imag_axis, _loop_series, _result, _sum_integral_terms)
 from .scattering import MirrorModel
+# perfbench's tracer wraps these by name on each engine module; this one
+# calls them only through casimir2d's helpers
+from .quadrature import integrate_semi_infinite, _sum_series  # noqa: F401
+from .special_functions import polylog  # noqa: F401
 
 
 class PlanarMirrorModel(MirrorModel):
@@ -54,8 +56,7 @@ def pressure_imag_axis(cfg, spec=None):
     with rbar the loop reflection on the imaginary axis.  Per polarization
     the pressure is half of this.
     """
-    return _imag_axis(cfg, 1.0 / np.pi**2, 3, False, spec,
-                      integrate_semi_infinite)
+    return _imag_axis(cfg, 1.0 / np.pi**2, 3, False, spec)
 
 
 def pressure_roundtrip(cfg, spec=None):
@@ -130,8 +131,7 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
         return (kernel_4d_thermal(tau, temperature)
                 - 2.0 * alpha / (np.pi**2 * tau**3))
 
-    series = _sum_series(spec=spec,
-                         **_loop_series(r0, q, temperature, remainder))
+    series = _loop_series(r0, q, temperature, remainder, spec)
     series.value += classical.value
     series.error_estimate += classical.error_estimate
     return _result(series, "large-distance", spec)
@@ -180,5 +180,4 @@ def energy_4d(cfg, spec=None):
     perfect-mirror pressure: the integrated-field-energy relation, exact
     in the perfect-reflection limit.
     """
-    return _imag_axis(cfg, 0.5 / np.pi**2, 2, True, spec,
-                      integrate_semi_infinite)
+    return _imag_axis(cfg, 0.5 / np.pi**2, 2, True, spec)

@@ -34,7 +34,6 @@ from .scattering import (CavityConfig, ModelCapabilityError, lorentzian_mirror,
                          load_tabulated_mirror, perfect_mirror, validate_model)
 from . import casimir2d
 from . import casimir4d
-from .casimir4d import PlanarMirrorModel
 
 FIELDS = ["param", "q", "T", "value", "error", "method", "converged",
           "roundtrips"]
@@ -152,13 +151,9 @@ def _mirror_pair(args):
     return m, m
 
 
-def _cavity(args, planar=False):
-    """The CavityConfig of args; planar wraps a shared mirror only once."""
-    m1, m2 = _mirror_pair(args)
-    if planar:
-        plane = PlanarMirrorModel(m1)
-        m1, m2 = plane, plane if m2 is m1 else PlanarMirrorModel(m2)
-    return CavityConfig(m1, m2, args.q, temperature=args.T)
+def _cavity(args):
+    """The CavityConfig of args; a table's one mirror sits at both ends."""
+    return CavityConfig(*_mirror_pair(args), args.q, temperature=args.T)
 
 
 def _record(args, res):
@@ -187,10 +182,8 @@ _ROUTES = {
             casimir2d.mode_sum_oracle_2d(a.q), method="closed-form"),
     },
     "force4d": {
-        "imag-axis": lambda a, s: casimir4d.pressure_imag_axis(
-            _cavity(a, True), s),
-        "roundtrip": lambda a, s: casimir4d.pressure_roundtrip(
-            _cavity(a, True), s),
+        "imag-axis": lambda a, s: casimir4d.pressure_imag_axis(_cavity(a), s),
+        "roundtrip": lambda a, s: casimir4d.pressure_roundtrip(_cavity(a), s),
         "large-distance":
             lambda a, s: casimir4d.pressure_thermal_large_distance(
                 _r0(a), a.q, a.T, s),
@@ -205,7 +198,7 @@ _ROUTES = {
             _cavity(a), s),
     },
     "energy4d": {
-        "imag-axis": lambda a, s: casimir4d.energy_4d(_cavity(a, True), s),
+        "imag-axis": lambda a, s: casimir4d.energy_4d(_cavity(a), s),
     },
     "free-energy2d": {
         "roundtrip": lambda a, s: casimir2d.free_energy(_cavity(a), s),

@@ -564,9 +564,9 @@ def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
     a fixed few numpy calls, whatever l: the polylogarithm test is one pass
     over a 3 x 16 array, and the tail fit two dot products with the
     weights `_tail_weights` caches per checkpoint.  On a 2-vCPU Xeon they
-    take about 40 and 10 microseconds a checkpoint.  A Gregory closure
-    costs one block of two tail integrals, usually one to four panel
-    calls, about 0.2-0.4 ms.
+    take about 25 and 8 microseconds a checkpoint (by timeit).  A Gregory
+    closure costs one block of two tail integrals, usually one to four
+    panel calls, about 0.2-0.4 ms.
     """
     if spec is None:
         spec = QuadratureSpec()

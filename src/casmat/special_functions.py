@@ -32,8 +32,9 @@ def polylog(x, p):
     x : float
         Series weight, |x| <= 1.
     p : int
-        Order, p >= 2.  The series then converges absolutely on the whole
-        closed interval |x| <= 1.
+        Order, an integer p >= 2 (an integral float such as 2.0 too).  The
+        series then converges absolutely on the whole closed interval
+        |x| <= 1.
 
     Returns
     -------
@@ -57,6 +58,8 @@ def polylog(x, p):
     - zeta_{-x}(p)  routes both pieces to cheap regions.  A direct sum
     thus has |x| <= 0.9 and L < 270 terms.
     """
+    if not float(p).is_integer():
+        raise ValueError("polylog order must be an integer")
     p = int(p)
     if p < 2:
         raise ValueError("polylog order must satisfy p >= 2")

@@ -269,6 +269,34 @@ def test_roundtrip_meets_imag_axis_on_a_nearly_constant_table(r0, eps, q):
                                <= a.error_estimate + b.error_estimate)
 
 
+@pytest.mark.parametrize("r0", [0.99, 0.999])
+@pytest.mark.parametrize("q", [0.1, 1.0])
+def test_roundtrip_closes_a_constant_table_through_the_polylog(
+        r0, q, monkeypatch):
+    # an exactly constant table -r0 on both plates: the l-th term is
+    # r0^(2l) 6 / (pi^2 (2 l q)^4), which the series engine's polylogarithm
+    # test matches at its first checkpoint; the result lies within 0 to
+    # 3.4e-6 of the summed bars from the closed form
+    from casmat import quadrature
+    from casmat.special_functions import polylog
+    calls = []
+
+    def spy(x, p):
+        calls.append((x, p))
+        return polylog(x, p)
+
+    monkeypatch.setattr(quadrature, "polylog", spy)
+    m = PlanarMirrorModel(tabulated_mirror(np.geomspace(1e-3, 1e3, 50),
+                                           np.full(50, -r0)))
+    got = pressure_roundtrip(CavityConfig(m, m, q))
+    want = pressure_large_distance(r0 ** 2, q)
+    assert got.converged and got.roundtrips_used == 64
+    assert abs(got.value - want.value) <= (got.error_estimate
+                                           + want.error_estimate)
+    assert [p for _, p in calls] == [4]
+    assert calls[0][0] == pytest.approx(r0 ** 2, rel=1e-12)
+
+
 @pytest.mark.parametrize("q", [1e-83, 1e-80, 1e-79])
 def test_roundtrip_refuses_a_pressure_past_the_float_range(q):
     # the fixed-rule kernel overflows and the fallback's exact panel sum

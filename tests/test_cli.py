@@ -129,8 +129,8 @@ def test_tabulated_model(mirror_table, capsys):
                                      "energy4d"])
 def test_tabulated_pair_evaluates_its_table_once_per_point(
         mirror_table, capsys, monkeypatch, command):
-    # the tabulated model puts one mirror at both ends, wrapped once for the
-    # plane geometry: each loop reflection evaluates the interpolant once
+    # the tabulated model puts one mirror at both ends, the same object in
+    # every geometry: each loop reflection evaluates the interpolant once
     # and squares it
     counts = {"loop": 0, "mirror": 0}
 

@@ -272,10 +272,26 @@ def test_non_finite_polylog_inputs_are_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("order", [2.5, 2.9, 0.5, 1, 1.0, math.nan,
+                                   math.inf, -math.inf])
+def test_polylog_refuses_an_order_that_is_not_an_integer_from_2(order):
+    # truncation would give Li_2(0.5) for both 2.5 and 2.9, and int(inf)
+    # raises OverflowError, not ValueError
+    with pytest.raises(ValueError):
+        polylog(0.5, order)
+
+
+def test_polylog_takes_an_integral_float_order():
+    for x in (-1.0, -0.95, 0.5, 0.95, 1.0):
+        assert polylog(x, 2.0) == polylog(x, 2)
+        assert polylog(x, 4.0) == polylog(x, 4)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: polylog(0.5, 1), "polylog order must satisfy p >= 2"),
+    (lambda: polylog(0.5, 2.5), "polylog order must be an integer"),
     (lambda: bernoulli(3), "bernoulli is defined here for even k >= 2"),
-], ids=["polylog-order-1", "bernoulli-odd"])
+], ids=["polylog-order-1", "polylog-order-2.5", "bernoulli-odd"])
 def test_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
