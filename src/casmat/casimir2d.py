@@ -169,7 +169,7 @@ def _fixed_rule_terms(kernel, shape, ells):
     return value, np.abs(value - y[:, :cut].sum(axis=1))
 
 
-def _sum_integral_terms(kernel, shape, term, spec):
+def _sum_integral_terms(kernel, shape, term, spec, efold_length=None):
     """Sum a roundtrip series whose l-th term is a kernel's mean over a law.
 
     ``shape(ells)`` gives the law of each term ells: the integer
@@ -186,7 +186,10 @@ def _sum_integral_terms(kernel, shape, term, spec):
     the series budget so the accumulated term errors stay inside the
     caller's tolerance; the result adds those quadrature errors, summed in
     term order, to the series error and is converged only if every
-    fallback integral is.
+    fallback integral is.  efold_length goes to `_sum_series`: the caller
+    says that kernel, shape and term take real l, so Gregory's tail may
+    close the series, and the rule errors of its tail-integral nodes count
+    in the quadrature errors too, which can only widen the bar.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -211,7 +214,7 @@ def _sum_integral_terms(kernel, shape, term, spec):
         quad_errors.extend(error.tolist())
         return value
 
-    series = _sum_series(terms, spec)
+    series = _sum_series(terms, spec, efold_length=efold_length)
     quad_err = sum(map(abs, quad_errors))
     return IntegrationResult(series.value, series.error_estimate + quad_err,
                              series.evaluations, series.converged and quad_ok)
@@ -220,21 +223,35 @@ def _sum_integral_terms(kernel, shape, term, spec):
 def _loop_series(r0, q, temperature, kernel, spec):
     """The `_sum_series` sum of a constant loop r0: every one's series.
 
-    A perfect pair's is r0 = 1.  The terms are r0^l kernel(l, 2 l q), with
-    kernel elementwise in l and the delay tau; their a priori ratio bound
-    is |r0| e^{-4 pi T q}; and for 0 < r0 <= 1 at T > 0 the e-folding
-    length in l, 1/(2 pi T q - ln r0), below which Gregory's tail may
-    close them (else None: at T = 0, and for r0 < 0, whose terms
-    alternate and take no real l).
+    A perfect pair's is r0 = 1.  The terms are r0^l K(l), K(l) =
+    kernel(l, 2 l q) elementwise in l and the delay tau, with the a priori
+    ratio bound |r0| e^{-4 pi T q}.  For 0 < r0 <= 1 at T > 0 they take
+    real l and e-fold over 1/(2 pi T q - ln r0), below which Gregory's
+    tail may close them.  For r0 < 0 they alternate, and are summed in
+    pairs, the first step of Euler's transformation (DLMF 3.9):
+    T_m = r0 (r0^2)^(m-1) K(2m - 1) + (r0^2)^m K(2m), which take real m,
+    have the ratio bound r0^2 e^{-8 pi T q} and e-fold over half the
+    length in l at T > 0.  roundtrips_used counts the 2m terms summed.
     """
     rate = 2.0 * math.pi * temperature * q
-    bound = abs(r0) * math.exp(-2.0 * rate)
     efold = None
-    if temperature > 0.0 and r0 > 0.0:
-        rate -= math.log(r0)
-        efold = 1.0 / rate if rate > 0.0 else math.inf  # 0 if T q underflows
-    return _sum_series(lambda l: r0 ** l * kernel(l, 2.0 * l * q), spec,
-                       ratio_bound=bound, efold_length=efold)
+    if temperature > 0.0 and r0 != 0.0:
+        gap = rate - math.log(abs(r0))
+        efold = 1.0 / gap if gap > 0.0 else math.inf  # 0 if T q underflows
+    if r0 > 0.0:
+        return _sum_series(lambda l: r0 ** l * kernel(l, 2.0 * l * q), spec,
+                           ratio_bound=r0 * math.exp(-2.0 * rate),
+                           efold_length=efold)
+    x = r0 * r0
+
+    def pairs(m):
+        odd = 2.0 * m - 1.0
+        return (r0 * x ** (m - 1) * kernel(odd, 2.0 * odd * q)
+                + x ** m * kernel(2.0 * m, 4.0 * m * q))
+
+    series = _sum_series(pairs, spec, ratio_bound=x * math.exp(-4.0 * rate),
+                         efold_length=None if efold is None else 0.5 * efold)
+    return replace(series, evaluations=2 * series.evaluations)
 
 
 def _roundtrip_sum(cfg, kernel, spec):
@@ -377,9 +394,10 @@ def force_large_distance(r0, q, temperature=0.0, spec=None):
     matter (separation much larger than the mirror response time), the
     roundtrip series closes: at T = 0 it is polylog(r0, 2)/(4 pi q^2), and
     at T > 0 it is `_loop_series`' sum of the thermal kernel, bounded by
-    the rigorous geometric ratio |r0| e^{-4 pi T q} and for 0 < r0 <= 1
-    closed by Gregory's tail where that bound is weak: at r0 = 1, the
-    perfect pair's `force_roundtrip_time`, bar for bar.
+    the rigorous geometric ratio |r0| e^{-4 pi T q} (r0^2 e^{-8 pi T q}
+    on the pairs of terms of an alternating loop, r0 < 0) and closed by
+    Gregory's tail where that bound is weak: at r0 = 1, the perfect pair's
+    `force_roundtrip_time`, bar for bar.
 
     Negative r0 gives a repulsive (negative) force.
     """

@@ -72,7 +72,10 @@ def pressure_roundtrip(cfg, spec=None):
     `pressure_imag_axis` term by term, but numerically an independent
     route: different integrands, different convergence structure.  For a
     frequency-independent loop the l-th term is exactly r0^l C(2 l q)
-    with the vacuum kernel C(tau) = 6/(pi^2 tau^4).
+    with the vacuum kernel C(tau) = 6/(pi^2 tau^4).  The terms take real
+    l, and for 0 < rbar(0) < 1 they e-fold over -1/ln rbar(0) roundtrips,
+    below which Gregory's tail may close the series; lorentzian and
+    perfect plates, rbar(0) = 1, take the algebraic tail fit.
     """
     if cfg.temperature != 0.0:
         raise ValueError("pressure_roundtrip is a zero-temperature route; "
@@ -93,8 +96,10 @@ def pressure_roundtrip(cfg, spec=None):
         return (kappa**3 * cfg.loop_r_imag(kappa)**l
                 * np.exp(-2.0 * l * kappa * q) / np.pi**2)
 
+    r0 = cfg.loop_r0()
     series = _sum_integral_terms(
-        kernel, lambda l: (np.full_like(l, 3), l[:, None] * lam), term, spec)
+        kernel, lambda l: (np.full_like(l, 3), l[:, None] * lam), term, spec,
+        -1.0 / np.log(r0) if 0.0 < r0 < 1.0 else None)
     return _result(series, "roundtrip-time", spec)
 
 
@@ -116,7 +121,8 @@ def pressure_thermal_large_distance(r0, q, temperature, spec=None):
     whose sum closes to the high-temperature form T polylog(r0, 3)/(4 pi
     q^3), plus `_loop_series`' sum of the remainder kernel, which decays
     like e^{-4 pi T q} per roundtrip and is bounded by that geometric
-    ratio, or for 0 < r0 <= 1 closed by Gregory's tail where it is weak.
+    ratio, or closed by Gregory's tail where it is weak; an alternating
+    loop, r0 < 0, sums its terms in pairs.
     The split makes both the T -> 0 and the Tq >> 1 limits exact by
     construction.  Every |r0| <= 1 is accepted; the series engine alone
     bounds the result.

@@ -15,15 +15,13 @@ one series summator, `_sum_series`, with a geometric or power-law tail
 bound and escape hatches for slowly decaying term sequences.  Terms that
 take real l and carry a cutoff, such as the thermal terms of perfect
 pairs and constant loops (1/l^2 up to l ~ 1/(2 pi T q), then
-exponential), close by Gregory's formula (Euler-Maclaurin with forward
-differences, DLMF 2.10(i)): the tail past a checkpoint L is an integral
-over real l plus differences of terms already computed, and the change
-from the closure at L/2 is its bar.  Other sequences take exact
-polylogarithm detection or an algebraic 1/l^k tail fit.  These exit tests
-cost a fixed few numpy calls per checkpoint, whatever the series length:
-the polylogarithm test takes its three orders in one pass over the last
-16 terms, and the tail fits are two dot products of 16 terms with weights
-cached per checkpoint (`_tail_weights`).
+exponential; an alternating loop's in pairs), close by Gregory's formula
+(Euler-Maclaurin with forward differences, DLMF 2.10(i)): the tail past a
+checkpoint L is an integral over real l plus differences of terms already
+computed, and the change from the closure at L/2 is its bar.  Other
+sequences take an algebraic 1/l^k tail fit, whose exit test costs a fixed
+few numpy calls per checkpoint, whatever the series length: two dot
+products of 16 terms with weights cached per checkpoint (`_tail_weights`).
 A series value is the exactly rounded sum (`math.fsum`) of its computed
 terms plus the tail, and its error bar adds a rounding allowance of
 2 eps sum_l |t_l| to the truncation bound, so the bar stays honest when
@@ -61,7 +59,9 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
-from .special_functions import polylog
+# perfbench's tracer wraps this by name on this module, which does not
+# call it
+from .special_functions import polylog  # noqa: F401
 
 __all__ = [
     "QuadratureSpec",
@@ -407,43 +407,6 @@ def _gauss_beta(m, alpha):
                                        / ((k - 1.0) * (k + 1.0))))
 
 
-# the polylogarithm orders that occur in the closed-form limits
-_POLYLOG_ORDERS = np.array([[2], [3], [4]])
-
-
-def _detect_polylog(terms, first_ell):
-    """Check whether terms follow c x^l / l^p exactly; return (c, x, p) or None.
-
-    terms[i] corresponds to l = first_ell + i.  The match must hold to
-    near machine precision across the whole window for one of the orders
-    p = 2, 3, 4, tested in that order in one pass over a 3 x n array.
-    """
-    t = np.asarray(terms, dtype=float)
-    n = t.size
-    if n < 6 or not t.all():
-        return None
-    ells = np.arange(first_ell, first_ell + n, dtype=float)
-    powers = ells ** _POLYLOG_ORDERS
-    u = t * powers
-    # each order's median ratio, from one sort of the 3 x (n - 1) ratios
-    ratios = np.sort(u[:, 1:] / u[:, :-1], axis=1)
-    x = 0.5 * (ratios[:, (n - 2) // 2] + ratios[:, (n - 1) // 2])
-    # a fitted ratio this close to (but not at) 1 cannot be told apart
-    # from a contaminated window at double precision; x = 0 marks an order
-    # ruled out, as does an underflowed x^l, which leaves c unknown
-    x[~(np.abs(x) <= 1.0 - 1e-6)] = 0.0
-    xl = x ** first_ell
-    ok = xl != 0.0
-    xl[~ok] = 1.0
-    c = u[:, 0] / xl
-    model = c[:, None] * x[:, None] ** ells / powers
-    ok &= np.abs(model - t).max(axis=1) <= 1e-12 * np.abs(t).max()
-    if not ok.any():
-        return None
-    k = ok.argmax()
-    return float(c[k]), float(x[k]), int(_POLYLOG_ORDERS[k, 0])
-
-
 # row j holds the coefficients of y^0..y^5 in T_j(2y - 3); applied to the
 # sums over l > L of y^k, k = 2..7, it gives the sum of y^2 T_j(2y - 3)
 _CHEBYSHEV_POWERS = np.array([
@@ -539,34 +502,33 @@ def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
     1 (perfectly reflecting pairs) it says nothing.  efold_length, when
     given, says that terms(l) takes real l, smooth in l, and that the terms
     e-fold over about that many l past their algebraic range, as thermal
-    terms do.  Every exit is tested at a checkpoint L on all the terms
-    computed up to L; none discards a term.  Exits, in order: the a priori
-    geometric bound |t_L| ratio_bound / (1 - ratio_bound) (ratio_bound <
-    1); an observed-ratio bound (the larger of the geometric tail and the
-    power-law tail through the last two terms); and then either, with
-    efold_length, Gregory's closure at checkpoints L from 64 up to
-    efold_length (`_gregory_tails`), whose bar is |S_L - S_{L/2}|
-    plus both tail integrals' bars, or else exact polylogarithm detection
-    of a ratio |x| <= 1 - 1e-6 and an algebraic 1/l^k tail fit (from 64
-    terms on), which closes critical sequences such as 1/l^2.  Neither of
-    the last two sees a cutoff past its window, so a series with
-    efold_length takes neither.  Exit decisions use the sequential running
-    partial sum; the value is the exact `math.fsum` of the terms used plus
-    any closed or fitted tail, and the error bar adds the rounding
-    allowance 2 eps sum_l |t_l| to the truncation bound.  evaluations
-    counts the terms summed, not the calls, nor the five terms past L or
-    the tail integrals' real l that a closure takes.
+    terms and the terms of a loop of reflection 0 < r0 < 1 do.  Every exit is
+    tested at a checkpoint L on all the terms computed up to L; none
+    discards a term.  Exits, in order: the a priori geometric bound
+    |t_L| ratio_bound / (1 - ratio_bound) (ratio_bound < 1); an
+    observed-ratio bound (the larger of the geometric tail and the
+    power-law tail through the last two terms); and then one closure from
+    64 terms on: with efold_length, Gregory's at checkpoints L below it
+    (`_gregory_tails`), whose bar is |S_L - S_{L/2}| plus both tail
+    integrals' bars, or else an algebraic 1/l^k tail fit, which closes
+    critical sequences such as 1/l^2 but sees no cutoff past its window.
+    A series that meets no exit returns the closure of smallest bar,
+    unconverged.  Exit decisions use the sequential running partial sum;
+    the value is the exact `math.fsum` of the terms used plus any closed
+    or fitted tail, and the error bar adds the rounding allowance
+    2 eps sum_l |t_l| to the truncation bound.  evaluations counts the
+    terms summed, not the calls, nor the five terms past L or the tail
+    integrals' real l that a closure takes.
     No checkpoint raises a numpy warning: a block with a term, or a running
     sum, that is not finite ends the series with a NaN value, which
     `Result` refuses.
 
     The exit tests of a checkpoint read at most its last 16 terms and cost
-    a fixed few numpy calls, whatever l: the polylogarithm test is one pass
-    over a 3 x 16 array, and the tail fit two dot products with the
-    weights `_tail_weights` caches per checkpoint.  On a 2-vCPU Xeon they
-    take about 25 and 8 microseconds a checkpoint (by timeit).  A Gregory
-    closure costs one block of two tail integrals, usually one to four
-    panel calls, about 0.2-0.4 ms.
+    a fixed few numpy calls, whatever l: the tail fit is two dot products
+    with the weights `_tail_weights` caches per checkpoint, about 8
+    microseconds on a 2-vCPU Xeon (by timeit).  A Gregory closure costs one
+    block of two tail integrals, usually one to four panel calls, about
+    0.2-0.4 ms.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -613,41 +575,24 @@ def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
                     if _tol_met(tail, partial, tail_spec):
                         return result(0.0, tail, True)
 
-            if efold_length is not None:
-                # terms with a cutoff follow no c x^l / l^p past the window:
-                # neither the polylogarithm nor the fit sees it
-                if 64 <= ell < efold_length:
-                    # each tail integral gets a quarter of the sum's budget
-                    budget = max(spec.abs_tol,
-                                 spec.series_tail_tol * abs(partial))
-                    tail, error, quad_ok = _gregory_tails(
-                        terms, kept, ell, replace(
-                            spec, rel_tol=0.25 * spec.series_tail_tol,
-                            abs_tol=0.25 * budget))
-                    if quad_ok and _tol_met(error, partial + tail, tail_spec):
-                        return result(tail, error, True)
-                    if best is None or error < best[0]:
-                        best = (error, result(tail, error, False))
-                continue
-
-            nwin = min(16, ell)
-            hit = _detect_polylog(kept[-nwin:], ell - nwin + 1)
-            if hit is not None:
-                c, x, p = hit
-                ells = np.arange(1, ell + 1, dtype=float)
-                covered = float(np.sum(c * x**ells / ells**p))
-                tail = c * polylog(x, p) - covered
-                return result(tail, spec.series_tail_tol * abs(partial + tail),
-                              True)
-
-            if ell >= 64:
+            # a closure at L: Gregory's below the e-folding length of terms
+            # with a cutoff, which no fit past the window sees, or else the fit
+            closed = None
+            if efold_length is None and ell >= 64:
                 fit = _fit_algebraic_tail(kept, ell)
-                if fit is not None:
-                    tail, proxy = fit
-                    if _tol_met(proxy, partial + tail, tail_spec):
-                        return result(tail, proxy, True)
-                    if best is None or proxy < best[0]:
-                        best = (proxy, result(tail, proxy, False))
+                closed = None if fit is None else (*fit, True)
+            elif efold_length is not None and 64 <= ell < efold_length:
+                # each tail integral gets a quarter of the sum's budget
+                budget = max(spec.abs_tol, spec.series_tail_tol * abs(partial))
+                closed = _gregory_tails(terms, kept, ell, replace(
+                    spec, rel_tol=0.25 * spec.series_tail_tol,
+                    abs_tol=0.25 * budget))
+            if closed is not None:
+                tail, error, quad_ok = closed
+                if quad_ok and _tol_met(error, partial + tail, tail_spec):
+                    return result(tail, error, True)
+                if best is None or error < best[0]:
+                    best = (error, result(tail, error, False))
 
     if best is not None:
         return replace(best[1], evaluations=len(kept))

@@ -140,8 +140,11 @@ def bernoulli_matsubara_sum(observable, r0, q, T, head=20, orders=8):
         deriv = lambda j: -(a * a * li(0, a, j - 1)
                             + 2.0 * (j - 1) * a * li(0, a, j - 2)
                             + (j - 1) * (j - 2) * li(0, a, j - 3))
-        # half the n = 0 term, h G(0) / 2 = h Li_3(r0) / c^3
-        zero = [h * (_zeta(3) if r0 == 1.0 else _li(3, mu0, sign)) / c**3]
+        # half the n = 0 term, h G(0) / 2 = h Li_3(r0) / c^3, with
+        # Li_3(1) = zeta(3) and Li_3(-1) = -3/4 zeta(3)
+        li3 = (_zeta(3) * (1.0 if r0 > 0.0 else -0.75) if abs(r0) == 1.0
+               else _li(3, mu0, sign))
+        zero = [h * li3 / c**3]
     closure = [integral, 0.5 * h * f(a)] + [
         -_BERNOULLI[2 * k] * h ** (2 * k) / math.factorial(2 * k)
         * deriv(2 * k - 1) for k in range(1, orders + 1)]

@@ -20,7 +20,7 @@ from casmat.quadrature import QuadratureSpec
 from casmat.scattering import (CavityConfig, MirrorModel,
                                ModelCapabilityError, lorentzian_mirror,
                                perfect_mirror, tabulated_mirror)
-from casmat.spectral import thermal_kernel_time
+from casmat.spectral import kernel_4d_thermal, thermal_kernel_time
 
 from matsubara_sums import (bernoulli_matsubara_sum,
                             euler_maclaurin_free_energy, matsubara_sum)
@@ -475,11 +475,11 @@ def _spy_blocks_and_densities(monkeypatch):
     sum_series, weight = casimir2d._sum_series, casimir2d.hypoexp_weight
     integrate = casimir2d.integrate_semi_infinite
 
-    def counted_series(terms, spec, ratio_bound=None):
+    def counted_series(terms, spec, ratio_bound=None, efold_length=None):
         def counted_terms(ells):
             blocks.append(ells.size)
             return terms(ells)
-        return sum_series(counted_terms, spec, ratio_bound)
+        return sum_series(counted_terms, spec, ratio_bound, efold_length)
 
     def counted_weight(ell, rate1, rate2, s):
         calls.append((np.unique(ell).tolist(), np.size(s)))
@@ -869,7 +869,8 @@ def _constant_loop(r0, q, T):
 
 _LOW_TQ = (1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 2.5e-3, 4e-3, 1e-2,
            0.1, 1.0)
-_LOW_TQ_R0 = (1.0, 0.999999, 0.9999, 0.99, 0.9, 0.5, 0.1)
+_LOW_TQ_R0 = (1.0, 0.999999, 0.9999, 0.99, 0.9, 0.5, 0.1,
+              -1.0, -0.999999, -0.9999, -0.99, -0.9, -0.5, -0.1)
 
 
 @pytest.mark.parametrize("tq", _LOW_TQ)
@@ -877,8 +878,11 @@ def test_perfect_and_constant_loop_thermal_results_meet_matsubara_sums(tq):
     # every converged, within the summed bars: the perfect pair's force,
     # free energy and internal energy, and the constant loops' force and
     # pressure (r0 = 1 is the perfect pair), on the routes whose terms take
-    # real l; below T q = 1e-5 the 1D references are the Bernoulli form,
-    # whose n sum would need 4 / T q terms; the pressure's always is
+    # real l, or real m for an alternating loop's pairs (78 of its 840
+    # results ended unconverged at the 10,000-term cap when its terms were
+    # summed one by one); below T q = 1e-5 the 1D references are the
+    # Bernoulli form, whose n sum would need 4 / T q terms; the pressure's
+    # always is
     misses = []
     for q in (0.1, 0.37, 1.0, 4.2, 30.0):
         T = tq / q
@@ -905,6 +909,44 @@ def test_perfect_and_constant_loop_thermal_results_meet_matsubara_sums(tq):
     assert misses == []
 
 
+@pytest.mark.parametrize("engine, observable", [
+    (force_large_distance, "force"),
+    (casimir4d.pressure_thermal_large_distance, "pressure")],
+    ids=["force", "pressure"])
+def test_alternating_loop_near_minus_one_closes_in_pairs(engine, observable):
+    # r0 = -0.9999 at T q = 1e-6 took all 10,000 terms one by one (the
+    # force ended unconverged); 64 pairs now close it by Gregory's tail
+    res = engine(-0.9999, 1.0, 1e-6)
+    ref, bar = bernoulli_matsubara_sum(observable, -0.9999, 1.0, 1e-6)
+    assert res.converged and res.roundtrips_used == 128
+    assert abs(res.value - ref) <= res.error_estimate + bar
+
+
+@pytest.mark.parametrize("r0", [-1.0, -0.9999, -0.9, -0.1])
+@pytest.mark.parametrize("tq", [1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+def test_alternating_pairs_meet_their_ratio_bound(tq, r0):
+    # the a priori exit of the pairs T_m = r0^(2m-1) K(2m-1) + r0^(2m) K(2m)
+    # rests on |T_(m+1)| <= r0^2 e^(-8 pi T q) |T_m| with every T_m of one
+    # sign, for the force kernel and the pressure's remainder kernel; up to
+    # m = 5,000 and down to 1e-13 of the largest pair, below which the
+    # remainder's differences are cancellation noise
+    m = np.arange(1.0, 5001.0)
+    for q in (0.1, 1.0, 30.0):
+        T = tq / q
+        kernels = (lambda tau: -thermal_kernel_time(tau, T),
+                   lambda tau: kernel_4d_thermal(tau, T)
+                   - 2.0 * T / (np.pi * tau**3))
+        for kernel in kernels:
+            with np.errstate(all="ignore"):
+                pairs = (r0 ** (2 * m - 1) * kernel(2.0 * (2 * m - 1) * q)
+                         + r0 ** (2 * m) * kernel(4.0 * m * q))
+            above = np.abs(pairs) > 1e-13 * np.abs(pairs).max()
+            pairs = pairs[:above.argmin() if not above.all() else m.size]
+            assert np.all(np.sign(pairs) == np.sign(pairs[0]))
+            assert np.all(np.abs(pairs[1:]) <= r0 * r0 * np.exp(
+                -8.0 * np.pi * T * q) * np.abs(pairs[:-1]))
+
+
 def test_bernoulli_matsubara_meets_the_perfect_closed_forms():
     # perfect pairs at T q << 1: F = pi/24q^2 - T/2q + pi T^2/6,
     # A = -pi/24q - (T/2) ln(2 T q) + pi T^2 q/6, P = pi^2/240q^4 +
@@ -926,6 +968,19 @@ def test_bernoulli_matsubara_meets_the_perfect_closed_forms():
             direct, direct_bar = matsubara_sum(observable,
                                             _constant_loop(r0, 1.0, 0.01))
             assert abs(ref - direct) <= bar + direct_bar
+
+
+@pytest.mark.parametrize("r0", [1.0, -1.0])
+def test_bernoulli_matsubara_pressure_takes_a_unit_loop(r0):
+    # at T q = 5 the pressure is its n = 0 term, T Li_3(r0) / (4 pi q^3),
+    # up to e^(-4 pi T q) ~ 1e-27 relative: Li_3(1) = zeta(3) and
+    # Li_3(-1) = -3/4 zeta(3), which raised a math domain error
+    li3 = 1.2020569031595942854 * (1.0 if r0 > 0.0 else -0.75)
+    for q in (0.1, 1.0, 30.0):
+        T = 5.0 / q
+        ref, bar = bernoulli_matsubara_sum("pressure", r0, q, T)
+        value = T * li3 / (4.0 * np.pi * q**3)
+        assert abs(ref - value) <= bar + 4 * np.spacing(abs(value))
 
 
 @pytest.mark.parametrize("cutoff, tq", [(None, 1.0), (None, 5.0),

@@ -244,29 +244,22 @@ def test_roundtrip_takes_a_tabulated_mirror(cutoff, q):
     assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
-# a table near unit reflection whose loop is nearly constant: its terms go
-# like rbar(0)^l / l^4, which the tail fit's 1/l^k basis cannot hold, and
-# only an exactly constant table is matched by the polylogarithm test
-_NEAR_UNIT_TABLE = pytest.mark.xfail(strict=True, reason=(
-    "the series exits converged through _fit_algebraic_tail, whose 1/l^k "
-    "basis cannot hold the rbar(0)^l / l^4 terms of a table near r = 1"))
-
-
-@_NEAR_UNIT_TABLE
 @pytest.mark.parametrize("r0, eps, q", [(0.9995, 1e-8, 0.1),
                                         (0.9995, 1e-8, 1.0),
                                         (0.99995, 1e-10, 0.1)])
 def test_roundtrip_meets_imag_axis_on_a_nearly_constant_table(r0, eps, q):
-    # r = r0 (1 - eps xi / (1 + xi)) on both plates: the roundtrip pressure
-    # is converged 5.5, 5.5 and 9.8 times the summed bars off
+    # r = r0 (1 - eps xi / (1 + xi)) on both plates: the terms go like
+    # rbar(0)^l / l^4, which the tail fit's 1/l^k basis cannot hold (it
+    # exited converged 5.5, 5.5 and 9.8 times the summed bars off); they
+    # take real l and e-fold over -1/ln rbar(0), so Gregory's tail closes
+    # them at l = 64, within 0.38, 0.58 and 0.014 of the summed bars
     xi = np.geomspace(1e-3, 1e3, 50)
     m = PlanarMirrorModel(tabulated_mirror(xi, r0 * (1.0 - eps * xi
                                                      / (1.0 + xi))))
     cfg = CavityConfig(m, m, q)
     a, b = pressure_imag_axis(cfg), pressure_roundtrip(cfg)
-    assert a.converged
-    assert not b.converged or (abs(a.value - b.value)
-                               <= a.error_estimate + b.error_estimate)
+    assert a.converged and b.converged
+    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
 @pytest.mark.parametrize("r0", [0.99, 0.999])
@@ -274,27 +267,24 @@ def test_roundtrip_meets_imag_axis_on_a_nearly_constant_table(r0, eps, q):
 def test_roundtrip_closes_a_constant_table_through_the_polylog(
         r0, q, monkeypatch):
     # an exactly constant table -r0 on both plates: the l-th term is
-    # r0^(2l) 6 / (pi^2 (2 l q)^4), which the series engine's polylogarithm
-    # test matches at its first checkpoint; the result lies within 0 to
-    # 3.4e-6 of the summed bars from the closed form
+    # r0^(2l) 6 / (pi^2 (2 l q)^4), the series of the closed form
+    # 3 Li_4(r0^2) / (8 pi^2 q^4).  At r0 = 0.99 it e-folds over 50
+    # terms, and the observed ratio ends it at l = 256; at 0.999, over 500,
+    # and Gregory's tail closes it at the first checkpoint.  Either lies
+    # within the summed bars of that closed form, which the series engine
+    # does not detect: it calls no polylogarithm
     from casmat import quadrature
-    from casmat.special_functions import polylog
     calls = []
-
-    def spy(x, p):
-        calls.append((x, p))
-        return polylog(x, p)
-
-    monkeypatch.setattr(quadrature, "polylog", spy)
+    monkeypatch.setattr(quadrature, "polylog",
+                        lambda x, p: calls.append((x, p)))
     m = PlanarMirrorModel(tabulated_mirror(np.geomspace(1e-3, 1e3, 50),
                                            np.full(50, -r0)))
     got = pressure_roundtrip(CavityConfig(m, m, q))
     want = pressure_large_distance(r0 ** 2, q)
-    assert got.converged and got.roundtrips_used == 64
+    assert got.converged and got.roundtrips_used == {0.99: 256, 0.999: 64}[r0]
     assert abs(got.value - want.value) <= (got.error_estimate
                                            + want.error_estimate)
-    assert [p for _, p in calls] == [4]
-    assert calls[0][0] == pytest.approx(r0 ** 2, rel=1e-12)
+    assert calls == []
 
 
 @pytest.mark.parametrize("q", [1e-83, 1e-80, 1e-79])

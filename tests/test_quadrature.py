@@ -286,8 +286,8 @@ def test_result_fields():
 
 
 def test_critical_series_closes_through_algebraic_tail():
-    # ratio bound 1 gives no geometric bound and no polylog closes a ratio
-    # of exactly 1: the sum must come from the 1/l^k tail fit
+    # ratio bound 1 gives no geometric bound and the observed ratios rise
+    # toward 1: the sum must come from the 1/l^k tail fit
     res = _sum_series(lambda ell: 1.0 / ell ** 2, QuadratureSpec(), 1.0)
     assert res.converged
     # the bar covers the truncated tail; adding up n terms in double
@@ -360,7 +360,8 @@ def test_gauss_beta_rule_is_exact(m, alpha):
 
 
 def _polylog_calls(monkeypatch):
-    """Record the polylogarithm calls of the series engine's exact exit."""
+    """Record the polylogarithm calls made through `quadrature`'s name,
+    which its series engine does not call."""
     from casmat import quadrature
     calls = []
 
@@ -373,17 +374,19 @@ def _polylog_calls(monkeypatch):
 
 
 def test_polylog_series_closes_exactly(monkeypatch):
-    # ratio 0.99 passes neither the observed-ratio exit nor a priori bound:
-    # the first checkpoint recognises x^l / l^2 and adds the exact tail
+    # x^l / l^2 takes real l and e-folds over -1/ln x: at x = 0.99 neither
+    # the observed ratio nor an a priori bound ends it, and Gregory's tail
+    # closes it at the first checkpoint, 3.5e-13 off Li_2(0.99) against a
+    # bar of 7.4e-11; at x = 0.85 the observed ratio ends it at l = 128.
+    # The series engine never calls the polylogarithm
     calls = _polylog_calls(monkeypatch)
-    res = _sum_series(lambda l: 0.99 ** l / l ** 2, QuadratureSpec())
-    assert calls == [(0.99, 2)]
-    assert res.converged
-    assert res.evaluations == 64
-    assert res.value == polylog(0.99, 2)
-    # a direct sum at 0.85, to rounding and not to series_tail_tol
-    res = _sum_series(lambda l: 0.85 ** l / l ** 2, QuadratureSpec())
-    assert res.evaluations == 64 and res.value == polylog(0.85, 2)
+    for x, used in ((0.99, 64), (0.85, 128)):
+        res = _sum_series(lambda l: x ** l / l ** 2, QuadratureSpec(),
+                          efold_length=-1.0 / math.log(x))
+        assert res.converged
+        assert res.evaluations == used
+        assert abs(res.value - polylog(x, 2)) <= res.error_estimate
+    assert calls == []
 
 
 def test_nearly_zero_temperature_force_closes_by_its_tail(monkeypatch):
@@ -391,24 +394,18 @@ def test_nearly_zero_temperature_force_closes_by_its_tail(monkeypatch):
     # precision, so the series is r0^l / l^2 up to a constant and must meet
     # the T = 0 closed form within its own bar.  Its terms take real l, so
     # Gregory's closure ends it at l = 64, below its e-folding length of
-    # 200; the polylogarithm, which cannot see a thermal cutoff, is not
-    # called.  An alternating series (r0 < 0) takes no real l and still
-    # closes through the polylogarithm.
+    # 200.  An alternating loop (r0 < 0) sums its terms in pairs, which
+    # take real m: its closure ends at m = 64, l = 128.  Neither calls the
+    # polylogarithm, which cannot see a thermal cutoff
     from casmat.casimir2d import force_large_distance
     calls = _polylog_calls(monkeypatch)
-    res = force_large_distance(0.995, 1.0, 1e-10)
+    for r0, used in ((0.995, 64), (-0.995, 128)):
+        res = force_large_distance(r0, 1.0, 1e-10)
+        assert res.converged
+        assert res.roundtrips_used == used
+        exact = force_large_distance(r0, 1.0, 0.0).value
+        assert abs(res.value - exact) <= res.error_estimate
     assert calls == []
-    assert res.converged
-    assert res.roundtrips_used == 64
-    exact = force_large_distance(0.995, 1.0, 0.0).value
-    assert abs(res.value - exact) <= res.error_estimate
-    calls.clear()
-    res = force_large_distance(-0.995, 1.0, 1e-10)
-    assert [p for _, p in calls] == [2]
-    assert res.converged
-    assert res.roundtrips_used == 64
-    exact = force_large_distance(-0.995, 1.0, 0.0).value
-    assert abs(res.value - exact) <= res.error_estimate
 
 
 def _lstsq_tail(terms, L):
@@ -458,42 +455,14 @@ def test_tail_weights_are_cached_read_only():
 
 @pytest.mark.parametrize("x", [0.3, -0.3, 0.9, -0.9])
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_detect_polylog_finds_each_order(p, x):
-    ells = np.arange(49, 65, dtype=float)
-    c, fitted, order = quadrature._detect_polylog(
-        (-2.5 * x**ells / ells**p).tolist(), 49)
-    assert order == p
-    assert fitted == pytest.approx(x, rel=1e-13)
-    assert c == pytest.approx(-2.5, rel=1e-11)
-
-
-@pytest.mark.parametrize("x", [1.0 - 1e-7, -(1.0 - 1e-7), 1.0, 1.5])
-def test_detect_polylog_refuses_a_ratio_near_or_past_one(x):
-    ells = np.arange(49, 65, dtype=float)
-    assert quadrature._detect_polylog((x**ells / ells**2).tolist(), 49) is None
-
-
-def test_detect_polylog_refuses_a_window_with_a_zero():
-    ells = np.arange(49, 65, dtype=float)
-    terms = 0.5**ells / ells**3
-    terms[7] = 0.0
-    assert quadrature._detect_polylog(terms.tolist(), 49) is None
-
-
-@pytest.mark.parametrize("T", [0.0, 0.01])
-def test_detect_polylog_refuses_lorentzian_terms(monkeypatch, T):
-    # the windows the series engine tests while summing a lorentzian
-    # pair's roundtrip force follow no c x^l / l^p
-    from casmat.casimir2d import force_roundtrip_time
-    from casmat.scattering import CavityConfig, lorentzian_mirror
-    detect = quadrature._detect_polylog
-    found = []
-    monkeypatch.setattr(quadrature, "_detect_polylog",
-                        lambda t, l: found.append(detect(t, l)) or found[-1])
-    res = force_roundtrip_time(CavityConfig(
-        lorentzian_mirror(0.7), lorentzian_mirror(2.3), 1.3, temperature=T))
+def test_sum_series_closes_polylog_terms(p, x):
+    # c x^l / l^p: the observed ratio ends each series, at l = 64 for
+    # |x| = 0.3 and at 128 or 256 for 0.9, within its bar of c Li_p(x)
+    c = -2.5
+    res = _sum_series(lambda l: c * x ** l / l ** p, QuadratureSpec())
     assert res.converged
-    assert found and found == [None] * len(found)
+    assert res.evaluations <= 256
+    assert abs(res.value - c * polylog(x, p)) <= res.error_estimate
 
 
 def _singles(f, scales, spec):
