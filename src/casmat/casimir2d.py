@@ -94,13 +94,13 @@ def _delay_profile(cfg):
     and a two-rate hypoexponential density for split cutoffs.  That is
     the law of X / Omega_1 + Y / Omega_2 with X, Y ~ Gamma(l, 1), which is
     R (T / Omega_1 + (1 - T) / Omega_2) with R ~ Gamma(2 l, 1) and
-    T ~ Beta(l, l) independent (Lukacs 1955).
+    T ~ Beta(l, l) independent (Lukacs 1955), at real l >= 1 too.
 
     Returns
     -------
     weight, shape : callables, or (None, None)
         ``weight(l, s)`` is the delay density of l roundtrips at delay s,
-        elementwise in l and s (None when both mirrors respond
+        elementwise in real l and s (None when both mirrors respond
         instantaneously and the density is a delta at zero delay);
         ``shape(ells)`` is that density's exact law for
         `_sum_integral_terms`: alpha = k l - 1 and the shared cutoff as
@@ -127,15 +127,16 @@ def _delay_profile(cfg):
 
 @functools.lru_cache(maxsize=64)
 def _rule_table(orders, beta_sizes):
-    """The product rules of `_fixed_rule_terms` for a tuple of orders a:
-    Gauss-Laguerre rules `_RULES` of Gamma(a + 1, 1), the coarser first,
-    times Beta rules beta_sizes of Beta((a + 1) / 2, (a + 1) / 2), as
-    read-only arrays t, u and w, a row per order and a column per node: its
-    Laguerre node, Beta node and weight v_0^2 p.  Each distinct order is
-    built once.  64 two-rate tables of 64 orders take about 41 MB."""
+    """The product rules of `_fixed_rule_terms` for a tuple of real orders
+    a >= 0: Gauss-Laguerre rules `_RULES` of Gamma(a + 1, 1), the coarser
+    first, times Beta rules beta_sizes of Beta((a + 1) / 2, (a + 1) / 2)
+    (one node, which ignores its parameter, where a < 1), as read-only
+    arrays t, u and w, a row per order and a column per node: its Laguerre
+    node, Beta node and weight v_0^2 p.  Each distinct order is built
+    once.  64 two-rate tables of 64 orders take about 41 MB."""
     rows = {}
     for a in set(orders):
-        rules = [(_gauss_laguerre(m, a), _gauss_beta(mb, (a - 1) // 2))
+        rules = [(_gauss_laguerre(m, a), _gauss_beta(mb, max(0, a - 1) / 2))
                  for m, mb in zip(_RULES, beta_sizes)]
         rows[a] = [np.concatenate(x) for x in zip(*[
             (np.tile(t, u.size), np.repeat(u, t.size), np.kron(p, v))
@@ -172,12 +173,12 @@ def _fixed_rule_terms(kernel, shape, ells):
 def _sum_integral_terms(kernel, shape, term, spec, efold_length=None):
     """Sum a roundtrip series whose l-th term is a kernel's mean over a law.
 
-    ``shape(ells)`` gives the law of each term ells: the integer
+    ``shape(ells)`` gives the law of each term ells: the real
     alpha >= 0 and a column of rates beta > 0, one for Gamma(alpha + 1,
     beta), two for the law of the sum of two independent
     Gamma((alpha + 1) / 2) delays at those rates.  ``kernel(l, x)`` is the
     l-th kernel at x and ``term(l, x)`` the law's density times it, both
-    elementwise in an integer array l and x.  The fixed rules of
+    elementwise in an array l and x.  The fixed rules of
     `_fixed_rule_terms` average the kernel, at most `_TERMS_PER_CALL`
     terms in one kernel call, and never evaluate the density.  The terms
     whose error misses the inner tolerance, or is not finite, go to one
@@ -268,15 +269,18 @@ def _roundtrip_sum(cfg, kernel, spec):
     term for term that of `force_large_distance` at r0 = 1; and one l per
     quadrature node otherwise.  w_l is exactly the law its shape gives, so
     `_sum_integral_terms` takes the kernel for its rules and w_l times it
-    for its fallback, whose nodes alone evaluate the density.
+    for its fallback, whose nodes alone evaluate the density.  At T > 0 the
+    terms take real l and e-fold over 1/(2 pi T q), for Gregory's tail.
     """
-    q = cfg.q
+    q, T = cfg.q, cfg.temperature
     weight, shape = _delay_profile(cfg)
     if weight is None:
-        return _loop_series(1.0, q, cfg.temperature, kernel, spec)
+        return _loop_series(1.0, q, T, kernel, spec)
+    rate = 2.0 * math.pi * T * q
+    efold = (1.0 / rate if rate > 0.0 else math.inf) if T else None
     return _sum_integral_terms(
         lambda l, s: kernel(l, 2.0 * l * q + s), shape,
-        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec)
+        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec, efold)
 
 
 def _imag_axis(cfg, coefficient, power, log_form, spec):
@@ -457,26 +461,18 @@ def free_energy(cfg, spec=None):
     mirrors decouple.  d(Fcal)/dq reproduces the roundtrip force.
 
     At very low temperature the terms develop a long 1/l plateau of
-    height alpha/(2 pi) that is cut off only near l* ~ 1/(4 alpha q).  A
-    perfect pair's series closes by Gregory's formula, whose tail integral
-    collects the plateau.  A lorentzian pair's series can end unconverged
-    before l* without it, and then the uncollected plateau,
-    (alpha/2 pi) ln(l*/L), is added to its error estimate; a converged
-    series' bar is its own.  Like the force it omits the n = 0 Matsubara
-    term, which diverges here because r1 r2 = 1 at zero frequency.
+    height alpha/(2 pi) that is cut off only near l* ~ 1/(4 alpha q).
+    Every pair's terms take real l, so its series closes by Gregory's
+    formula, whose tail integral collects the plateau; the bar is the
+    series' own.  Like the force it omits the n = 0 Matsubara term, which
+    diverges here because r1 r2 = 1 at zero frequency.
     """
     T = cfg.temperature
     if T <= 0.0:
         raise ValueError("free energy requires T > 0; at T = 0 the free "
                          "energy is the Casimir energy")
-    alpha = np.pi * T
     series = _roundtrip_sum(
         cfg, lambda l, tau: free_energy_kernel_time(tau, T) / l, spec)
-    lstar = 1.0 / (4.0 * alpha * cfg.q)
-    lorentzian = "lorentzian" in (cfg.mirror1.kind, cfg.mirror2.kind)
-    if not series.converged and lorentzian and lstar > series.evaluations:
-        series.error_estimate += (alpha / (2.0 * np.pi)) * np.log(
-            lstar / series.evaluations)
     return _result(series, "roundtrip-time", spec)
 
 

@@ -13,15 +13,15 @@ Beta law (`_gauss_beta`), one node if beta_1 = beta_2, with normalized
 weights from one Golub-Welsch step and the panel engine as fallback; and
 one series summator, `_sum_series`, with a geometric or power-law tail
 bound and escape hatches for slowly decaying term sequences.  Terms that
-take real l and carry a cutoff, such as the thermal terms of perfect
-pairs and constant loops (1/l^2 up to l ~ 1/(2 pi T q), then
-exponential; an alternating loop's in pairs), close by Gregory's formula
-(Euler-Maclaurin with forward differences, DLMF 2.10(i)): the tail past a
-checkpoint L is an integral over real l plus differences of terms already
-computed, and the change from the closure at L/2 is its bar.  Other
-sequences take an algebraic 1/l^k tail fit, whose exit test costs a fixed
-few numpy calls per checkpoint, whatever the series length: two dot
-products of 16 terms with weights cached per checkpoint (`_tail_weights`).
+take real l and carry a cutoff, such as the terms of every thermal
+series (1/l^2 up to l ~ 1/(2 pi T q), then exponential; an alternating
+loop's in pairs), close by Gregory's formula (Euler-Maclaurin with
+forward differences, DLMF 2.10(i)): the tail past a checkpoint L is an
+integral over real l plus differences of terms already computed, and the
+change from the closure at L/2 is its bar.  Other (T = 0) sequences take
+an algebraic 1/l^k tail fit, whose exit test costs a fixed few numpy
+calls per checkpoint, whatever the series length: two dot products of 16
+terms with weights cached per checkpoint (`_tail_weights`).
 A series value is the exactly rounded sum (`math.fsum`) of its computed
 terms plus the tail, and its error bar adds a rounding allowance of
 2 eps sum_l |t_l| to the truncation bound, so the bar stays honest when
@@ -399,12 +399,14 @@ def _gauss_beta(m, alpha):
     alpha >= 0: `_golub_welsch` on the symmetric Jacobi recurrence moved
     to (0, 1), diagonal 1/2 and off-diagonal
     sqrt(n (n + 2 alpha) / ((2n + 2 alpha - 1)(2n + 2 alpha + 1))) / 2.
+    The weights are divided by their `math.fsum`: they sum to 1 to rounding.
     """
     n = np.arange(1, m, dtype=float)
     k = 2.0 * (n + alpha)
-    return _golub_welsch(np.full(m, 0.5),
+    t, p = _golub_welsch(np.full(m, 0.5),
                          0.5 * np.sqrt(n * (n + 2.0 * alpha)
                                        / ((k - 1.0) * (k + 1.0))))
+    return t, p / math.fsum(p)
 
 
 # row j holds the coefficients of y^0..y^5 in T_j(2y - 3); applied to the
@@ -510,7 +512,7 @@ def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
     power-law tail through the last two terms); and then one closure from
     64 terms on: with efold_length, Gregory's at checkpoints L below it
     (`_gregory_tails`), whose bar is |S_L - S_{L/2}| plus both tail
-    integrals' bars, or else an algebraic 1/l^k tail fit, which closes
+    integrals' bars, or else a 1/l^k tail fit (T = 0 series), which closes
     critical sequences such as 1/l^2 but sees no cutoff past its window.
     A series that meets no exit returns the closure of smallest bar,
     unconverged.  Exit decisions use the sequential running partial sum;

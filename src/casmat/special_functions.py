@@ -127,11 +127,11 @@ def _bernoulli_table(kmax):
 
 
 def _roundtrips(ell):
-    """ell as an integer array, checked to hold only integers >= 1."""
-    ell = np.asarray(ell)
-    if not np.all((ell >= 1) & (ell < np.inf) & (ell == np.floor(ell))):
-        raise ValueError("ell must be an integer >= 1")
-    return ell.astype(int)
+    """ell as a float array, checked to hold only finite reals >= 1."""
+    ell = np.asarray(ell, dtype=float)
+    if not np.all((ell >= 1.0) & (ell < np.inf)):
+        raise ValueError("ell must be finite and >= 1")
+    return ell
 
 
 def _delays(s):
@@ -145,13 +145,13 @@ def _delays(s):
 def erlang_weight(ell, rate, s):
     """Density at s of the sum of ell independent exponential delays of rate.
 
-    w(s) = rate^ell s^(ell-1) e^(-rate s) / (ell-1)!   for s >= 0,
-    normalized to unit integral.  Elementwise in ell and s, which
-    broadcast against each other.
+    w(s) = rate^ell s^(ell-1) e^(-rate s) / Gamma(ell)   for s >= 0,
+    normalized to unit integral: the Gamma(ell, rate) law, which takes real
+    ell too.  Elementwise in ell and s, which broadcast against each other.
 
     Parameters
     ----------
-    ell : int or integer ndarray, >= 1
+    ell : float or ndarray, finite and >= 1
     rate : float, > 0
     s : float or ndarray, >= 0
     """
@@ -159,7 +159,7 @@ def erlang_weight(ell, rate, s):
     if not 0.0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
     s_arr = _delays(s)
-    # xlogy is 0 at s = 0 for a single delay and -inf for ell >= 2
+    # xlogy is 0 at s = 0 for a single delay and -inf for ell > 1
     logw = (ell * math.log(rate) + scipy.special.xlogy(ell - 1, s_arr)
             - rate * s_arr - scipy.special.gammaln(ell))
     w = np.exp(logw)
@@ -170,9 +170,9 @@ def hypoexp_weight(ell, rate1, rate2, s):
     """Density at s of ell exponential delays of rate1 plus ell of rate2.
 
     With d = |rate2 - rate1| and nu = ell - 1/2, DLMF 13.6.9 turns the
-    2*ell-fold convolution of the two exponential families into
+    convolution of the two Gamma(ell) laws, at either rate, into
 
-        w(s) = (rate1 rate2)^ell sqrt(pi) / (ell - 1)! * (s/d)^nu
+        w(s) = (rate1 rate2)^ell sqrt(pi) / Gamma(ell) * (s/d)^nu
                * e^(-min(rate1, rate2) s) * ive(nu, d s / 2),
 
     with scipy's exponentially scaled Bessel function ive (AMOS).  Where
@@ -181,7 +181,7 @@ def hypoexp_weight(ell, rate1, rate2, s):
     takes Kummer's 0F1 form
 
         w(s) = (rate1 rate2)^ell s^(2 ell - 1) e^(-(rate1 + rate2) s / 2)
-               * 0F1(; ell + 1/2; (d s / 4)^2) / (2 ell - 1)!,
+               * 0F1(; ell + 1/2; (d s / 4)^2) / Gamma(2 ell),
 
     finite for nearly equal rates (d = 0: the Erlang density; s = 0:
     zero), and where 0F1 overflows as well (ell > 1900 and d s / 2 of the
@@ -190,8 +190,8 @@ def hypoexp_weight(ell, rate1, rate2, s):
     chosen node by node from the value of the one before, so no node's
     value depends on the other nodes of its call.
 
-    Elementwise in ell (an int or integer array) and s, which broadcast
-    against each other, so one call serves nodes of many roundtrip orders.
+    Elementwise in ell (reals >= 1) and s, which broadcast against each
+    other, so one call serves nodes of many roundtrip orders.
     """
     ell = _roundtrips(ell)
     if not (0.0 < rate1 < np.inf and 0.0 < rate2 < np.inf):

@@ -612,7 +612,9 @@ def test_one_rate_terms_are_the_equal_rate_product_rule(k, rate, q):
     # a law of one rate takes one Beta node, u = 1/2, beside its Laguerre
     # nodes; the force's terms and bars by that rule lie within 8 ulp of
     # those of the full 16 x 8 and 24 x 12 product rules at beta_1 =
-    # beta_2 (4-7 ulp seen), whose Beta weights sum to 1 only to a few ulp
+    # beta_2 (at most 3.2 ulp seen; up to 9.1 at k = 1, where the Beta
+    # parameter is a half-integer, before the Beta weights were divided by
+    # their exact sum)
     def kernel(l, s):
         return -thermal_kernel_time(2.0 * l * q + s, 0.0)
 
@@ -766,21 +768,16 @@ def test_free_energy_zero_temperature_limit():
     assert abs(res.value - ref) <= res.error_estimate + bar
 
 
-# a known bar miss at q = 3, T q = 3e-4: these lorentzian free energies
-# converge 1.3 and 1.5 times their bars off the Matsubara sum
-_LOW_T_FREE_ENERGY_MISS = pytest.mark.xfail(strict=True, reason=(
-    "lorentzian free energy at low T q outside its bar"))
-
-
 @pytest.mark.parametrize("cutoffs, q, tq", [
     ((0.3, 0.3), 0.1, 3e-4), ((0.3, 0.3), 0.1, 5.33e-4),
     ((0.3, 0.3), 0.1, 9.49e-4), ((0.3, 3.0), 0.1, 3e-4),
-    pytest.param((1.0, 2.0), 3.0, 3e-4, marks=_LOW_T_FREE_ENERGY_MISS),
-    pytest.param((3.0, 3.0), 3.0, 3e-4, marks=_LOW_T_FREE_ENERGY_MISS)])
+    ((1.0, 2.0), 3.0, 3e-4), ((3.0, 3.0), 3.0, 3e-4)])
 def test_low_temperature_lorentzian_free_energy_meets_matsubara_sum(
         cutoffs, q, tq):
     # the series stops long before l* = 1/(4 pi T q), where its 1/l
-    # plateau ends; its own bar still covers the Matsubara sum
+    # plateau ends; its own bar still covers the Matsubara sum (the last
+    # two converged 1.3 and 1.5 times their bars off by the algebraic tail
+    # fit, which sees no thermal cutoff)
     cfg = _exact_weight_pair(cutoffs, q, tq / q)
     res = free_energy(cfg)
     ref, bar = matsubara_sum("free energy", cfg)
@@ -788,25 +785,71 @@ def test_low_temperature_lorentzian_free_energy_meets_matsubara_sum(
     assert abs(res.value - ref) <= res.error_estimate + bar
 
 
-# a known miss: at q = 1, T q = 1e-8 the series ends at the cap 1.4 times
-# its bar, plateau included, off the Matsubara sum
-_CAP_BAR_MISS = pytest.mark.xfail(strict=True, reason=(
-    "lorentzian free energy at the cap outside its bar"))
-
-
 @pytest.mark.parametrize("cutoffs, q, tq", [
     ((1.0, 1.0), 0.1, 1e-6), ((1.0, 2.0), 3.0, 1e-6),
     ((0.3, 3.0), 0.1, 1e-8), ((1.0, 2.0), 0.1, 1e-8),
-    pytest.param((1.0, 1.0), 1.0, 1e-8, marks=_CAP_BAR_MISS)])
-def test_lorentzian_free_energy_at_the_cap_keeps_the_plateau_in_its_bar(
+    ((1.0, 1.0), 1.0, 1e-8)])
+def test_lorentzian_free_energy_collects_the_plateau_by_its_tail_integral(
         cutoffs, q, tq):
-    # the series ends unconverged at 10,000 terms, short of
-    # l* = 1/(4 pi T q); its bar takes the plateau it did not collect
+    # the 1/l plateau runs to l* = 1/(4 pi T q), 8e4 to 8e6 terms here;
+    # these series ran unconverged to the 10,000-term cap while their
+    # terms took integer l alone (the last 1.4 times its bar off), and
+    # Gregory's tail integral over real l now collects it within the bar
     cfg = _exact_weight_pair(cutoffs, q, tq / q)
     res = free_energy(cfg)
     ref, bar = euler_maclaurin_free_energy(cfg)
-    assert not res.converged
+    assert res.converged
     assert abs(res.value - ref) <= res.error_estimate + bar
+
+
+@pytest.mark.parametrize("cutoffs", _EXACT_WEIGHT_PAIRS[:3])
+def test_low_temperature_lorentzian_grid_meets_matsubara_sums(cutoffs):
+    # force, free energy and internal energy of an equal, a one-perfect
+    # and a split pair, every one converged within the summed bars from
+    # T q = 1e-6 to 1e-2; below T q ~ 1e-3 the lorentzian series ran to
+    # the 10,000-term cap while their terms took integer l alone, and
+    # close now by Gregory's tail (64 terms at T q <= 1e-3); the direct
+    # Matsubara sums take 4 / T q terms
+    misses = []
+    for tq, q in ((1e-6, 0.3), (1e-5, 3.0), (1e-4, 0.1), (1e-3, 1.0),
+                  (1e-2, 10.0)):
+        cfg = _exact_weight_pair(cutoffs, q, tq / q)
+        for observable, engine in (("force", force_roundtrip_time),
+                                   ("free energy", free_energy),
+                                   ("internal energy",
+                                    internal_energy_thermal)):
+            res = engine(cfg)
+            ref, bar = matsubara_sum(observable, cfg)
+            if not (res.converged and abs(res.value - ref)
+                    <= res.error_estimate + bar):
+                misses.append((observable, tq, q, res, ref))
+    assert misses == []
+
+
+def test_thermal_series_never_take_the_algebraic_tail_fit(monkeypatch):
+    # every T > 0 series takes real l and closes by Gregory's tail below
+    # its e-folding length, so no thermal engine reaches the 1/l^k fit,
+    # which sees no thermal cutoff; a T = 0 lorentzian force still does
+    fits = []
+    fit = quadrature._fit_algebraic_tail
+    monkeypatch.setattr(quadrature, "_fit_algebraic_tail",
+                        lambda *args: fits.append(args[1]) or fit(*args))
+    for tq in (1e-6, 1e-4, 3e-3):
+        for q in (0.1, 3.0):
+            T = tq / q
+            for cutoffs in ((0.7, 0.7), (None, 1.3), (0.4, 2.5),
+                            (None, None)):
+                cfg = _exact_weight_pair(cutoffs, q, T)
+                for engine in (force_roundtrip_time, free_energy,
+                               internal_energy_thermal):
+                    assert engine(cfg).converged
+            for r0 in (1.0, 0.9, -0.9):
+                assert force_large_distance(r0, q, T).converged
+                assert casimir4d.pressure_thermal_large_distance(
+                    r0, q, T).converged
+    assert fits == []
+    force_roundtrip_time(_exact_weight_pair((0.4, 2.5), 1.0))
+    assert fits
 
 
 @pytest.mark.parametrize("cutoffs", _EXACT_WEIGHT_PAIRS + [

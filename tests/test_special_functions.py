@@ -120,7 +120,34 @@ def test_hypoexp_equal_rates_reduce_to_erlang():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-@pytest.mark.parametrize("ell", [1, 5, 64, 256, 1024])
+# real orders: the thermal series' Gregory tails take the densities at
+# real l between the integers
+_REAL_ORDERS = [1.5, 64.37, 1000.5]
+
+
+@pytest.mark.parametrize("ell", [1, 5, 64, 1024] + _REAL_ORDERS)
+def test_erlang_weight_matches_mpmath(ell):
+    # 40-digit Gamma(ell, rate) density at the same float s, from 0.05 to
+    # 2.5 mean delays; its log-space form adds four summands, so the
+    # relative error is bounded by 4 eps times the sum L of their
+    # magnitudes, plus one subnormal ulp where the density underflows
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for rate in (0.05, 1.3, 23.0):
+        s = ell / rate * np.linspace(0.05, 2.5, 5)
+        got = erlang_weight(ell, rate, s)
+        for si, wi in zip(s, got):
+            with mpmath.workdps(40):
+                R, S, E = mpmath.mpf(rate), mpmath.mpf(si), mpmath.mpf(ell)
+                ref = float(R ** E * S ** (E - 1) * mpmath.exp(-R * S)
+                            / mpmath.gamma(E))
+            L = (ell * abs(math.log(rate)) + (ell - 1) * abs(math.log(si))
+                 + rate * si + abs(math.lgamma(ell)))
+            bound = 4.0 * eps * L * ref + eps * np.finfo(float).tiny
+            assert abs(wi - ref) <= bound, (rate, si, wi, ref)
+
+
+@pytest.mark.parametrize("ell", [1, 5, 64, 256, 1024] + _REAL_ORDERS)
 def test_hypoexp_weight_matches_mpmath(ell):
     # 40-digit 1F1 form at the same float s, from 0.05 to 2.5 mean delays.
     # Any log-space evaluation adds and exponentiates summands as large as
@@ -136,11 +163,12 @@ def test_hypoexp_weight_matches_mpmath(ell):
         for si, wi in zip(s, got):
             with mpmath.workdps(40):
                 A, B, S = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(si)
-                ref = float((A * B) ** ell * S ** (2 * ell - 1)
+                E = mpmath.mpf(ell)
+                ref = float((A * B) ** E * S ** (2 * E - 1)
                             * mpmath.exp(-B * S)
-                            * mpmath.hyp1f1(ell, 2 * ell, (B - A) * S,
+                            * mpmath.hyp1f1(E, 2 * E, (B - A) * S,
                                             maxterms=10**6)
-                            / mpmath.factorial(2 * ell - 1))
+                            / mpmath.gamma(2 * E))
             y = ((b - a) * si / 4.0) ** 2
             k = math.floor(2.0 * y / (math.sqrt(c * c + 4.0 * y) + c))
             L = (ell * abs(math.log(a * b)) + (2 * ell - 1) * abs(math.log(si))
@@ -260,6 +288,18 @@ def test_hypoexp_weight_past_both_scipy_forms(ell, a, b):
 def test_non_finite_delay_density_inputs_are_rejected(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("ell", [0, 0.5, 0.999, -1.5])
+@pytest.mark.parametrize("density", [
+    lambda ell: erlang_weight(ell, 1.0, 1.0),
+    lambda ell: hypoexp_weight(ell, 1.0, 2.0, 1.0),
+    lambda ell: hypoexp_weight(np.array([2.5, ell]), 1.0, 2.0, 1.0),
+], ids=["erlang", "hypoexp", "hypoexp-array"])
+def test_delay_densities_refuse_fewer_than_one_roundtrip(density, ell):
+    # real orders are taken from 1 on
+    with pytest.raises(ValueError, match="ell must be finite and >= 1"):
+        density(ell)
 
 
 @pytest.mark.parametrize("call", [
