@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .quadrature import (QuadratureSpec, IntegrationResult,
                          integrate_semi_infinite, _gauss_beta, _gauss_laguerre,
-                         _laguerre_pair, _sum_series, _tol_met)
+                         _laguerre_pair, _sum_series, _tol_met, _watson_law)
 from .special_functions import polylog, bernoulli, erlang_weight, hypoexp_weight
 from .spectral import thermal_kernel_time, free_energy_kernel_time
 from .scattering import ModelCapabilityError
@@ -170,7 +170,7 @@ def _fixed_rule_terms(kernel, shape, ells):
     return value, np.abs(value - y[:, :cut].sum(axis=1))
 
 
-def _sum_integral_terms(kernel, shape, term, spec, efold_length=None):
+def _sum_integral_terms(kernel, shape, term, spec, efold_length, law_tail):
     """Sum a roundtrip series whose l-th term is a kernel's mean over a law.
 
     ``shape(ells)`` gives the law of each term ells: the real
@@ -187,10 +187,10 @@ def _sum_integral_terms(kernel, shape, term, spec, efold_length=None):
     the series budget so the accumulated term errors stay inside the
     caller's tolerance; the result adds those quadrature errors, summed in
     term order, to the series error and is converged only if every
-    fallback integral is.  efold_length goes to `_sum_series`: the caller
-    says that kernel, shape and term take real l, so Gregory's tail may
-    close the series, and the rule errors of its tail-integral nodes count
-    in the quadrature errors too, which can only widen the bar.
+    fallback integral is.  law_tail and efold_length go to `_sum_series`;
+    the latter says that kernel, shape and term take real l, so the rule
+    errors of Gregory's tail-integral nodes count in the quadrature errors
+    too, which can only widen the bar.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -215,24 +215,24 @@ def _sum_integral_terms(kernel, shape, term, spec, efold_length=None):
         quad_errors.extend(error.tolist())
         return value
 
-    series = _sum_series(terms, spec, efold_length=efold_length)
+    series = _sum_series(terms, spec, None, efold_length, law_tail)
     quad_err = sum(map(abs, quad_errors))
     return IntegrationResult(series.value, series.error_estimate + quad_err,
                              series.evaluations, series.converged and quad_ok)
 
 
-def _loop_series(r0, q, temperature, kernel, spec):
+def _loop_series(r0, q, temperature, kernel, spec, law_tail=None):
     """The `_sum_series` sum of a constant loop r0: every one's series.
 
-    A perfect pair's is r0 = 1.  The terms are r0^l K(l), K(l) =
-    kernel(l, 2 l q) elementwise in l and the delay tau, with the a priori
-    ratio bound |r0| e^{-4 pi T q}.  For 0 < r0 <= 1 at T > 0 they take
-    real l and e-fold over 1/(2 pi T q - ln r0), below which Gregory's
-    tail may close them.  For r0 < 0 they alternate, and are summed in
-    pairs, the first step of Euler's transformation (DLMF 3.9):
-    T_m = r0 (r0^2)^(m-1) K(2m - 1) + (r0^2)^m K(2m), which take real m,
-    have the ratio bound r0^2 e^{-8 pi T q} and e-fold over half the
-    length in l at T > 0.  roundtrips_used counts the 2m terms summed.
+    A perfect pair's is r0 = 1, which law_tail closes at T = 0.  The terms
+    are r0^l K(l), K(l) = kernel(l, 2 l q) elementwise in l and the delay
+    tau, with the a priori ratio bound |r0| e^{-4 pi T q}.  For 0 < r0 <= 1
+    at T > 0 they take real l and e-fold over 1/(2 pi T q - ln r0), below
+    which Gregory's tail may close them.  For r0 < 0 they alternate, and
+    are summed in pairs, the first step of Euler's transformation (DLMF
+    3.9): T_m = r0 (r0^2)^(m-1) K(2m - 1) + (r0^2)^m K(2m), which take
+    real m, have the ratio bound r0^2 e^{-8 pi T q} and e-fold over half
+    the length in l at T > 0.  roundtrips_used counts the 2m terms summed.
     """
     rate = 2.0 * math.pi * temperature * q
     efold = None
@@ -242,7 +242,7 @@ def _loop_series(r0, q, temperature, kernel, spec):
     if r0 > 0.0:
         return _sum_series(lambda l: r0 ** l * kernel(l, 2.0 * l * q), spec,
                            ratio_bound=r0 * math.exp(-2.0 * rate),
-                           efold_length=efold)
+                           efold_length=efold, law_tail=law_tail)
     x = r0 * r0
 
     def pairs(m):
@@ -255,7 +255,15 @@ def _loop_series(r0, q, temperature, kernel, spec):
     return replace(series, evaluations=2 * series.evaluations)
 
 
-def _roundtrip_sum(cfg, kernel, spec):
+def _law_tail(cfg, c, p):
+    """`_watson_law` of perfect or lorentzian mirrors; None for a table."""
+    mirrors = (cfg.mirror1, cfg.mirror2)
+    if all(m.has_time_kernel for m in mirrors):
+        return _watson_law(c, p, cfg.q, [m.cutoff for m in mirrors
+                                         if m.kind == "lorentzian"])
+
+
+def _roundtrip_sum(cfg, kernel, spec, law_tail=None):
     """Sum the roundtrip series whose l-th term averages kernel(l, tau).
 
     The average is over the l-roundtrip delay density w_l of
@@ -270,17 +278,18 @@ def _roundtrip_sum(cfg, kernel, spec):
     quadrature node otherwise.  w_l is exactly the law its shape gives, so
     `_sum_integral_terms` takes the kernel for its rules and w_l times it
     for its fallback, whose nodes alone evaluate the density.  At T > 0 the
-    terms take real l and e-fold over 1/(2 pi T q), for Gregory's tail.
+    terms take real l and e-fold over 1/(2 pi T q); law_tail closes T = 0.
     """
     q, T = cfg.q, cfg.temperature
     weight, shape = _delay_profile(cfg)
     if weight is None:
-        return _loop_series(1.0, q, T, kernel, spec)
+        return _loop_series(1.0, q, T, kernel, spec, law_tail)
     rate = 2.0 * math.pi * T * q
     efold = (1.0 / rate if rate > 0.0 else math.inf) if T else None
     return _sum_integral_terms(
         lambda l, s: kernel(l, 2.0 * l * q + s), shape,
-        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec, efold)
+        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec, efold,
+        law_tail)
 
 
 def _imag_axis(cfg, coefficient, power, log_form, spec):
@@ -376,8 +385,8 @@ def force_roundtrip_time(cfg, spec=None):
     T/(2q + sum_i 1/Omega_i) over the lorentzian cutoffs Omega_i.
     """
     T = cfg.temperature
-    series = _roundtrip_sum(
-        cfg, lambda l, tau: -thermal_kernel_time(tau, T), spec)
+    series = _roundtrip_sum(cfg, lambda l, tau: -thermal_kernel_time(tau, T),
+                            spec, None if T else _law_tail(cfg, 1 / np.pi, 1))
     return _result(series, "roundtrip-time", spec)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from .special_functions import bernoulli
 from .spectral import kernel_4d_thermal
 from .casimir2d import (Result, _check_constant_loop, _closed_form,
-                        _imag_axis, _loop_series, _result, _sum_integral_terms)
+                        _imag_axis, _law_tail, _loop_series, _result,
+                        _sum_integral_terms)
 from .scattering import MirrorModel
 # perfbench's tracer wraps these by name on each engine module; this one
 # calls them only through casimir2d's helpers
@@ -72,10 +73,10 @@ def pressure_roundtrip(cfg, spec=None):
     `pressure_imag_axis` term by term, but numerically an independent
     route: different integrands, different convergence structure.  For a
     frequency-independent loop the l-th term is exactly r0^l C(2 l q)
-    with the vacuum kernel C(tau) = 6/(pi^2 tau^4).  The terms take real
-    l, and for 0 < rbar(0) < 1 they e-fold over -1/ln rbar(0) roundtrips,
-    below which Gregory's tail may close the series; lorentzian and
-    perfect plates, rbar(0) = 1, take the algebraic tail fit.
+    with the vacuum kernel C(tau) = 6/(pi^2 tau^4).  Lorentzian and
+    perfect plates close the series by their law (`_law_tail`).  A table's
+    terms take real l and e-fold over -1/ln rbar(0) roundtrips, for ever
+    at rbar(0) = 1, below which Gregory's tail may close the series.
     """
     if cfg.temperature != 0.0:
         raise ValueError("pressure_roundtrip is a zero-temperature route; "
@@ -99,7 +100,8 @@ def pressure_roundtrip(cfg, spec=None):
     r0 = cfg.loop_r0()
     series = _sum_integral_terms(
         kernel, lambda l: (np.full_like(l, 3), l[:, None] * lam), term, spec,
-        -1.0 / np.log(r0) if 0.0 < r0 < 1.0 else None)
+        -1.0 / np.log(r0) if 0.0 < r0 < 1.0 else
+        np.inf if r0 == 1.0 else None, _law_tail(cfg, 1.0 / np.pi**2, 3))
     return _result(series, "roundtrip-time", spec)
 
 

@@ -18,10 +18,10 @@ series (1/l^2 up to l ~ 1/(2 pi T q), then exponential; an alternating
 loop's in pairs), close by Gregory's formula (Euler-Maclaurin with
 forward differences, DLMF 2.10(i)): the tail past a checkpoint L is an
 integral over real l plus differences of terms already computed, and the
-change from the closure at L/2 is its bar.  Other (T = 0) sequences take
-an algebraic 1/l^k tail fit, whose exit test costs a fixed few numpy
-calls per checkpoint, whatever the series length: two dot products of 16
-terms with weights cached per checkpoint (`_tail_weights`).
+change from the closure at L/2 is its bar.  The T = 0 terms of a
+perfect or lorentzian pair close by their law (`_watson_law`): Watson's
+lemma expands each term in powers of 1/l, and Hurwitz zetas cached per
+checkpoint (`_watson_weights`) sum them past L in a few numpy calls.
 A series value is the exactly rounded sum (`math.fsum`) of its computed
 terms plus the tail, and its error bar adds a rounding allowance of
 2 eps sum_l |t_l| to the truncation bound, so the bar stays honest when
@@ -41,8 +41,8 @@ block), series terms integer arrays of l (a block between two
 checkpoints); both must be elementwise: a node's value may not depend on
 the other nodes.  An integral's value is the exactly rounded sum of its
 panels.  An integrand damped like e^{-u} may try a Gauss-Laguerre pair
-first (`_laguerre_pair`).  Gauss rules take numpy's eigh; scipy.special is
-reached as `scipy.special.<fn>`, loaded at a process's first tail fit.
+first (`_laguerre_pair`).  Gauss rules take numpy's eigh, and nothing
+here loads scipy.
 """
 
 import bisect
@@ -54,11 +54,9 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
-from numpy.polynomial import Chebyshev, Polynomial
-from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
+from .special_functions import bernoulli
 # perfbench's tracer wraps this by name on this module, which does not
 # call it
 from .special_functions import polylog  # noqa: F401
@@ -409,55 +407,57 @@ def _gauss_beta(m, alpha):
     return t, p / math.fsum(p)
 
 
-# row j holds the coefficients of y^0..y^5 in T_j(2y - 3); applied to the
-# sums over l > L of y^k, k = 2..7, it gives the sum of y^2 T_j(2y - 3)
-_CHEBYSHEV_POWERS = np.array([
-    np.pad(Chebyshev.basis(j, domain=[1, 2]).convert(kind=Polynomial).coef,
-           (0, 5 - j)) for j in range(6)])
+# `_watson_law`'s orders m in 1/l, and the upper half of its 32 trapezoid
+# nodes on |x| = 1/8 with their weights for each order
+_ORDERS = np.arange(9)
+_CIRCLE = 0.125 * np.exp(1j * np.pi * np.arange(17) / 16)
+_CAUCHY = (np.where(np.arange(17) % 16, 2.0, 1.0) / 32
+           * _CIRCLE ** -_ORDERS[:, None])
 
 
 @functools.lru_cache(maxsize=64)
-def _tail_weights(L):
-    """The window and weights of the algebraic tail fits at checkpoint L.
+def _watson_weights(p, L):
+    """(s - 1)! zeta(s, L + 1) = sum_{l>L} (s - 1)! / l^s, s = p + 1 + m, by
+    Euler-Maclaurin (DLMF 2.10(i), 25.11), read-only: six Bernoulli terms
+    leave below 1e-19 of zeta(s, N) at N = L + 1 >= 65 and s <= 12."""
+    s = p + 1.0 + _ORDERS
+    n = L + 1.0
+    z = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** -s
+    rise = s.copy()  # s (s + 1) ... (s + 2j - 2)
+    for j in range(1, 7):
+        z += (float(bernoulli(2 * j)) / math.factorial(2 * j) * rise
+              * n ** (1.0 - s - 2 * j))
+        rise *= (s + 2 * j - 1.0) * (s + 2 * j)
+    z *= [math.factorial(p + m) for m in _ORDERS]
+    z.flags.writeable = False
+    return z
 
-    The least-squares fits of 1/l^k, k = 2..7 and k = 2..5, to the terms
-    at 16 l spread over [L/2, L], with the fitted terms summed past L by
-    Hurwitz zeta functions, are linear in those terms.  Returns the l - 1
-    and a read-only 2 x 16 array taking the terms to the two tails.  The
-    fits work in y = L/l on the basis y^2 T_j(2y - 3), j < 6, Chebyshev
-    polynomials on [1, 2]: the span of y^2..y^7 at a condition number of
-    about 3, not 1e6, so the weights are good to a few ulps.
+
+def _watson_law(c, p, q, rates):
+    """L -> (tail past L, bar) of the T = 0 terms t_l = c int_0^inf xi^p
+    rbar^l e^{-2 l q xi} dxi, rbar = prod_i Omega_i / (Omega_i + xi) over
+    the lorentzian cutoffs rates.  With lam = 2 q + sum_i 1 / Omega_i and
+    2 q xi - ln rbar = x A(x), x = lam xi, Watson's lemma (DLMF 2.3(ii)) on
+    e^{-l x} e^{l x (1 - A)}, expanded in powers of l and resummed, gives
+    t_l ~ sum_m c (m + p)! [x^m] A^-(m+p+1) / (lam^(p+1) l^(p+1+m)), m <= 8,
+    summed past L by `_watson_weights`.  On |x| = 1/8, |1 - A| < 0.07 and A
+    has no zero inside |x| < 0.7.  The bar is the last two orders' size, at
+    least |W_8 - W_6|, plus 16 eps of the orders' sizes for their rounding.
     """
-    los = np.unique(np.round(np.linspace(L // 2, L, 16)).astype(int))
-    y = L / los.astype(float)
-    design = y[:, None] ** 2 * chebvander(2.0 * y - 3.0, 5)
-    ks = np.arange(2, 8)
-    tails = _CHEBYSHEV_POWERS @ (float(L) ** ks
-                                 * scipy.special.zeta(ks, L + 1))
-    weights = np.stack([tails @ np.linalg.pinv(design),
-                        tails[:4] @ np.linalg.pinv(design[:, :4])])
-    weights.flags.writeable = False
-    return (los - 1).tolist(), weights
+    lam = 2.0 * q + sum(1.0 / w for w in rates)
+    with np.errstate(all="ignore"):  # past the float range: not finite
+        xi = _CIRCLE / lam
+        log_a = np.log((2.0 * q * xi + sum(np.log1p(xi / w) for w in rates))
+                       / _CIRCLE)
+        orders = (np.exp(-np.outer(p + 1 + _ORDERS, log_a)) * _CAUCHY).sum(1)
+        orders = c * np.float64(lam) ** -(p + 1) * orders.real
 
-
-def _fit_algebraic_tail(term_list, L):
-    """Least-squares 1/l^k tail (k = 2..7) fitted on the window [L/2, L].
-
-    Returns (tail, error_proxy), the proxy being the distance to the fit
-    with k = 2..5 plus the tail's own rounding, eps sum_l |w_l t_l| over
-    the weights w_l of the k = 2..7 fit (about 1,100 times the tail for
-    1/l^2 terms), or None when the window is unsuitable (sign changes or
-    non-decreasing magnitudes, both of which signal a non-algebraic
-    regime).  Both fits are dot products with `_tail_weights(L)`.
-    """
-    index, weights = _tail_weights(L)
-    t = np.array([term_list[i] for i in index])
-    mags = t if t[0] > 0.0 else -t
-    if not (mags[-1] > 0.0 and np.all(mags[:-1] >= mags[1:])):
-        return None
-    tail, tail2 = (weights @ t).tolist()
-    rounding = np.finfo(float).eps * float(np.abs(weights[0]) @ mags)
-    return tail, abs(tail - tail2) + rounding
+    def tail(L):
+        parts = orders * _watson_weights(p, L)
+        size = np.abs(parts)
+        return float(parts.sum()), float(
+            size[-2] + size[-1] + 8 * _SUM_ROUNDING * size.sum())
+    return tail
 
 
 # Gregory's coefficients g_j: sum_{l>L} t_l = int_L^inf t dl - t_L / 2
@@ -495,42 +495,31 @@ def _gregory_tails(terms, kept, L, spec):
             tails.converged)
 
 
-def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
+def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None,
+                law_tail=None):
     """Sum the roundtrip series sum_{l>=1} t_l: every engine's series.
 
     terms(ells) maps the integer array of l from one checkpoint + 1 to the
     next (1..64, 65..128, ..., 1025..cap) to its terms in one call,
-    elementwise.  ratio_bound bounds |t_{l+1} / t_l| a priori; at or above
-    1 (perfectly reflecting pairs) it says nothing.  efold_length, when
-    given, says that terms(l) takes real l, smooth in l, and that the terms
-    e-fold over about that many l past their algebraic range, as thermal
-    terms and the terms of a loop of reflection 0 < r0 < 1 do.  Every exit is
-    tested at a checkpoint L on all the terms computed up to L; none
-    discards a term.  Exits, in order: the a priori geometric bound
-    |t_L| ratio_bound / (1 - ratio_bound) (ratio_bound < 1); an
-    observed-ratio bound (the larger of the geometric tail and the
-    power-law tail through the last two terms); and then one closure from
-    64 terms on: with efold_length, Gregory's at checkpoints L below it
-    (`_gregory_tails`), whose bar is |S_L - S_{L/2}| plus both tail
-    integrals' bars, or else a 1/l^k tail fit (T = 0 series), which closes
-    critical sequences such as 1/l^2 but sees no cutoff past its window.
+    elementwise.  Every exit is tested at a checkpoint L on all the terms
+    computed up to L; none discards a term.  Exits, in order:
+    - ratio_bound < 1 bounds |t_{l+1} / t_l| a priori, and the tail by
+      |t_L| ratio_bound / (1 - ratio_bound);
+    - the observed ratios of the last 9 terms bound it by the larger of
+      the geometric tail and the power-law tail through the last two;
+    - from 64 terms on, law_tail(L), the tail past L and its bar from the
+      terms' law (`_watson_law`), or else, if terms(l) takes real l and
+      e-folds over about efold_length l (math.inf: never), Gregory's
+      closure below it (`_gregory_tails`, about 0.2-0.4 ms), whose bar
+      is |S_L - S_{L/2}| plus both tail integrals' bars.
     A series that meets no exit returns the closure of smallest bar,
     unconverged.  Exit decisions use the sequential running partial sum;
     the value is the exact `math.fsum` of the terms used plus any closed
-    or fitted tail, and the error bar adds the rounding allowance
-    2 eps sum_l |t_l| to the truncation bound.  evaluations counts the
-    terms summed, not the calls, nor the five terms past L or the tail
-    integrals' real l that a closure takes.
-    No checkpoint raises a numpy warning: a block with a term, or a running
-    sum, that is not finite ends the series with a NaN value, which
-    `Result` refuses.
-
-    The exit tests of a checkpoint read at most its last 16 terms and cost
-    a fixed few numpy calls, whatever l: the tail fit is two dot products
-    with the weights `_tail_weights` caches per checkpoint, about 8
-    microseconds on a 2-vCPU Xeon (by timeit).  A Gregory closure costs one
-    block of two tail integrals, usually one to four panel calls, about
-    0.2-0.4 ms.
+    tail, and the bar adds 2 eps sum_l |t_l| to the truncation bound.
+    evaluations counts the terms summed, not the calls, nor the real l
+    past L that Gregory's closure takes.  No checkpoint raises a numpy
+    warning: a term, or a running sum, that is not finite ends the series
+    with a NaN value, which `Result` refuses.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -577,12 +566,11 @@ def _sum_series(terms, spec=None, ratio_bound=None, efold_length=None):
                     if _tol_met(tail, partial, tail_spec):
                         return result(0.0, tail, True)
 
-            # a closure at L: Gregory's below the e-folding length of terms
-            # with a cutoff, which no fit past the window sees, or else the fit
+            # a closure at L: the terms' law's, or Gregory's below the
+            # e-folding length of terms that take real l
             closed = None
-            if efold_length is None and ell >= 64:
-                fit = _fit_algebraic_tail(kept, ell)
-                closed = None if fit is None else (*fit, True)
+            if law_tail is not None and ell >= 64:
+                closed = (*law_tail(ell), True)
             elif efold_length is not None and 64 <= ell < efold_length:
                 # each tail integral gets a quarter of the sum's budget
                 budget = max(spec.abs_tol, spec.series_tail_tol * abs(partial))

@@ -475,11 +475,11 @@ def _spy_blocks_and_densities(monkeypatch):
     sum_series, weight = casimir2d._sum_series, casimir2d.hypoexp_weight
     integrate = casimir2d.integrate_semi_infinite
 
-    def counted_series(terms, spec, ratio_bound=None, efold_length=None):
+    def counted_series(terms, *args, **kwargs):
         def counted_terms(ells):
             blocks.append(ells.size)
             return terms(ells)
-        return sum_series(counted_terms, spec, ratio_bound, efold_length)
+        return sum_series(counted_terms, *args, **kwargs)
 
     def counted_weight(ell, rate1, rate2, s):
         calls.append((np.unique(ell).tolist(), np.size(s)))
@@ -501,12 +501,13 @@ def test_split_cutoff_series_shares_density_calls_per_block(monkeypatch):
     # the product rules evaluate no density; the density is called only
     # on the nodes of the adaptive fallback, once per march round or
     # bisection sweep of a block's fallback terms, not per term (one term
-    # at a time, a block of 64 makes about 170 calls)
+    # at a time, a block of 64 makes about 170 calls); Watson's closure
+    # ends the series at l = 64 (the 1/l^k tail fit took 128 terms)
     blocks, calls, evaluations = _spy_blocks_and_densities(monkeypatch)
     cfg = CavityConfig(lorentzian_mirror(0.3), lorentzian_mirror(3.0), 0.2)
     res = force_roundtrip_time(cfg)
     assert res.converged
-    assert blocks == [64, 64] and res.roundtrips_used == 128
+    assert blocks == [64] and res.roundtrips_used == 64
     assert sum(size for _, size in calls) == sum(evaluations) > 0
     assert len(calls) <= 16 * len(blocks)
 
@@ -516,11 +517,12 @@ def test_widely_split_low_orders_fall_back(monkeypatch):
     # fast rise and then a slow exponential decay, spread the kernel over
     # too wide a range of the Beta nodes: the product rules disagree and
     # those terms go to the adaptive integrator, the only caller of the
-    # density
+    # density; Watson's closure ends the series at l = 64 (the 1/l^k tail
+    # fit took 128 terms)
     _, calls, evaluations = _spy_blocks_and_densities(monkeypatch)
     cfg = CavityConfig(lorentzian_mirror(0.1), lorentzian_mirror(10.0), 1.0)
     res = force_roundtrip_time(cfg)
-    assert res.converged and res.roundtrips_used == 128
+    assert res.converged and res.roundtrips_used == 64
     assert sum(size for _, size in calls) == sum(evaluations)
     fallback = set().union(*(ells for ells, _ in calls))
     assert {1, 2} <= fallback and max(fallback) < 64
@@ -776,8 +778,9 @@ def test_low_temperature_lorentzian_free_energy_meets_matsubara_sum(
         cutoffs, q, tq):
     # the series stops long before l* = 1/(4 pi T q), where its 1/l
     # plateau ends; its own bar still covers the Matsubara sum (the last
-    # two converged 1.3 and 1.5 times their bars off by the algebraic tail
-    # fit, which sees no thermal cutoff)
+    # two converged 1.3 and 1.5 times their bars off when a 1/l^k tail fit,
+    # which sees no thermal cutoff, closed them; Gregory's tail over real l
+    # closes them now)
     cfg = _exact_weight_pair(cutoffs, q, tq / q)
     res = free_energy(cfg)
     ref, bar = matsubara_sum("free energy", cfg)
@@ -826,14 +829,21 @@ def test_low_temperature_lorentzian_grid_meets_matsubara_sums(cutoffs):
     assert misses == []
 
 
-def test_thermal_series_never_take_the_algebraic_tail_fit(monkeypatch):
-    # every T > 0 series takes real l and closes by Gregory's tail below
-    # its e-folding length, so no thermal engine reaches the 1/l^k fit,
-    # which sees no thermal cutoff; a T = 0 lorentzian force still does
-    fits = []
-    fit = quadrature._fit_algebraic_tail
-    monkeypatch.setattr(quadrature, "_fit_algebraic_tail",
-                        lambda *args: fits.append(args[1]) or fit(*args))
+def test_thermal_series_never_take_the_watson_closure(monkeypatch):
+    # Watson's closure expands T = 0 terms and sees no thermal cutoff: no
+    # T > 0 series builds it, and each one that reaches a closure takes
+    # Gregory's tail over real l; a T = 0 lorentzian force, and a perfect
+    # pair's, close by Watson's at l = 64 and take no Gregory tail
+    laws, gregory = [], []
+    law, tails = casimir2d._watson_law, quadrature._gregory_tails
+
+    def counted_law(*args):
+        tail = law(*args)
+        return lambda L: laws.append(L) or tail(L)
+
+    monkeypatch.setattr(casimir2d, "_watson_law", counted_law)
+    monkeypatch.setattr(quadrature, "_gregory_tails", lambda *args: (
+        gregory.append(args[2]) or tails(*args)))
     for tq in (1e-6, 1e-4, 3e-3):
         for q in (0.1, 3.0):
             T = tq / q
@@ -847,9 +857,12 @@ def test_thermal_series_never_take_the_algebraic_tail_fit(monkeypatch):
                 assert force_large_distance(r0, q, T).converged
                 assert casimir4d.pressure_thermal_large_distance(
                     r0, q, T).converged
-    assert fits == []
-    force_roundtrip_time(_exact_weight_pair((0.4, 2.5), 1.0))
-    assert fits
+    assert laws == [] and gregory
+    gregory.clear()
+    for cutoffs in ((0.4, 2.5), (None, None)):
+        res = force_roundtrip_time(_exact_weight_pair(cutoffs, 1.0))
+        assert res.converged and res.roundtrips_used == 64
+    assert laws == [64, 64] and gregory == []
 
 
 @pytest.mark.parametrize("cutoffs", _EXACT_WEIGHT_PAIRS + [

@@ -244,6 +244,26 @@ def test_roundtrip_takes_a_tabulated_mirror(cutoff, q):
     assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
+@pytest.mark.parametrize("cutoff", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("q", [0.1, 0.3])
+def test_roundtrip_closes_a_table_that_reaches_one_at_its_first_knot(
+        cutoff, q):
+    # r = -cutoff / (cutoff + xi - xi_1) from |r| = 1 at its first knot
+    # xi_1 = 1e-3, held below it: rbar(0) = 1, and a table has no law to
+    # expand, so its terms take real l and Gregory's tail with an infinite
+    # e-folding length closes them at l = 64.  The 1/l^k tail fit took up
+    # to 256 terms and met two of these 1.75 and 6.2 times the summed bars
+    # off
+    xi = np.geomspace(1e-3, 1e3, 200)
+    m = PlanarMirrorModel(tabulated_mirror(xi, -cutoff / (cutoff + (
+        xi - xi[0]))))
+    cfg = CavityConfig(m, m, q)
+    assert cfg.loop_r0() == 1.0
+    a, b = pressure_imag_axis(cfg), pressure_roundtrip(cfg)
+    assert a.converged and b.converged and b.roundtrips_used == 64
+    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+
+
 @pytest.mark.parametrize("r0, eps, q", [(0.9995, 1e-8, 0.1),
                                         (0.9995, 1e-8, 1.0),
                                         (0.99995, 1e-10, 0.1)])

@@ -384,7 +384,12 @@ SCIPY_FREE_CALLS = [
     ["force4d", "--method", "high-T", "--r0", "0.5", "--T", "2"],
     ["oracle", "--dimension", "4"],
     ["validate-model", "--model", "lorentzian", "--omega1", "1"],
-    ["force2d", "--T", "0.1"]]
+    ["force2d", "--T", "0.1"],
+    # T = 0 roundtrip series that close by Watson's lemma, whose Hurwitz
+    # zetas take no scipy: a perfect pair and an equal-cutoff pair
+    ["force2d", "--method", "roundtrip"],
+    ["force4d", "--model", "lorentzian", "--omega1", "1", "--method",
+     "roundtrip"]]
 FRESH_PROCESS = """
 import contextlib, io, json, sys
 from casmat import casimir2d, casimir4d, cli
@@ -410,8 +415,8 @@ print(json.dumps({"after_import": after_import, "codes": codes,
 
 def test_scipy_submodules_load_only_where_a_route_uses_them(mirror_table,
                                                             capsys):
-    # a split pair's roundtrip loads scipy.special (its delay densities
-    # and tail fits) but not scipy.linalg (its Gauss rules take numpy's
+    # a split pair's roundtrip loads scipy.special (its delay densities)
+    # but not scipy.linalg (its Gauss rules take numpy's
     # eigh), a tabulated mirror then scipy.interpolate, which imports
     # scipy.linalg; each on first use, and both print the same records as
     # in a process that loaded them at start

@@ -287,8 +287,10 @@ def test_result_fields():
 
 def test_critical_series_closes_through_algebraic_tail():
     # ratio bound 1 gives no geometric bound and the observed ratios rise
-    # toward 1: the sum must come from the 1/l^k tail fit
-    res = _sum_series(lambda ell: 1.0 / ell ** 2, QuadratureSpec(), 1.0)
+    # toward 1; the terms take real l and never e-fold (efold_length inf),
+    # so Gregory's closure sums their 1/l^2 tail
+    res = _sum_series(lambda ell: 1.0 / ell ** 2, QuadratureSpec(), 1.0,
+                      efold_length=math.inf)
     assert res.converged
     # the bar covers the truncated tail; adding up n terms in double
     # precision costs up to n more ulps of roundoff on top
@@ -297,25 +299,32 @@ def test_critical_series_closes_through_algebraic_tail():
 
 
 def test_critical_series_short_of_its_tolerance_keeps_its_best_fit():
-    # no checkpoint's fit meets a 1e-16 tail tolerance, so at the cap the
-    # series returns the fitted tail of smallest bar, unconverged, with
+    # no checkpoint's closure meets a 1e-16 tail tolerance, so at the cap
+    # the series returns the closed tail of smallest bar, unconverged, with
     # every term counted; that bar, not the last term, covers the error
-    spec = QuadratureSpec(max_roundtrips=128, series_tail_tol=1e-16,
+    # (Gregory's bar is 1.6e-13 at l = 128 and 1.5e-15 at 256)
+    spec = QuadratureSpec(max_roundtrips=256, series_tail_tol=1e-16,
                           rel_tol=1e-16, abs_tol=1e-300)
-    res = _sum_series(lambda ell: 1.0 / ell ** 2, spec, 1.0)
+    res = _sum_series(lambda ell: 1.0 / ell ** 2, spec, 1.0,
+                      efold_length=math.inf)
     assert not res.converged
-    assert res.evaluations == 128
+    assert res.evaluations == 256
     assert res.error_estimate < 1e-14
     assert abs(res.value - ZETA2) <= res.error_estimate
 
 
-@pytest.mark.parametrize("term", [lambda l: (-1.0) ** l / l ** 2,
-                                  lambda l: l ** 0.5],
-                         ids=["alternating", "growing"])
-def test_tail_fit_refuses_a_window_that_is_not_algebraic(term):
-    # sign changes or magnitudes that do not fall across [L/2, L]
-    terms = term(np.arange(1.0, 65.0)).tolist()
-    assert quadrature._fit_algebraic_tail(terms, 64) is None
+@pytest.mark.parametrize("term", [lambda l: 1.0 / l ** 2,
+                                  lambda l: (-1.0) ** l / l ** 2],
+                         ids=["critical", "alternating"])
+def test_series_without_a_closure_never_converges_on_a_critical_sequence(
+        term):
+    # ratios that rise toward 1 meet no ratio exit, and with neither a law
+    # nor real l nothing closes the tail: the series runs to its cap and
+    # reports its last term as the bar, unconverged
+    res = _sum_series(term, QuadratureSpec(), 1.0)
+    assert not res.converged
+    assert res.evaluations == QuadratureSpec().max_roundtrips
+    assert res.error_estimate >= 1e-8
 
 
 def test_algebraic_terms_get_an_honest_observed_ratio_bar():
@@ -408,49 +417,76 @@ def test_nearly_zero_temperature_force_closes_by_its_tail(monkeypatch):
     assert calls == []
 
 
-def _lstsq_tail(terms, L):
-    """The algebraic tail fit as a direct least-squares solve per call."""
-    los = np.unique(np.round(np.linspace(L // 2, L, 16)).astype(int))
-    t = np.asarray(terms)[los - 1]
-    y = L / los.astype(float)
-    tails = []
-    for ks in (np.arange(2, 8), np.arange(2, 6)):
-        coeff = np.linalg.lstsq(y[:, None] ** ks, t, rcond=None)[0]
-        tails.append(float(np.sum(coeff * float(L) ** ks
-                                  * zeta(ks, L + 1))))
-    return tails[0], abs(tails[0] - tails[1])
+# (c, p) of the 1D force's and the 4D pressure's T = 0 terms
+_MOMENTS = pytest.mark.parametrize("c, p", [(1 / math.pi, 1),
+                                            (1 / math.pi ** 2, 3)],
+                                   ids=["1d", "4d"])
 
 
-@pytest.mark.parametrize("L", [64, 128, 1024, 300])
-@pytest.mark.parametrize("term", [
-    lambda l: 1 / l**2 + 0.5 / l**3 - 0.2 / l**4 + 0.3 / l**6 + 0.1 / l**7,
-    lambda l: -(1.0 + 0.1 / np.sqrt(l)) / l**2.5], ids=["mixture", "nearly"])
-def test_cached_tail_weights_match_a_direct_fit(L, term):
-    # the proxy is a difference of two tails, so it is compared on the
-    # scale of the tail
-    terms = term(np.arange(1.0, L + 1.0)).tolist()
-    tail, proxy = quadrature._fit_algebraic_tail(terms, L)
-    ref_tail, ref_proxy = _lstsq_tail(terms, L)
-    assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
-    assert abs(proxy - ref_proxy) <= 1e-12 * abs(ref_tail)
+@_MOMENTS
+def test_watson_closure_is_exact_on_perfect_pair_terms(c, p):
+    # a perfect pair's terms are c p! / (2 q l)^(p+1): every order past the
+    # first is zero, and the tail c p! zeta(p + 1, L + 1) / (2 q)^(p+1)
+    # lies within a bar of rounding alone; the series closes by it at
+    # l = 64, within its bar of c p! zeta(p + 1) / (2 q)^(p+1)
+    for q in (0.01, 1.0, 300.0):
+        scale = c * math.factorial(p) / (2 * q) ** (p + 1)
+        law = quadrature._watson_law(c, p, q, [])
+        for L in (64, 128, 300, 1024, 10000):
+            tail, bar = law(L)
+            want = scale * zeta(p + 1, L + 1)
+            assert abs(tail - want) <= bar <= 1e-14 * want
+        res = _sum_series(lambda l: scale / l ** (p + 1), QuadratureSpec(),
+                          1.0, law_tail=law)
+        assert res.converged and res.evaluations == 64
+        assert abs(res.value - scale * zeta(p + 1)) <= res.error_estimate
 
 
-def test_tail_fit_bar_covers_the_tails_rounding():
-    # both fits are exact on 1/l^2 terms: the tail is off by the rounding
-    # of weights that sum to about 1,100 times it in absolute value
-    terms = (1.0 / np.arange(1.0, 1025.0) ** 2).tolist()
-    for L in range(64, 1025):
-        tail, proxy = quadrature._fit_algebraic_tail(terms[:L], L)
-        assert abs(tail - zeta(2.0, L + 1)) <= proxy
-
-
-def test_tail_weights_are_cached_read_only():
-    index, weights = quadrature._tail_weights(128)
-    assert quadrature._tail_weights(128)[1] is weights
-    assert weights.shape == (2, len(index)) == (2, 16)
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("L", [64, 300, 10000])
+def test_watson_weights_are_cached_read_only(L, p):
+    # Euler-Maclaurin's Hurwitz zetas times (s - 1)! match scipy's zetas to
+    # a few ulps, built once per (p, L)
+    z = quadrature._watson_weights(p, L)
+    assert quadrature._watson_weights(p, L) is z
+    s = p + 1 + np.arange(9)
+    assert z == pytest.approx(zeta(s, L + 1) * [math.factorial(k - 1)
+                                                  for k in s], rel=1e-15)
     with pytest.raises(ValueError):
-        weights[0, 0] = 1.0
-    assert quadrature._tail_weights.cache_info().maxsize <= 256
+        z[0] = 1.0
+    assert quadrature._watson_weights.cache_info().maxsize <= 256
+
+
+def _exact_tail(c, p, q, rates, L):
+    """The tail past L of c int_0^inf xi^p rbar^l e^{-2 l q xi} dxi summed
+    under the integral, c int_0^inf xi^p x^(L+1) / (1 - x) dxi with x =
+    rbar e^{-2 q xi}, at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lam = 2 * q + sum(1 / mpmath.mpf(w) for w in rates)
+
+        def integrand(xi):
+            log_x = -2 * q * xi - sum(mpmath.log1p(xi / w) for w in rates)
+            return xi ** p * mpmath.exp((L + 1) * log_x) / -mpmath.expm1(
+                log_x)
+
+        cuts = [10 ** k / ((L + 1) * lam) for k in range(-1, 4)]
+        return float(c * mpmath.quad(integrand, [0] + cuts + [mpmath.inf]))
+
+
+@_MOMENTS
+@pytest.mark.parametrize("rates", [(0.7, 0.7), (0.7, 2.3), (0.1, 10.0),
+                                   (0.7,)],
+                         ids=["equal", "split", "widely-split",
+                              "one-perfect"])
+def test_watson_tail_lies_within_its_bar(rates, c, p):
+    # against the 30-digit tails at q from 0.01 to 100, with bars below
+    # 1e-13 of L^p times the tail, about the series' own size: far below
+    # its 1e-10 tail tolerance
+    for q, L in ((0.01, 64), (1.0, 128), (100.0, 64)):
+        tail, bar = quadrature._watson_law(c, p, q, rates)(L)
+        want = _exact_tail(c, p, q, rates, L)
+        assert abs(tail - want) <= bar <= 1e-13 * want * L ** p
 
 
 @pytest.mark.parametrize("x", [0.3, -0.3, 0.9, -0.9])
