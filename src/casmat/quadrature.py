@@ -407,12 +407,14 @@ def _gauss_beta(m, alpha):
     return t, p / math.fsum(p)
 
 
-# `_watson_law`'s orders m in 1/l, and the upper half of its 32 trapezoid
-# nodes on |x| = 1/8 with their weights for each order
+# `_watson_law`'s orders m in 1/l; the upper half of its 32 trapezoid
+# nodes on |x| = 1/8 with their weights for each order; and its bar's
+# weights on the orders' sizes: the last two whole, 16 eps for rounding
 _ORDERS = np.arange(9)
 _CIRCLE = 0.125 * np.exp(1j * np.pi * np.arange(17) / 16)
 _CAUCHY = (np.where(np.arange(17) % 16, 2.0, 1.0) / 32
            * _CIRCLE ** -_ORDERS[:, None])
+_BAR = (_ORDERS >= 7) + 8 * _SUM_ROUNDING
 
 
 @functools.lru_cache(maxsize=64)
@@ -447,16 +449,14 @@ def _watson_law(c, p, q, rates):
     lam = 2.0 * q + sum(1.0 / w for w in rates)
     with np.errstate(all="ignore"):  # past the float range: not finite
         xi = _CIRCLE / lam
-        log_a = np.log((2.0 * q * xi + sum(np.log1p(xi / w) for w in rates))
-                       / _CIRCLE)
-        orders = (np.exp(-np.outer(p + 1 + _ORDERS, log_a)) * _CAUCHY).sum(1)
-        orders = c * np.float64(lam) ** -(p + 1) * orders.real
+        inv_a = 1.0 / (2.0 * q / lam
+                       + sum(np.log1p(xi / w) for w in rates) / _CIRCLE)
+        orders = c * np.float64(lam) ** -(p + 1) * (
+            inv_a ** (p + 1 + _ORDERS)[:, None] * _CAUCHY).sum(1).real
 
     def tail(L):
         parts = orders * _watson_weights(p, L)
-        size = np.abs(parts)
-        return float(parts.sum()), float(
-            size[-2] + size[-1] + 8 * _SUM_ROUNDING * size.sum())
+        return float(parts.sum()), float(np.abs(parts) @ _BAR)
     return tail
 
 
