@@ -40,9 +40,9 @@ abscissae spanning many panels (with each node's integral index for a
 block), series terms integer arrays of l (a block between two
 checkpoints); both must be elementwise: a node's value may not depend on
 the other nodes.  An integral's value is the exactly rounded sum of its
-panels.  An integrand damped like e^{-u} may try a Gauss-Laguerre pair
-first (`_laguerre_pair`).  Gauss rules take numpy's eigh, and nothing
-here loads scipy.
+panels, which a heap orders only once one is bisected.  An integrand
+damped like e^{-u} may try a Gauss-Laguerre pair first (`_laguerre_pair`).
+Gauss rules take numpy's eigh, and nothing here loads scipy.
 """
 
 import bisect
@@ -176,14 +176,14 @@ def _integral(scale, spec, tail_spec, edges):
     the edges inside it, into pieces the refinement treats as panels; the
     march's tail test and its panel cap still count whole march panels.
     There is one march path: a round with no edge inside it is left whole.
-    The value and the error are the exactly rounded sums (`math.fsum`) of
-    the final pieces, plus the extrapolated tail in the error (NaN past
-    the float range).  A running error that is not finite ends the
-    refinement: no bisection makes it finite again.
+    The march keeps its pieces in flat lists, heaped (older first on ties)
+    only by the refinement's first pop.  The value and the error are the
+    exactly rounded sums (`math.fsum`) of the final pieces, plus the
+    extrapolated tail in the error (NaN past the float range).  A running
+    error that is not finite ends the refinement: no bisection makes it
+    finite again.
     """
-    tick = itertools.count()  # heap tie-breaker: older panels first
-    heap = []  # (-err, tick, a, b, value, err, depth)
-    march_errs = []  # the errors of the march panels (pieces), in order
+    pieces = [], [], [], []  # the march pieces' starts, ends, values, errors
     value = edge = 0.0
     width, extent = 0.5 * scale, _MIN_EXTENT_SCALES * scale
     streak = marched = 0
@@ -202,11 +202,10 @@ def _integral(scale, spec, tail_spec, edges):
                 need -= 1
         marched += len(starts)
         lo, hi, owner = _cut(starts, ends, edges,
-                             _MAX_TOTAL_PANELS - len(heap) - len(starts))
+                             _MAX_TOTAL_PANELS - len(pieces[0]) - len(starts))
         vals, errs = yield lo, hi
-        march_errs += errs
-        for a, b, val, err in zip(lo, hi, vals, errs):
-            heapq.heappush(heap, (-err, next(tick), a, b, val, err, 0))
+        for piece, new in zip(pieces, (lo, hi, vals, errs)):
+            piece += new
         # the tail test takes whole march panels, the sums of their pieces
         if owner is not None:
             vals = np.bincount(owner, vals).tolist()
@@ -215,17 +214,24 @@ def _integral(scale, spec, tail_spec, edges):
             small = b >= extent and _tol_met(abs(val), value, tail_spec)
             streak = streak + 1 if small else 0
             prev, last = last, abs(val)
-        room = min(_MAX_MARCH_PANELS - marched, _MAX_TOTAL_PANELS - len(heap))
+        room = min(_MAX_MARCH_PANELS - marched,
+                   _MAX_TOTAL_PANELS - len(pieces[0]))
 
     # the truncated tail: a geometric extrapolation of the last two panels
     # (the march makes >= 7), a fixed part of the error total
     ratio = min(0.9, last / prev) if prev > 0.0 else 0.0
     extra = error = last * ratio / (1.0 - ratio)
-    for err in march_errs:
+    for err in pieces[3]:  # += in creation order: sum() compensates on 3.12+
         error += err
+    heap = None  # (-err, tick, a, b, value, err, depth)
     pops = 0
     capped = False
     while error < math.inf and not _tol_met(error, value, spec):
+        if heap is None:
+            heap = [(-e, k, a, b, v, e, 0)
+                    for k, (a, b, v, e) in enumerate(zip(*pieces))]
+            heapq.heapify(heap)
+            tick = itertools.count(len(heap))  # older panels first on ties
         item = heapq.heappop(heap)
         if item[6] >= spec.max_subdivisions or \
                 len(heap) + 2 > _MAX_TOTAL_PANELS:
@@ -241,13 +247,14 @@ def _integral(scale, spec, tail_spec, edges):
         heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
         pops += 1
 
+    _, _, vals, errs = pieces if heap is None else list(zip(*heap))[2:6]
     try:
-        value = math.fsum(item[4] for item in heap)
-        error = extra + math.fsum(item[5] for item in heap)
+        value = math.fsum(vals)
+        error = extra + math.fsum(errs)
     except (OverflowError, ValueError):  # past the float range, or inf - inf
         value = error = math.nan
     # a bisection replaces one panel by two and evaluates both
-    return (value, error, len(heap) + pops,
+    return (value, error, len(vals) + pops,
             not capped and streak >= 2 and _tol_met(error, value, spec))
 
 
@@ -306,9 +313,10 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
     if spec is None:
         spec = QuadratureSpec()
     tail_spec = replace(spec, rel_tol=spec.series_tail_tol)
-    edges = sorted(set(np.asarray(edges, dtype=float).ravel().tolist()))
-    if not all(map(math.isfinite, edges)):
-        raise ValueError("edges must be finite")
+    if len(edges):  # sorted and unique; a NaN sorts last
+        edges = np.unique(np.asarray(edges, dtype=float)).tolist()
+        if not -math.inf < edges[0] <= edges[-1] < math.inf:
+            raise ValueError("edges must be finite")
     runs = [_integral(d, spec, tail_spec, edges) for d in scales]
     # (index, coroutine, its request) of each unfinished integral
     live = [(k, run, next(run)) for k, run in enumerate(runs)]
@@ -319,7 +327,7 @@ def integrate_semi_infinite(f, decay_scale, spec=None, edges=()):
             for k, _, (a, b) in live:
                 starts += a
                 ends += b
-                owner += [k] * len(a)
+                owner += [k] * len(a) if block else ()
             vals, errs = _panel(f, starts, ends, owner if block else None)
             i, still = 0, []
             for k, run, (a, _) in live:

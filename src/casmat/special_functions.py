@@ -10,6 +10,7 @@ only a process that calls one of those loads scipy.special.
 """
 
 import bisect
+import functools
 import math
 from fractions import Fraction
 
@@ -116,6 +117,7 @@ def bernoulli(k):
     return _bernoulli_table(k)[k]
 
 
+@functools.cache
 def _bernoulli_table(kmax):
     table = [Fraction(1)]
     for m in range(1, kmax + 1):
@@ -123,7 +125,7 @@ def _bernoulli_table(kmax):
         for j in range(m):
             acc += math.comb(m + 1, j) * table[j]
         table.append(-acc / (m + 1))
-    return table
+    return tuple(table)  # read-only: the cache shares it
 
 
 def _roundtrips(ell):

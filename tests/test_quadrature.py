@@ -1,5 +1,7 @@
 """Adaptive semi-infinite quadrature and roundtrip series summation."""
 
+import heapq
+import itertools
 import math
 from fractions import Fraction
 
@@ -210,6 +212,246 @@ def test_non_finite_edges_are_rejected():
     with pytest.raises(ValueError):
         integrate_semi_infinite(lambda x: np.exp(-x), 1.0,
                                 edges=[0.5, math.nan])
+
+
+@pytest.mark.parametrize("edges", [
+    [math.inf], [-math.inf, 1.0], [math.nan], [2.0, math.nan, math.nan],
+    [math.nan, math.inf, 0.5], np.array([[0.5, -math.inf]])])
+def test_edges_that_are_not_finite_are_rejected(edges):
+    calls = []
+    with pytest.raises(ValueError, match="edges must be finite"):
+        integrate_semi_infinite(_counted(lambda x: np.exp(-x), calls), 1.0,
+                                edges=edges)
+    assert calls == []
+
+
+def _bits(res):
+    """A result's fields as bytes and ints: equal only if bit for bit."""
+    return (np.asarray(res.value, dtype=float).tobytes(),
+            np.asarray(res.error_estimate, dtype=float).tobytes(),
+            res.evaluations, res.converged)
+
+
+def _march_bounds(scale, n):
+    """The ends of the march's first n panels, as the march computes them."""
+    bounds, edge, width = [], 0.0, 0.5 * scale
+    for _ in range(n):
+        edge += width
+        width *= quadrature._GROWTH
+        bounds.append(edge)
+    return bounds
+
+
+def test_edges_integrate_as_their_sorted_unique_set():
+    # unsorted edges, duplicates (+-0.0 among them), edges on the march's
+    # panel boundaries and edges past its reach give the result of their
+    # sorted unique set, for one integral and for a block
+    bounds = _march_bounds(1.0, 6)
+    unique = sorted(set(_KNOTS.tolist() + bounds[1:5] + [0.0, 3e4]))
+    assert bounds[2] in unique and _KNOTS[-1] < bounds[5] < 3e4
+    rng = np.random.default_rng(5)
+    variants = [unique[::-1], rng.permutation(unique + unique),
+                [-0.0] + unique + [-0.0, 0.0] + bounds[1:5],
+                np.array([unique, rng.permutation(unique)])]
+    block = lambda i, x: _kinked(x) * np.exp(-i * x)  # noqa: E731
+    for f, scale in ((_kinked, 1.0), (block, np.array([1.0, 0.3, 2.0]))):
+        ref = _bits(integrate_semi_infinite(f, scale, edges=unique))
+        for edges in variants:
+            assert _bits(integrate_semi_infinite(f, scale, edges=edges)) == ref
+    # edges all past the march's reach cut nothing
+    f = lambda x: np.exp(-x) * np.sin(x) ** 2  # noqa: E731
+    assert _bits(integrate_semi_infinite(f, 1.0, edges=[4e4, 3e4, 4e4])) == \
+        _bits(integrate_semi_infinite(f, 1.0))
+
+
+def _heap_per_piece_integral(scale, spec, tail_spec, edges):
+    """`quadrature._integral` as it was when the march heaped every piece.
+
+    The reference for the flat march pieces: each march piece is pushed on
+    the heap as it comes, and the value and error are summed over the
+    heap.
+    """
+    tick = itertools.count()  # heap tie-breaker: older panels first
+    heap = []  # (-err, tick, a, b, value, err, depth)
+    march_errs = []  # the errors of the march panels (pieces), in order
+    value = edge = 0.0
+    width, extent = 0.5 * scale, quadrature._MIN_EXTENT_SCALES * scale
+    streak = marched = 0
+    room = quadrature._MAX_MARCH_PANELS
+    prev = last = 0.0  # |value| of the last two panels
+    while streak < 2 and room > 0:
+        starts, ends, need = [], [], 2 - streak
+        while need and len(starts) < room:
+            starts.append(edge)
+            edge += width
+            ends.append(edge)
+            width *= quadrature._GROWTH
+            if edge >= extent:
+                need -= 1
+        marched += len(starts)
+        lo, hi, owner = quadrature._cut(
+            starts, ends, edges,
+            quadrature._MAX_TOTAL_PANELS - len(heap) - len(starts))
+        vals, errs = yield lo, hi
+        march_errs += errs
+        for a, b, val, err in zip(lo, hi, vals, errs):
+            heapq.heappush(heap, (-err, next(tick), a, b, val, err, 0))
+        if owner is not None:
+            vals = np.bincount(owner, vals).tolist()
+        for b, val in zip(ends, vals):
+            value += val
+            small = (b >= extent
+                     and quadrature._tol_met(abs(val), value, tail_spec))
+            streak = streak + 1 if small else 0
+            prev, last = last, abs(val)
+        room = min(quadrature._MAX_MARCH_PANELS - marched,
+                   quadrature._MAX_TOTAL_PANELS - len(heap))
+
+    ratio = min(0.9, last / prev) if prev > 0.0 else 0.0
+    extra = error = last * ratio / (1.0 - ratio)
+    for err in march_errs:
+        error += err
+    pops = 0
+    capped = False
+    while error < math.inf and not quadrature._tol_met(error, value, spec):
+        item = heapq.heappop(heap)
+        if item[6] >= spec.max_subdivisions or \
+                len(heap) + 2 > quadrature._MAX_TOTAL_PANELS:
+            heapq.heappush(heap, (item[0], next(tick)) + item[2:])
+            capped = True
+            break
+        _, _, a, b, val, err, depth = item
+        mid = 0.5 * (a + b)
+        (vl, vr), (el, er) = yield (a, mid), (mid, b)
+        value += vl + vr - val
+        error += el + er - err
+        heapq.heappush(heap, (-el, next(tick), a, mid, vl, el, depth + 1))
+        heapq.heappush(heap, (-er, next(tick), mid, b, vr, er, depth + 1))
+        pops += 1
+
+    try:
+        value = math.fsum(item[4] for item in heap)
+        error = extra + math.fsum(item[5] for item in heap)
+    except (OverflowError, ValueError):
+        value = error = math.nan
+    return (value, error, len(heap) + pops,
+            not capped and streak >= 2 and quadrature._tol_met(error, value,
+                                                               spec))
+
+
+def _engine_integrals(monkeypatch, engine, cfg):
+    """The (f, decay_scale, spec, edges) of each march an engine makes."""
+    from casmat import casimir2d
+    seen = []
+
+    def spy(f, decay_scale, spec=None, edges=()):
+        seen.append((f, decay_scale, spec, edges))
+        return integrate_semi_infinite(f, decay_scale, spec, edges)
+
+    with monkeypatch.context() as m:
+        m.setattr(casimir2d, "integrate_semi_infinite", spy)
+        engine(cfg)
+    return seen
+
+
+def _flat_march_cases(monkeypatch):
+    from casmat import casimir2d
+    from casmat.scattering import (CavityConfig, perfect_mirror,
+                                   tabulated_mirror)
+    xi = np.geomspace(1e-6, 1e4, 400)
+    table = tabulated_mirror(xi, -1.0 / (1.0 + xi))
+    cases = {}
+    for name, engine, cfg in (
+            ("table-force", casimir2d.force_imag_axis,
+             CavityConfig(table, table, 0.7)),
+            ("table-energy", casimir2d.casimir_energy,
+             CavityConfig(table, table, 1.3)),
+            ("perfect-energy", casimir2d.casimir_energy,
+             CavityConfig(perfect_mirror(), perfect_mirror(), 1.0))):
+        (call,) = _engine_integrals(monkeypatch, engine, cfg)
+        cases[name] = call
+    assert len(cases["table-force"][3]) == 400
+    assert len(cases["table-energy"][3]) == 440
+    assert cases["perfect-energy"][3].tolist() == \
+        casimir2d._LOG_EDGES.tolist()
+    sqrt = lambda x: np.sqrt(x) * np.exp(-x)  # noqa: E731
+    cases["block"] = (lambda i, x: np.exp(-x) * np.cos(i * x) ** 2,
+                      np.geomspace(0.1, 10.0, 8), None, ())
+    cases["bisection"] = (sqrt, 1.0, None, ())
+    cases["capped"] = (sqrt, 1.0, QuadratureSpec(max_subdivisions=3), ())
+    cases["not-finite"] = (
+        lambda x: np.where(x < 2.0, np.exp(-x), np.inf), 1.0, None, ())
+    return cases
+
+
+def _drive(run, respond):
+    """Run an integral's coroutine on respond(starts, ends): its requests
+    and its result."""
+    requests = []
+    try:
+        request = next(run)
+        while True:
+            requests.append(request)
+            request = run.send(respond(*request))
+    except StopIteration as done:
+        return requests, done.value
+
+
+def test_tied_errors_pop_in_creation_order():
+    # every panel reports the same error, so the order of the bisections
+    # is the tie-breaker's alone: the children are younger than every
+    # march piece and bisect after them, as when each piece was heaped as
+    # it came, down to the depth cap
+    def respond(starts, ends):
+        return ([(b - a) * math.exp(-a) for a, b in zip(starts, ends)],
+                [1e-6] * len(starts))
+
+    spec = QuadratureSpec(max_subdivisions=3)
+    tail_spec = QuadratureSpec(rel_tol=spec.series_tail_tol)
+    flat = _drive(quadrature._integral(1.0, spec, tail_spec, []), respond)
+    ref = _drive(_heap_per_piece_integral(1.0, spec, tail_spec, []), respond)
+    assert flat == ref
+    requests, (_, _, panels, converged) = flat
+    # the march asks for lists of panels, each bisection for one tuple pair
+    rounds = [r for r in requests if isinstance(r[0], list)]
+    marched = sum(len(starts) for starts, _ in rounds)
+    assert not converged and len(requests) == len(rounds) + 7 * marched
+    assert panels == marched + 2 * 7 * marched
+    # breadth first: every march piece, then every child, in order
+    firsts = [requests[len(rounds) + k][0][0] for k in (0, marched)]
+    assert firsts == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("case", [
+    "table-force", "table-energy", "perfect-energy", "block", "bisection",
+    "capped", "not-finite"])
+def test_flat_march_pieces_equal_a_heap_per_piece(monkeypatch, case):
+    # the march keeps its pieces in flat lists and heaps them only for the
+    # refinement: every field is bit for bit that of a march that heaps
+    # each piece as it comes, and only the integrals that refine heapify
+    f, scale, spec, edges = _flat_march_cases(monkeypatch)[case]
+    heapified = []
+
+    def heapify(heap):
+        heapified.append(len(heap))
+        real_heapify(heap)
+
+    real_heapify = heapq.heapify
+    with monkeypatch.context() as m:
+        m.setattr(quadrature.heapq, "heapify", heapify)
+        flat = integrate_semi_infinite(f, scale, spec, edges)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_integral", _heap_per_piece_integral)
+        ref = integrate_semi_infinite(f, scale, spec, edges)
+    assert _bits(flat) == _bits(ref)
+    refines = {"block": True, "bisection": True, "capped": True}
+    assert bool(heapified) is refines.get(case, False)
+    if case == "capped":
+        assert not flat.converged
+    if case == "not-finite":
+        assert math.isnan(flat.error_estimate) and not flat.converged
+    if case.startswith(("table", "perfect")):
+        assert flat.converged
 
 
 def test_geometric_series():

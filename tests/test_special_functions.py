@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import hyp0f1, ive
 
+from casmat import special_functions
 from casmat.quadrature import integrate_semi_infinite
 from casmat.special_functions import (bernoulli, erlang_weight, hypoexp_weight,
                                       polylog)
@@ -78,6 +79,15 @@ def test_bernoulli_exact_fractions():
     assert bernoulli(6) == Fraction(1, 42)
     assert bernoulli(8) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
+
+
+def test_bernoulli_table_is_cached_read_only():
+    # one exact table per order, shared by every call: a tuple, so no
+    # caller can change the numbers another reads
+    table = special_functions._bernoulli_table(12)
+    assert special_functions._bernoulli_table(12) is table
+    assert isinstance(table, tuple) and table[12] == Fraction(-691, 2730)
+    assert bernoulli(12) is table[12]
 
 
 def test_erlang_single_roundtrip_is_exponential():
