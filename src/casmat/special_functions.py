@@ -117,7 +117,7 @@ def bernoulli(k):
     return _bernoulli_table(k)[k]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)
 def _bernoulli_table(kmax):
     table = [Fraction(1)]
     for m in range(1, kmax + 1):
