@@ -81,48 +81,64 @@ def _closed_form(r0, p, num, den, method):
     return Result(value, 1e-12 * abs(value), method)
 
 
-def _delay_profile(cfg):
-    """Classify the mirror pair for the time-domain roundtrip route.
+@dataclass(frozen=True)
+class _LoopLaw:
+    """The law of the loop reflection r1 r2, which every roundtrip term reads.
 
-    A roundtrip multiplies the field by the loop reflection; in time it
-    convolves the two mirror response kernels with the flight delay.  For
-    the supported models the l-fold loop kernel is a nonnegative delay
-    density: instantaneous mirrors contribute nothing, each exponential
-    (single-resonance) mirror contributes one exponential stage per
-    bounce, so l roundtrips give an Erlang density of k l stages when the
-    k lorentzian mirrors share one cutoff (one, or two at equal cutoffs)
-    and a two-rate hypoexponential density for split cutoffs.  That is
-    the law of X / Omega_1 + Y / Omega_2 with X, Y ~ Gamma(l, 1), which is
-    R (T / Omega_1 + (1 - T) / Omega_2) with R ~ Gamma(2 l, 1) and
-    T ~ Beta(l, l) independent (Lukacs 1955), at real l >= 1 too.
-
-    Returns
-    -------
-    weight, shape : callables, or (None, None)
-        ``weight(l, s)`` is the delay density of l roundtrips at delay s,
-        elementwise in real l and s (None when both mirrors respond
-        instantaneously and the density is a delta at zero delay);
-        ``shape(ells)`` is that density's exact law for
-        `_sum_integral_terms`: alpha = k l - 1 and the shared cutoff as
-        one rate column, or alpha = 2 l - 1 and the two cutoffs as two.
+    r0 = rbar(0), 1 for an analytic (perfect or lorentzian) pair; rates,
+    the lorentzian cutoffs Omega_i, a table's partner's too.  In time a
+    roundtrip convolves the mirror response kernels with the flight delay,
+    and an analytic pair's l-fold loop kernel is a nonnegative delay
+    density: a perfect mirror adds nothing, a lorentzian one an exponential
+    stage per bounce, so l roundtrips give an Erlang density of k l stages
+    when the k lorentzian mirrors share one cutoff (one, or two at equal
+    cutoffs), and for split cutoffs the law of X / Omega_1 + Y / Omega_2,
+    X, Y ~ Gamma(l, 1), which is R (T / Omega_1 + (1 - T) / Omega_2) with
+    R ~ Gamma(2 l, 1) and T ~ Beta(l, l) independent (Lukacs 1955), at
+    real l >= 1 too.
     """
-    rates = []
-    for m in (cfg.mirror1, cfg.mirror2):
+    r0: float
+    rates: tuple = ()
+    analytic: bool = True
+
+    def weight(self, l, s):
+        """The density of l roundtrips' delay s, elementwise in real l, s."""
+        if len(set(self.rates)) == 1:
+            return erlang_weight(len(self.rates) * l, self.rates[0], s)
+        return hypoexp_weight(l, *self.rates, s)
+
+    def shape(self, l):
+        """`weight`'s exact law for `_sum_integral_terms`: alpha = k l - 1
+        for k cutoffs, and a rate column per distinct cutoff, in order."""
+        return (len(self.rates) * l - 1,
+                np.tile(list(dict.fromkeys(self.rates)), (l.size, 1)))
+
+    def tail(self, c, p, q):
+        """`_watson_law` of the T = 0 terms c int xi^p rbar^l e^{-2 l q xi};
+        None for a table, which has no law to expand."""
+        return _watson_law(c, p, q, self.rates) if self.analytic else None
+
+    def efold(self, q, T):
+        """1/(2 pi T q - ln r0), the terms' e-folding length in l: inf
+        where that gap is not positive (T q underflows at r0 = 1)."""
+        if self.r0 > 0.0:  # else None: no e-folding length
+            gap = 2.0 * math.pi * T * q - math.log(self.r0)
+            return 1.0 / gap if gap > 0.0 else math.inf
+
+
+def _loop_law(cfg, time_kernel=False):
+    """cfg's `_LoopLaw`, the one reader of its mirrors' kinds and cutoffs;
+    time_kernel refuses a mirror without a response kernel in time."""
+    mirrors = (cfg.mirror1, cfg.mirror2)
+    rates = tuple(float(m.cutoff) for m in mirrors if m.kind == "lorentzian")
+    for m in mirrors:
         if not m.has_time_kernel:
-            raise ModelCapabilityError(
-                "time-domain roundtrip evaluation needs a mirror response "
-                "kernel in time; %r models do not provide one" % m.kind)
-        if m.kind == "lorentzian":
-            rates.append(float(m.cutoff))
-    if not rates:
-        return None, None
-    if len(set(rates)) == 1:
-        k, rate = len(rates), rates[0]
-        return ((lambda l, s: erlang_weight(k * l, rate, s)),
-                lambda l: (k * l - 1, np.full((l.size, 1), rate)))
-    a, b = rates
-    return ((lambda l, s: hypoexp_weight(l, a, b, s)),
-            lambda l: (2 * l - 1, np.tile(rates, (l.size, 1))))
+            if time_kernel:
+                raise ModelCapabilityError(
+                    "time-domain roundtrip evaluation needs a mirror response "
+                    "kernel in time; %r models do not provide one" % m.kind)
+            return _LoopLaw(cfg.loop_r0(), rates, False)
+    return _LoopLaw(1.0, rates)
 
 
 @functools.lru_cache(maxsize=64)
@@ -226,19 +242,16 @@ def _loop_series(r0, q, temperature, kernel, spec, law_tail=None):
 
     A perfect pair's is r0 = 1, which law_tail closes at T = 0.  The terms
     are r0^l K(l), K(l) = kernel(l, 2 l q) elementwise in l and the delay
-    tau, with the a priori ratio bound |r0| e^{-4 pi T q}.  For 0 < r0 <= 1
-    at T > 0 they take real l and e-fold over 1/(2 pi T q - ln r0), below
+    tau, with the a priori ratio bound |r0| e^{-4 pi T q}.  For r0 > 0
+    they take real l and e-fold over the `_LoopLaw.efold` of |r0|, below
     which Gregory's tail may close them.  For r0 < 0 they alternate, and
     are summed in pairs, the first step of Euler's transformation (DLMF
     3.9): T_m = r0 (r0^2)^(m-1) K(2m - 1) + (r0^2)^m K(2m), which take
     real m, have the ratio bound r0^2 e^{-8 pi T q} and e-fold over half
-    the length in l at T > 0.  roundtrips_used counts the 2m terms summed.
+    that length in l.  roundtrips_used counts the 2m terms summed.
     """
     rate = 2.0 * math.pi * temperature * q
-    efold = None
-    if temperature > 0.0 and r0 != 0.0:
-        gap = rate - math.log(abs(r0))
-        efold = 1.0 / gap if gap > 0.0 else math.inf  # 0 if T q underflows
+    efold = _LoopLaw(abs(r0)).efold(q, temperature)
     if r0 > 0.0:
         return _sum_series(lambda l: r0 ** l * kernel(l, 2.0 * l * q), spec,
                            ratio_bound=r0 * math.exp(-2.0 * rate),
@@ -255,19 +268,11 @@ def _loop_series(r0, q, temperature, kernel, spec, law_tail=None):
     return replace(series, evaluations=2 * series.evaluations)
 
 
-def _law_tail(cfg, c, p):
-    """`_watson_law` of perfect or lorentzian mirrors; None for a table."""
-    mirrors = (cfg.mirror1, cfg.mirror2)
-    if all(m.has_time_kernel for m in mirrors):
-        return _watson_law(c, p, cfg.q, [m.cutoff for m in mirrors
-                                         if m.kind == "lorentzian"])
-
-
-def _roundtrip_sum(cfg, kernel, spec, law_tail=None):
+def _roundtrip_sum(cfg, kernel, spec, closure=None):
     """Sum the roundtrip series whose l-th term averages kernel(l, tau).
 
-    The average is over the l-roundtrip delay density w_l of
-    `_delay_profile`, at tau = 2 l q + s:
+    The average is over the l-roundtrip delay density w_l of the pair's
+    `_LoopLaw` (`_loop_law`, which refuses a table), at tau = 2 l q + s:
 
         sum_l  int_0^inf ds  w_l(s) kernel(l, 2 l q + s).
 
@@ -277,19 +282,18 @@ def _roundtrip_sum(cfg, kernel, spec, law_tail=None):
     term for term that of `force_large_distance` at r0 = 1; and one l per
     quadrature node otherwise.  w_l is exactly the law its shape gives, so
     `_sum_integral_terms` takes the kernel for its rules and w_l times it
-    for its fallback, whose nodes alone evaluate the density.  At T > 0 the
-    terms take real l and e-fold over 1/(2 pi T q); law_tail closes T = 0.
+    for its fallback, whose nodes alone evaluate the density.  The terms
+    take real l and e-fold over the law's `efold`; at T = 0 its `tail` of
+    closure = (c, p) closes them.
     """
-    q, T = cfg.q, cfg.temperature
-    weight, shape = _delay_profile(cfg)
-    if weight is None:
-        return _loop_series(1.0, q, T, kernel, spec, law_tail)
-    rate = 2.0 * math.pi * T * q
-    efold = (1.0 / rate if rate > 0.0 else math.inf) if T else None
+    q, T, law = cfg.q, cfg.temperature, _loop_law(cfg, time_kernel=True)
+    tail = law.tail(*closure, q) if closure and not T else None
+    if not law.rates:
+        return _loop_series(law.r0, q, T, kernel, spec, tail)
     return _sum_integral_terms(
-        lambda l, s: kernel(l, 2.0 * l * q + s), shape,
-        lambda l, s: weight(l, s) * kernel(l, 2.0 * l * q + s), spec, efold,
-        law_tail)
+        lambda l, s: kernel(l, 2.0 * l * q + s), law.shape,
+        lambda l, s: law.weight(l, s) * kernel(l, 2.0 * l * q + s), spec,
+        law.efold(q, T), tail)
 
 
 def _imag_axis(cfg, coefficient, power, log_form, spec):
@@ -375,9 +379,8 @@ def force_roundtrip_time(cfg, spec=None):
 
         F  =  sum_l  -int_0^inf ds  w_l(s) c_T(2 l q + s),
 
-    where w_l is the delay density from `_delay_profile` and c_T the
-    (thermal) two-point kernel.  For a perfect pair the delay integral
-    collapses and F = -sum_l c_T(2 l q) exactly.
+    where w_l is the delay density of `_LoopLaw` and c_T the (thermal)
+    two-point kernel; for a perfect pair F = -sum_l c_T(2 l q) exactly.
 
     Entirely independent of the imaginary-axis route: real time-domain
     kernels, no contour rotation.  Works at any temperature >= 0.  At
@@ -386,7 +389,7 @@ def force_roundtrip_time(cfg, spec=None):
     """
     T = cfg.temperature
     series = _roundtrip_sum(cfg, lambda l, tau: -thermal_kernel_time(tau, T),
-                            spec, None if T else _law_tail(cfg, 1 / np.pi, 1))
+                            spec, (1 / np.pi, 1))
     return _result(series, "roundtrip-time", spec)
 
 

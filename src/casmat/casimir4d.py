@@ -20,7 +20,7 @@ import numpy as np
 from .special_functions import bernoulli
 from .spectral import kernel_4d_thermal
 from .casimir2d import (Result, _check_constant_loop, _closed_form,
-                        _imag_axis, _law_tail, _loop_series, _result,
+                        _imag_axis, _loop_law, _loop_series, _result,
                         _sum_integral_terms)
 from .scattering import MirrorModel
 # perfbench's tracer wraps these by name on each engine module; this one
@@ -74,19 +74,18 @@ def pressure_roundtrip(cfg, spec=None):
     route: different integrands, different convergence structure.  For a
     frequency-independent loop the l-th term is exactly r0^l C(2 l q)
     with the vacuum kernel C(tau) = 6/(pi^2 tau^4).  Lorentzian and
-    perfect plates close the series by their law (`_law_tail`).  A table's
-    terms take real l and e-fold over -1/ln rbar(0) roundtrips, for ever
-    at rbar(0) = 1, below which Gregory's tail may close the series.
+    perfect plates close the series by their law (`_LoopLaw.tail`).  A
+    table's terms take real l and e-fold over -1/ln rbar(0) roundtrips,
+    for ever at rbar(0) = 1, below which Gregory's tail may close them.
     """
     if cfg.temperature != 0.0:
         raise ValueError("pressure_roundtrip is a zero-temperature route; "
                          "use pressure_thermal_large_distance at T > 0")
-    q = cfg.q
-    # r1 r2 ~ e^{-sigma kappa} at small kappa (sigma = sum_i 1/Omega_i, the
-    # lorentzian cutoffs): the l-th integrand is the Gamma(4, l lam) density,
+    q, law = cfg.q, _loop_law(cfg)
+    # r1 r2 ~ e^{-sigma kappa} at small kappa (sigma = sum_i 1/Omega_i over
+    # the law's cutoffs): the l-th integrand is the Gamma(4, l lam) density,
     # lam = 2q + sigma, times C(l lam) rbar^l e^{l sigma kappa}
-    sigma = sum(1.0 / m.cutoff for m in (cfg.mirror1, cfg.mirror2)
-                if m.kind == "lorentzian")
+    sigma = sum(1.0 / w for w in law.rates)
     lam = 2.0 * q + sigma
 
     def kernel(l, kappa):
@@ -97,11 +96,9 @@ def pressure_roundtrip(cfg, spec=None):
         return (kappa**3 * cfg.loop_r_imag(kappa)**l
                 * np.exp(-2.0 * l * kappa * q) / np.pi**2)
 
-    r0 = cfg.loop_r0()
     series = _sum_integral_terms(
         kernel, lambda l: (np.full_like(l, 3), l[:, None] * lam), term, spec,
-        -1.0 / np.log(r0) if 0.0 < r0 < 1.0 else
-        np.inf if r0 == 1.0 else None, _law_tail(cfg, 1.0 / np.pi**2, 3))
+        law.efold(q, 0.0), law.tail(1.0 / np.pi**2, 3, q))
     return _result(series, "roundtrip-time", spec)
 
 

@@ -195,11 +195,53 @@ def test_exact_weight_thermal_routes_meet_matsubara_sums(
 
 
 def test_roundtrip_needs_time_kernel():
+    # a table has no response kernel in time: every time-domain engine
+    # refuses it, facing a table, a lorentzian or a perfect mirror, at
+    # T = 0 and T > 0, with one message
     xi = np.geomspace(1e-3, 1e3, 100)
     tab = tabulated_mirror(xi, -1.0 / (1.0 + xi))
-    cfg = CavityConfig(tab, tab, 1.0)
-    with pytest.raises(ModelCapabilityError):
-        force_roundtrip_time(cfg)
+    message = ("time-domain roundtrip evaluation needs a mirror response "
+               "kernel in time; 'tabulated' models do not provide one")
+    for other in (tab, lorentzian_mirror(1.0), perfect_mirror()):
+        with pytest.raises(ModelCapabilityError) as info:
+            force_roundtrip_time(CavityConfig(tab, other, 1.0))
+        assert str(info.value) == message
+        for engine in (force_roundtrip_time, free_energy,
+                       internal_energy_thermal):
+            cfg = CavityConfig(tab, other, 1.0, temperature=0.3)
+            with pytest.raises(ModelCapabilityError) as info:
+                engine(cfg)
+            assert str(info.value) == message
+
+
+def test_loop_law_reads_each_pair_once():
+    # the loop-law record of every pair: the lorentzian cutoffs in mirror
+    # order, a table's partner's too, since the 4D pressure's Gamma(4, l
+    # lam) law takes them in lam; r0 = 1 for perfect and lorentzian pairs
+    # without a loop reflection read, and a table's own rbar(0)
+    xi = np.geomspace(1e-3, 1e3, 100)
+    tab, lor = tabulated_mirror(xi, -1.0 / (1.0 + xi)), lorentzian_mirror(1.3)
+    for cutoffs in [(None, None), (0.7, None), (0.4, 2.5), (2.5, 0.4),
+                    (0.7, 0.7)]:
+        cfg = _exact_weight_pair(cutoffs, 1.0)
+        cfg.loop_r_imag = None  # a read would raise a TypeError
+        rates = tuple(w for w in cutoffs if w is not None)
+        assert casimir2d._loop_law(cfg) == casimir2d._LoopLaw(1.0, rates)
+    for pair, rates in [((lor, tab), (1.3,)), ((tab, lor), (1.3,)),
+                        ((perfect_mirror(), tab), ()), ((tab, tab), ())]:
+        cfg = CavityConfig(*pair, 1.0)
+        law = casimir2d._loop_law(cfg)
+        assert law == casimir2d._LoopLaw(cfg.loop_r0(), rates, False)
+        assert law.tail(1.0, 1, 1.0) is None
+    # the e-folding length: none for r0 <= 0, for ever where 2 pi T q
+    # underflows at r0 = 1 (or T = 0), else 1 / (2 pi T q - ln r0)
+    assert casimir2d._LoopLaw(0.0).efold(1.0, 0.3) is None
+    assert casimir2d._LoopLaw(-0.8).efold(1.0, 0.3) is None
+    assert casimir2d._LoopLaw(1.0).efold(1e-200, 1e-200) == math.inf
+    assert casimir2d._LoopLaw(1.0).efold(1.0, 0.0) == math.inf
+    for r0, q, T in [(1.0, 0.7, 0.01), (0.9, 1.0, 0.0), (0.5, 3.0, 1e-4)]:
+        assert casimir2d._LoopLaw(r0).efold(q, T) == (
+            1.0 / (2.0 * math.pi * T * q - math.log(r0)))
 
 
 # the four imaginary-axis observables as prefactor * int dxi xi^p h(x),
@@ -556,12 +598,15 @@ def test_split_pair_terms_meet_their_bars(a, b, q):
     # the product rules of split cutoffs on the force's terms: every term
     # they accept (its bar within the inner tolerance) lies within its bar
     # of the 30-digit reference, plus 8 ulp for the rounding of the nodes'
-    # weights, which sum to 1 only to a few ulp
-    _, shape = casimir2d._delay_profile(
+    # weights, which sum to 1 only to a few ulp; the law is the pair's
+    # loop-law record, its two cutoffs in mirror order
+    law = casimir2d._loop_law(
         CavityConfig(lorentzian_mirror(a), lorentzian_mirror(b), q))
+    assert law.rates == (a, b) and law.r0 == 1.0 and law.analytic
     ells = np.array([1, 2, 8, 64])
     value, error = casimir2d._fixed_rule_terms(
-        lambda l, s: -thermal_kernel_time(2.0 * l * q + s, 0.0), shape, ells)
+        lambda l, s: -thermal_kernel_time(2.0 * l * q + s, 0.0), law.shape,
+        ells)
     inner = QuadratureSpec(rel_tol=0.5e-9, abs_tol=0.5e-14)
     accepted = quadrature._tol_met(error, value, inner)
     assert accepted[-1]

@@ -757,12 +757,12 @@ def _assert_block_matches(f, scales, spec=None):
 
 @pytest.mark.parametrize("route", ["force", "pressure"])
 def test_block_equals_one_integral_at_a_time(route):
-    # a full 64-term block of a split-cutoff roundtrip force
-    # (hypoexponential delay densities, with their exact means as decay
-    # scales) and of a roundtrip pressure, built from the series integrands
-    # with the fallback's decay scales and inner tolerances: in lockstep,
-    # each term gets bit for bit the value, error and evaluations it gets
-    # alone
+    # a full 64-term block of a split-cutoff roundtrip force (the
+    # hypoexponential delay densities of the pair's loop-law record, with
+    # their exact means as decay scales) and of a roundtrip pressure, built
+    # from the series integrands with the fallback's decay scales and inner
+    # tolerances: in lockstep, each term gets bit for bit the value, error
+    # and evaluations it gets alone
     from casmat import casimir2d
     from casmat.scattering import CavityConfig, lorentzian_mirror
     from casmat.spectral import thermal_kernel_time
@@ -770,10 +770,11 @@ def test_block_equals_one_integral_at_a_time(route):
     ells = np.arange(1, 65)
     if route == "force":
         q = 0.2
-        weight, _ = casimir2d._delay_profile(CavityConfig(m1, m2, q))
+        law = casimir2d._loop_law(CavityConfig(m1, m2, q))
 
         def integrand(l, s):
-            return weight(l, s) * -thermal_kernel_time(2.0 * l * q + s, 0.0)
+            return law.weight(l, s) * -thermal_kernel_time(2.0 * l * q + s,
+                                                           0.0)
 
         scales = ells * (1 / 0.3 + 1 / 3.0)
     else:
