@@ -186,7 +186,8 @@ def _fixed_rule_terms(kernel, shape, ells):
     return value, np.abs(value - y[:, :cut].sum(axis=1))
 
 
-def _sum_integral_terms(kernel, shape, term, spec, efold_length, law_tail):
+def _sum_integral_terms(kernel, shape, term, spec, efold_length, law_tail,
+                        edges=()):
     """Sum a roundtrip series whose l-th term is a kernel's mean over a law.
 
     ``shape(ells)`` gives the law of each term ells: the real
@@ -199,14 +200,16 @@ def _sum_integral_terms(kernel, shape, term, spec, efold_length, law_tail):
     terms in one kernel call, and never evaluate the density.  The terms
     whose error misses the inner tolerance, or is not finite, go to one
     lockstep block of `integrate_semi_infinite` of term, with the law's
-    mean as decay scale.  Each term is integrated slightly tighter than
-    the series budget so the accumulated term errors stay inside the
-    caller's tolerance; the result adds those quadrature errors, summed in
-    term order, to the series error and is converged only if every
-    fallback integral is.  law_tail and efold_length go to `_sum_series`;
-    the latter says that kernel, shape and term take real l, so the rule
-    errors of Gregory's tail-integral nodes count in the quadrature errors
-    too, which can only widen the bar.
+    mean as decay scale.  Given edges, the known kinks of term in x (a
+    table's knots), which the fixed rules would cross, every term goes to
+    that block, which cuts its panels there.  Each term is integrated slightly
+    tighter than the series budget so the accumulated term errors stay
+    inside the caller's tolerance; the result adds those quadrature errors,
+    summed in term order, to the series error and is converged only if
+    every fallback integral is.  law_tail and efold_length go to
+    `_sum_series`; the latter says that kernel, shape and term take real l,
+    so the rule errors of Gregory's tail-integral nodes count in the
+    quadrature errors too, which can only widen the bar.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -217,15 +220,18 @@ def _sum_integral_terms(kernel, shape, term, spec, efold_length, law_tail):
 
     def terms(ells):
         nonlocal quad_ok
-        value, error = map(np.concatenate, zip(*[
-            _fixed_rule_terms(kernel, shape, ells[k:k + _TERMS_PER_CALL])
-            for k in range(0, ells.size, _TERMS_PER_CALL)]))
-        redo = np.flatnonzero(~_tol_met(error, value, inner))
+        value, error = np.empty((2, ells.size))
+        redo = np.arange(ells.size)
+        if not len(edges):
+            value, error = map(np.concatenate, zip(*[
+                _fixed_rule_terms(kernel, shape, ells[k:k + _TERMS_PER_CALL])
+                for k in range(0, ells.size, _TERMS_PER_CALL)]))
+            redo = np.flatnonzero(~_tol_met(error, value, inner))
         if redo.size:
             alpha, beta = shape(ells[redo])
             mean = (alpha + 1) * (1.0 / beta).mean(axis=1)
             res = integrate_semi_infinite(
-                lambda i, x: term(ells[redo][i], x), mean, inner)
+                lambda i, x: term(ells[redo][i], x), mean, inner, edges)
             value[redo], error[redo] = res.value, res.error_estimate
             quad_ok = quad_ok and res.converged
         quad_errors.extend(error.tolist())

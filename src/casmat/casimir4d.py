@@ -75,8 +75,9 @@ def pressure_roundtrip(cfg, spec=None):
     frequency-independent loop the l-th term is exactly r0^l C(2 l q)
     with the vacuum kernel C(tau) = 6/(pi^2 tau^4).  Lorentzian and
     perfect plates close the series by their law (`_LoopLaw.tail`).  A
-    table's terms take real l and e-fold over -1/ln rbar(0) roundtrips,
-    for ever at rbar(0) = 1, below which Gregory's tail may close them.
+    table's terms march knot to knot, as its imaginary-axis integral does,
+    take real l and e-fold over -1/ln rbar(0) roundtrips, for ever at
+    rbar(0) = 1, below which Gregory's tail may close them.
     """
     if cfg.temperature != 0.0:
         raise ValueError("pressure_roundtrip is a zero-temperature route; "
@@ -98,7 +99,7 @@ def pressure_roundtrip(cfg, spec=None):
 
     series = _sum_integral_terms(
         kernel, lambda l: (np.full_like(l, 3), l[:, None] * lam), term, spec,
-        law.efold(q, 0.0), law.tail(1.0 / np.pi**2, 3, q))
+        law.efold(q, 0.0), law.tail(1.0 / np.pi**2, 3, q), cfg.knots)
     return _result(series, "roundtrip-time", spec)
 
 

@@ -382,6 +382,11 @@ SCIPY_FREE_CALLS = [
     for model in ([], ["--model", "lorentzian", "--omega1", "1"])] + [
     ["force2d", "--method", "large-distance", "--r0", "0.5"],
     ["force4d", "--method", "high-T", "--r0", "0.5", "--T", "2"],
+    # the polylog's direct sum takes 0 <= r0 <= 0.9 and, by the
+    # inversion, -0.9 <= r0 < 0 with no scipy
+    ["force2d", "--method", "large-distance", "--r0", "0.9"],
+    ["force2d", "--method", "large-distance", "--r0", "-0.9"],
+    ["force4d", "--method", "high-T", "--r0", "0.9", "--T", "2"],
     ["oracle", "--dimension", "4"],
     ["validate-model", "--model", "lorentzian", "--omega1", "1"],
     ["force2d", "--T", "0.1"],

@@ -24,13 +24,18 @@ def test_polylog_at_one_half():
     assert polylog(0.5, 4) == pytest.approx(0.51747906167389938633, rel=1e-13)
 
 
-@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 4, 7, 20])
 @pytest.mark.parametrize("x", [0.3, -0.3, 0.5, -0.5, 0.9, -0.9, 0.95, -0.95,
-                               1.0 - 2e-4, -(1.0 - 2e-4)])
+                               1.0 - 2e-4, -(1.0 - 2e-4),
+                               float(np.nextafter(0.9, 1.0)),
+                               float(np.nextafter(-0.9, -1.0)),
+                               1.0 - 1e-12, -1.0 + 1e-12, 1e-300])
 def test_polylog_meets_its_tolerance_against_mpmath(x, p):
-    # every value is summed to rounding: a direct sum (|x| <= 0.9) stops
-    # at the fewest terms whose tail bound is below 1e-16 relative, and
-    # near -1 both pieces of the inversion do
+    # every value is summed to rounding on either side of the regime
+    # edges: a direct sum (0 <= x <= 0.9) of 300 terms leaves a tail below
+    # 2e-18 relative, the unit expansion (0.9 < x < 1) one of order
+    # (|ln x| / 2 pi)^13, and x < 0 takes both pieces of the inversion
+    # from those two
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         ref = float(mpmath.polylog(p, x))
