@@ -70,14 +70,14 @@ def polylog(x, p):
         return 2.0 ** (1 - p) * polylog(x * x, p) - polylog(-x, p)
     if x <= 0.9:
         ell = np.arange(1.0, 301.0)
-        return float(np.sum(x**ell / ell**p))
+        return float(np.sum(x**ell * ell**-p))
     if x == 1.0:
         return float(scipy.special.zeta(p))
     mu = math.log(x)
     k = np.arange(13.0)
     terms = scipy.special.zeta(p - k) * mu**k / scipy.special.gamma(k + 1)
     log_factor = sum(1.0 / j for j in range(1, p)) - math.log(-mu)
-    return float(mu ** (p - 1) / math.factorial(p - 1) * log_factor
+    return float(mu ** (p - 1) / scipy.special.gamma(p) * log_factor
                  + np.sum(terms, where=k != p - 1))
 
 

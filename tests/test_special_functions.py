@@ -24,7 +24,7 @@ def test_polylog_at_one_half():
     assert polylog(0.5, 4) == pytest.approx(0.51747906167389938633, rel=1e-13)
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 7, 20])
+@pytest.mark.parametrize("p", [2, 3, 4, 7, 20, 200])
 @pytest.mark.parametrize("x", [0.3, -0.3, 0.5, -0.5, 0.9, -0.9, 0.95, -0.95,
                                1.0 - 2e-4, -(1.0 - 2e-4),
                                float(np.nextafter(0.9, 1.0)),
@@ -35,7 +35,7 @@ def test_polylog_meets_its_tolerance_against_mpmath(x, p):
     # edges: a direct sum (0 <= x <= 0.9) of 300 terms leaves a tail below
     # 2e-18 relative, the unit expansion (0.9 < x < 1) one of order
     # (|ln x| / 2 pi)^13, and x < 0 takes both pieces of the inversion
-    # from those two
+    # from those two; p = 200 neither overflows l^p nor (p-1)!
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         ref = float(mpmath.polylog(p, x))
