@@ -232,13 +232,14 @@ def test_planar_model_is_its_base_on_the_real_axis(cutoff):
 
 
 @pytest.mark.parametrize("q, cutoff", [
-    (q, cutoff) for q in (0.3, 1.0) for cutoff in (0.3, 1.0, 3.0)]
+    (q, cutoff) for q in (0.3, 1.0, 10.0) for cutoff in (0.3, 1.0, 3.0)]
     + [(0.01, 0.3), (0.01, 1.0)])
 def test_roundtrip_takes_a_tabulated_mirror(cutoff, q):
     # the 4D roundtrip expands the imaginary-axis integrand, so r[i xi]
     # is all it needs; its terms march knot to knot.  When fixed rules
     # crossed the knots, q = 0.01 met these two 36.7 and 7.0 times the
-    # summed bars off, converged
+    # summed bars off, converged, and q = 10 stopped short of its
+    # tolerance
     xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 200)))
     m = PlanarMirrorModel(tabulated_mirror(xi, -cutoff / (cutoff + xi)))
     cfg = CavityConfig(m, m, q)
