@@ -32,8 +32,9 @@ from .scattering import ModelCapabilityError
 # term, and the product rules 16 x 8 and 24 x 12 for two
 _RULES = (16, 24)
 _BETA_RULES = {1: (1, 1), 2: (8, 12)}
-# the most terms whose fixed-rule nodes one integrand call takes
-_TERMS_PER_CALL = 64
+# the most fixed-rule nodes of one kernel call: 128 KiB of float64, below
+# glibc's mmap threshold, so no call page-faults its temporaries afresh
+_NODES_PER_CALL = 2 ** 14
 # the energies' panel edges in u, graded toward their ln u at u = 0
 _LOG_EDGES = 2.0 ** -np.arange(1, 41)
 
@@ -147,16 +148,17 @@ def _rule_table(orders, beta_sizes):
     a >= 0: Gauss-Laguerre rules `_RULES` of Gamma(a + 1, 1), the coarser
     first, times Beta rules beta_sizes of Beta((a + 1) / 2, (a + 1) / 2)
     (one node, which ignores its parameter, where a < 1), as read-only
-    arrays t, u and w, a row per order and a column per node: its Laguerre
-    node, Beta node and weight v_0^2 p.  Each distinct order is built
-    once.  64 two-rate tables of 64 orders take about 41 MB."""
+    arrays t u, t (1 - u) and w, a row per order and a column per node:
+    its Laguerre node t times its Beta node u and times 1 - u, and its
+    weight v_0^2 p.  Each distinct order is built once.  64 two-rate
+    tables of 32 orders take about 20 MB."""
     rows = {}
     for a in set(orders):
         rules = [(_gauss_laguerre(m, a), _gauss_beta(mb, max(0, a - 1) / 2))
                  for m, mb in zip(_RULES, beta_sizes)]
         rows[a] = [np.concatenate(x) for x in zip(*[
-            (np.tile(t, u.size), np.repeat(u, t.size), np.kron(p, v))
-            for (t, v), (u, p) in rules])]
+            (np.outer(u, t).ravel(), np.outer(1.0 - u, t).ravel(),
+             np.kron(p, v)) for (t, v), (u, p) in rules])]
     table = tuple(np.array([rows[a][i] for a in orders]) for i in range(3))
     for x in table:
         x.flags.writeable = False
@@ -170,46 +172,54 @@ def _fixed_rule_terms(kernel, shape, ells):
     one's, the kernel's means under its law's normalized weights.  A term
     whose delay is R (T / beta_1 + (1 - T) / beta_2) takes the product of
     the Gauss-Laguerre pair `_RULES` for R and the Beta pair of its number
-    of rates in `_BETA_RULES` for T: the nodes t (u / beta_1 + (1 - u) /
-    beta_2) and the weights v_0^2 p.  A law of one rate is the law of two
-    equal ones, whose T drops out: one Beta node u = 1/2 of weight 1.  One
-    kernel call takes the nodes of all the terms, and a repeated chunk
-    builds no rule (`_rule_table`).
+    of rates in `_BETA_RULES` for T: the nodes (t u) / beta_1 + (t (1 -
+    u)) / beta_2, each rate inverted once a term, and the weights v_0^2 p.
+    A law of one rate is the law of two equal ones, whose T drops out: one
+    Beta node u = 1/2 of weight 1.  The terms go in the fewest equal
+    chunks of at most `_NODES_PER_CALL` nodes, one kernel call each, with
+    a column of ells broadcast against the chunk's rows of nodes; a
+    repeated chunk builds no rule (`_rule_table`).
     """
     alpha, beta = shape(ells)
     sizes = _BETA_RULES[beta.shape[1]]
-    t, u, w = _rule_table(tuple(alpha.tolist()), sizes)
-    x = t * (u / beta[:, :1] + (1.0 - u) / beta[:, -1:])
-    y = kernel(np.repeat(ells, x.shape[1]), x.ravel()).reshape(x.shape) * w
+    inv = 1.0 / beta
     cut = _RULES[0] * sizes[0]
-    value = y[:, cut:].sum(axis=1)
-    return value, np.abs(value - y[:, :cut].sum(axis=1))
+    most = _NODES_PER_CALL // (cut + _RULES[1] * sizes[1])
+    step = math.ceil(ells.size / math.ceil(ells.size / most))
+    value, coarse = np.empty((2, ells.size))
+    for k in range(0, ells.size, step):
+        rows = slice(k, k + step)
+        tu, tv, w = _rule_table(tuple(alpha[rows].tolist()), sizes)
+        y = kernel(ells[rows, None],
+                   tu * inv[rows, :1] + tv * inv[rows, -1:]) * w
+        value[rows], coarse[rows] = y[:, cut:].sum(1), y[:, :cut].sum(1)
+    return value, np.abs(value - coarse)
 
 
 def _sum_integral_terms(kernel, shape, term, spec, efold_length, law_tail,
                         edges=()):
     """Sum a roundtrip series whose l-th term is a kernel's mean over a law.
 
-    ``shape(ells)`` gives the law of each term ells: the real
-    alpha >= 0 and a column of rates beta > 0, one for Gamma(alpha + 1,
-    beta), two for the law of the sum of two independent
-    Gamma((alpha + 1) / 2) delays at those rates.  ``kernel(l, x)`` is the
-    l-th kernel at x and ``term(l, x)`` the law's density times it, both
-    elementwise in an array l and x.  The fixed rules of
-    `_fixed_rule_terms` average the kernel, at most `_TERMS_PER_CALL`
-    terms in one kernel call, and never evaluate the density.  The terms
-    whose error misses the inner tolerance, or is not finite, go to one
-    lockstep block of `integrate_semi_infinite` of term, with the law's
-    mean as decay scale.  Given edges, the known kinks of term in x (a
-    table's knots), which the fixed rules would cross, every term goes to
-    that block, which cuts its panels there.  Each term is integrated slightly
-    tighter than the series budget so the accumulated term errors stay
-    inside the caller's tolerance; the result adds those quadrature errors,
-    summed in term order, to the series error and is converged only if
-    every fallback integral is.  law_tail and efold_length go to
-    `_sum_series`; the latter says that kernel, shape and term take real l,
-    so the rule errors of Gregory's tail-integral nodes count in the
-    quadrature errors too, which can only widen the bar.
+    ``shape(ells)`` gives the law of each term ells: the real alpha >= 0
+    and a column of rates beta > 0, one for Gamma(alpha + 1, beta), two for
+    the law of the sum of two independent Gamma((alpha + 1) / 2) delays at
+    those rates.  ``kernel(l, x)`` is the l-th kernel at x and
+    ``term(l, x)`` the law's density times it, both elementwise in arrays
+    l and x that broadcast.  The fixed rules of `_fixed_rule_terms` average the
+    kernel, a column of l against 2-D x of at most `_NODES_PER_CALL` nodes
+    a call, and never evaluate the density.  The terms whose error misses
+    the inner tolerance, or is not finite, go to one lockstep block of
+    `integrate_semi_infinite` of term, with the law's mean as decay scale.
+    Given edges, the known kinks of term in x (a table's knots), which the
+    fixed rules would cross, every term goes to that block, which cuts its
+    panels there.  Each term is integrated slightly tighter than the series
+    budget so the accumulated term errors stay inside the caller's
+    tolerance; the result adds those quadrature errors, summed in term
+    order, to the series error and is converged only if every fallback
+    integral is.  law_tail and efold_length go to `_sum_series`; the latter
+    says that kernel, shape and term take real l, so the rule errors of
+    Gregory's tail-integral nodes count in the quadrature errors too, which
+    can only widen the bar.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -223,9 +233,7 @@ def _sum_integral_terms(kernel, shape, term, spec, efold_length, law_tail,
         value, error = np.empty((2, ells.size))
         redo = np.arange(ells.size)
         if not len(edges):
-            value, error = map(np.concatenate, zip(*[
-                _fixed_rule_terms(kernel, shape, ells[k:k + _TERMS_PER_CALL])
-                for k in range(0, ells.size, _TERMS_PER_CALL)]))
+            value, error = _fixed_rule_terms(kernel, shape, ells)
             redo = np.flatnonzero(~_tol_met(error, value, inner))
         if redo.size:
             alpha, beta = shape(ells[redo])

@@ -623,9 +623,10 @@ def test_split_pair_terms_meet_their_bars(a, b, q):
 def test_stacked_rule_tables_are_cached_read_only(orders, rates):
     # a chunk's table depends on its orders and number of rates alone: the
     # cached arrays are a fresh build's, bit for bit, and cannot be
-    # written; each block of a product rule holds the Laguerre nodes t_i,
-    # the Beta nodes u_j and the weights p_j v_i, and a one-rate row has
-    # one Beta node, u = 1/2 of weight 1, beside each Laguerre node
+    # written; each block of a product rule holds the Laguerre nodes t_i
+    # times the Beta nodes u_j and times 1 - u_j, and the weights p_j v_i,
+    # and a one-rate row has one Beta node, u = 1/2 of weight 1, so it
+    # holds t_i / 2 twice
     sizes = casimir2d._BETA_RULES[rates]
     cached = casimir2d._rule_table(orders, sizes)
     assert casimir2d._rule_table(orders, sizes) is cached
@@ -636,19 +637,24 @@ def test_stacked_rule_tables_are_cached_read_only(orders, rates):
         assert x.tobytes() == y.tobytes()
         with pytest.raises(ValueError):
             x[0, 0] = 1.0
-    t, u, w = cached
+    tu, tv, w = cached
     for row, a in enumerate(orders):
         start = 0
         for m, mb in zip(casimir2d._RULES, sizes):
             lag, v = quadrature._gauss_laguerre(m, a)
             beta, p = quadrature._gauss_beta(mb, (a - 1) // 2)
             block = slice(start, start + m * mb)
-            assert (t[row, block].reshape(mb, m) == lag).all()
-            assert (u[row, block].reshape(mb, m) == beta[:, None]).all()
+            assert (tu[row, block].reshape(mb, m)
+                    == lag * beta[:, None]).all()
+            assert (tv[row, block].reshape(mb, m)
+                    == lag * (1.0 - beta[:, None])).all()
             assert (w[row, block].reshape(mb, m) == np.outer(p, v)).all()
+            if rates == 1:
+                assert (tu[row, block] == lag / 2).all()
+                assert (tv[row, block] == lag / 2).all()
             start += m * mb
     if rates == 1:
-        assert nodes == sum(casimir2d._RULES) and (u == 0.5).all()
+        assert nodes == sum(casimir2d._RULES) and (tu == tv).all()
         one = quadrature._gauss_beta(1, (orders[0] - 1) // 2)
         assert [x.tolist() for x in one] == [[0.5], [1.0]]
 
@@ -673,6 +679,79 @@ def test_one_rate_terms_are_the_equal_rate_product_rule(k, rate, q):
     ulps = 8 * np.finfo(float).eps * np.abs(full)
     assert (np.abs(value - full) <= ulps).all()
     assert (np.abs(error - full_error) <= ulps).all()
+
+
+def _assert_term_by_term(kernel, shape, ells, value, error):
+    # the values and bars of a block are those of its terms taken one at
+    # a time, bit for bit
+    alone = [casimir2d._fixed_rule_terms(kernel, shape, ells[k:k + 1])
+             for k in range(ells.size)]
+    assert value.tobytes() == np.concatenate([v for v, _ in alone]).tobytes()
+    assert error.tobytes() == np.concatenate([e for _, e in alone]).tobytes()
+
+
+def _spied_kernel(q, calls):
+    # the force's kernel at T = 0, recording the shapes of each call's l
+    # and nodes
+    def kernel(l, s):
+        calls.append((l.shape, s.shape))
+        return -thermal_kernel_time(2.0 * l * q + s, 0.0)
+    return kernel
+
+
+@pytest.mark.parametrize("rates", [(0.53, 2.47), (0.7,), (1.1, 1.1001)])
+@pytest.mark.parametrize("first, last", [(1, 64), (129, 256)])
+def test_rule_chunks_keep_the_node_budget_and_every_bit(rates, first, last):
+    # a block of terms goes to the kernel in the fewest equal chunks of at
+    # most 2^14 nodes, each a column of l against its rows of nodes: a
+    # split block of 64 terms (416 nodes each) in 2 chunks of 32, one of
+    # 128 in 4, a one-rate block (40 nodes each) in one call; the values
+    # and bars are those of the terms taken one at a time, bit for bit
+    law = casimir2d._LoopLaw(1.0, rates)
+    ells = np.arange(first, last + 1)
+    calls = []
+    value, error = casimir2d._fixed_rule_terms(
+        _spied_kernel(0.4, calls), law.shape, ells)
+    nodes = 40 if len(set(rates)) == 1 else 416
+    most = casimir2d._NODES_PER_CALL // nodes
+    assert casimir2d._NODES_PER_CALL == 2 ** 14
+    assert len(calls) == math.ceil(ells.size / most)
+    rows = [l[0] for l, _ in calls]
+    assert sum(rows) == ells.size and max(rows) - min(rows) <= 1
+    for l, s in calls:
+        assert l == (s[0], 1) and s[1] == nodes and s[0] * s[1] <= 2 ** 14
+    if nodes == 40:
+        assert len(calls) == 1
+    else:
+        assert rows == [32] * (ells.size // 32)
+    _assert_term_by_term(_spied_kernel(0.4, []), law.shape, ells, value,
+                         error)
+
+
+def test_pressure_block_takes_one_kernel_call(monkeypatch):
+    # a 64-term block of lorentzian plates' pressure terms, one rate l lam
+    # a term, is one kernel call of 64 x 40 nodes, and its values and bars
+    # are those of the terms taken one at a time, bit for bit
+    laws = []
+
+    def spy(kernel, shape, *args):
+        laws.append((kernel, shape))
+        return quadrature.IntegrationResult(1.0, 0.0, 1, True)
+
+    monkeypatch.setattr(casimir4d, "_sum_integral_terms", spy)
+    plate = casimir4d.PlanarMirrorModel(lorentzian_mirror(0.8))
+    casimir4d.pressure_roundtrip(CavityConfig(plate, plate, 0.3))
+    [(kernel, shape)] = laws
+    calls = []
+
+    def spied(l, kappa):
+        calls.append((l.shape, kappa.shape))
+        return kernel(l, kappa)
+
+    ells = np.arange(1, 65)
+    value, error = casimir2d._fixed_rule_terms(spied, shape, ells)
+    assert calls == [((64, 1), (64, 40))]
+    _assert_term_by_term(kernel, shape, ells, value, error)
 
 
 def test_repeated_split_pair_builds_no_rule():
