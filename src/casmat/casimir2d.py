@@ -33,7 +33,7 @@ from .scattering import ModelCapabilityError
 _RULES = (16, 24)
 _BETA_RULES = {1: (1, 1), 2: (8, 12)}
 # the most fixed-rule nodes of one kernel call: 128 KiB of float64, below
-# glibc's mmap threshold, so no call page-faults its temporaries afresh
+# glibc's mmap threshold, so a call's temporaries are not freshly mapped
 _NODES_PER_CALL = 2 ** 14
 # the energies' panel edges in u, graded toward their ln u at u = 0
 _LOG_EDGES = 2.0 ** -np.arange(1, 41)
@@ -172,8 +172,9 @@ def _fixed_rule_terms(kernel, shape, ells):
     one's, the kernel's means under its law's normalized weights.  A term
     whose delay is R (T / beta_1 + (1 - T) / beta_2) takes the product of
     the Gauss-Laguerre pair `_RULES` for R and the Beta pair of its number
-    of rates in `_BETA_RULES` for T: the nodes (t u) / beta_1 + (t (1 -
-    u)) / beta_2, each rate inverted once a term, and the weights v_0^2 p.
+    of rates in `_BETA_RULES` for T: the nodes
+    (t u) / beta_1 + (t (1 - u)) / beta_2, each rate inverted once a term,
+    and the weights v_0^2 p.
     A law of one rate is the law of two equal ones, whose T drops out: one
     Beta node u = 1/2 of weight 1.  The terms go in the fewest equal
     chunks of at most `_NODES_PER_CALL` nodes, one kernel call each, with
